@@ -9,17 +9,20 @@ runs so both backends do the same work.
 """
 
 import argparse
+import sys
 import time
 
 from toricfano import kernel
-from toricfano import classify, fan as fan_mod, intersect, mori
+from toricfano import classify, fan as fan_mod
 
 
 def clear_caches():
-    for module in (fan_mod, intersect, mori, classify):
-        for name in dir(module):
-            obj = getattr(module, name)
-            if hasattr(obj, "cache_clear"):
+    """Clear every ``lru_cache`` in every loaded toricfano module."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "toricfano" or name.startswith("toricfano.")):
+            continue
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
 
 

@@ -121,13 +121,14 @@ def divisor_star_fan(fan, ray_index):
                 )
                 order.append(i)
     ray_list = [images[i] for i in order]
-    assert len(set(ray_list)) == len(ray_list)
+    if len(set(ray_list)) != len(ray_list):
+        raise ClassificationViolation("divisor fan has two equal rays")
     index_of = {i: k for k, i in enumerate(order)}
     cones = tuple(
         tuple(sorted(index_of[i] for i in cone if i != ray_index))
         for cone in star
     )
-    return Fan(fan.dim - 1, tuple(ray_list), cones, trusted=True)
+    return Fan(fan.dim - 1, tuple(ray_list), cones)
 
 
 def _line_wall(fan, ray_index):
@@ -259,13 +260,15 @@ def p1_bundle_fan(n, nu):
 
 def _entry(case_tag, nu, fan, expected, name):
     """Build a catalog entry, verifying the fan and its divisor inventory."""
-    assert is_smooth(fan) and is_complete(fan) and is_fano(fan), name
+    if not (is_smooth(fan) and is_complete(fan) and is_fano(fan)):
+        raise ClassificationViolation(f"{name} is not a smooth complete Fano fan")
     found = {}
     for i in range(len(fan.rays)):
         analysis = analyze_divisor(fan, i)
         if analysis.is_proj_space:
             found[i] = analysis.d
-    assert found == expected, (name, found, expected)
+    if found != expected:
+        raise ClassificationViolation(f"{name}: divisors {found} != {expected}")
     return CatalogEntry(
         case_tag, nu, fan, tuple(sorted(found.items())), name
     )
@@ -393,7 +396,8 @@ def _classify(fan, ray_index, allow_simplify):
     if not allow_simplify:
         raise ClassificationViolation("pair would blow down twice in a row")
     step = simplify_pair(fan, ray_index)
-    assert step is not None
+    if step is None:
+        raise ClassificationViolation("no blow-down along a transverse extremal wall")
     inner = _classify(step.result_fan, step.result_divisor_ray, allow_simplify=False)
     if inner.case_tag == "i":
         expect = {("ii", None)}

@@ -3,16 +3,15 @@
 A fan is the combinatorial datum of a toric variety: primitive ray
 generators plus the full-dimensional simplicial cones, each recorded as a
 sorted tuple of ray indices.  This module owns validation, smoothness and
-completeness tests, wall (invariant curve) enumeration with exact wall
-relations, star-subdivision blow-ups, codimension-two blow-downs, and the
-brute-force fan isomorphism search.
+completeness tests (one covering certificate), wall (invariant curve)
+enumeration with exact wall relations, star-subdivision blow-ups,
+codimension-two blow-downs, and the brute-force fan isomorphism search.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot, so fans can be shared freely between workers.
 """
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -26,17 +25,11 @@ class InvalidFanError(ValueError):
 
 @dataclass(frozen=True)
 class Fan:
-    """dim, primitive ray generators, and maximal cones of size dim.
-
-    ``trusted`` marks fans produced by validity-preserving surgery, letting
-    :func:`validate` skip the exact overlap checks; it never affects
-    equality or hashing.
-    """
+    """dim, primitive ray generators, and maximal cones of size dim."""
 
     dim: int
     rays: tuple
     max_cones: tuple
-    trusted: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -90,24 +83,61 @@ def _cone_coords(fan, cone, vector):
     return tuple(x * den for x in nums)
 
 
-def cone_contains(fan, cone, point):
-    """Exact membership of an integer point in a simplicial cone."""
-    try:
-        nums, den = kernel.solve(fan.ray_matrix(cone), point)
-    except ValueError:
-        raise InvalidFanError("cone is not simplicial") from None
-    return all(x * den >= 0 for x in nums)
+def _facet_map(fan):
+    """Facet -> [(cone index, position of the cone's apex opposite it)]."""
+    facets = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for k in range(len(cone)):
+            facets.setdefault(cone[:k] + cone[k + 1 :], []).append((ci, k))
+    return facets
+
+
+def _overlaps(fan):
+    """Overlap problems for every pair of (simplicial) cones, by exact LP."""
+    problems = []
+    for ci, cj in combinations(range(len(fan.max_cones)), 2):
+        a, b = fan.max_cones[ci], fan.max_cones[cj]
+        # an interior point common to both cones: all coordinates >= 1
+        cols = [fan.rays[i] for i in a] + [
+            tuple(-x for x in fan.rays[i]) for i in b
+        ]
+        rhs = tuple(
+            sum(fan.rays[i][k] for i in b) - sum(fan.rays[i][k] for i in a)
+            for k in range(fan.dim)
+        )
+        if in_nonneg_span(cols, rhs):
+            problems.append(f"cones {ci} and {cj} have overlapping interiors")
+    return problems
+
+
+def _covered_once(fan, dets):
+    """True when p, the ray sum of cone 0, lies in no other closed cone."""
+    first = set(fan.max_cones[0])
+    p = [sum(col) for col in zip(*(fan.rays[i] for i in first))]
+    for ci in range(1, len(fan.max_cones)):
+        cone = fan.max_cones[ci]
+        rows = [fan.rays[i] for i in cone]
+        # Cramer: p's k-th coordinate is det(rows, row k := p) / dets[ci];
+        # a negative one usually sits at a ray outside cone 0, so try those first
+        for k in sorted(range(len(cone)), key=lambda k: cone[k] in first):
+            if kernel.det(rows[:k] + [p] + rows[k + 1 :]) * dets[ci] < 0:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def validate(fan):
-    """Check every Fan invariant and report each violation with indices."""
-    if fan.trusted:
-        return ValidationReport(())
-    problems = []
+def _analyze(fan):
+    """The validity pass behind validate, is_smooth and is_complete.
+
+    Returns (ValidationReport, smooth, complete).  Overlaps are excluded by
+    the covering-degree certificate of :func:`is_complete`; only when it
+    fails does the O(C^2) overlap LP run, to name the overlapping pairs.
+    """
     if fan.dim < 2:
-        problems.append("dimension must be at least 2")
-        return ValidationReport(tuple(problems))
+        return ValidationReport(("dimension must be at least 2",)), False, False
+    problems = []
     if not fan.rays:
         problems.append("fan has no rays")
     if not fan.max_cones:
@@ -121,11 +151,9 @@ def validate(fan):
             problems.append(f"ray {i} not primitive")
     seen = {}
     for i, ray in enumerate(fan.rays):
-        if ray in seen:
+        if seen.setdefault(ray, i) != i:
             problems.append(f"rays {seen[ray]} and {i} are equal")
-        else:
-            seen[ray] = i
-    simplicial = []
+    dets = []
     for ci, cone in enumerate(fan.max_cones):
         if len(cone) != fan.dim:
             problems.append(f"cone {ci} has size {len(cone)}, expected {fan.dim}")
@@ -135,10 +163,13 @@ def validate(fan):
         ):
             problems.append(f"cone {ci} has repeated or out-of-range ray indices")
             continue
-        if kernel.det(fan.ray_matrix(cone)) == 0:
+        rows = [fan.rays[i] for i in cone]
+        if any(len(row) != fan.dim for row in rows):
+            continue  # the ray's dimension is already reported
+        # det of the transpose is the same, so the rays can be the rows
+        dets.append(kernel.det(rows))
+        if dets[-1] == 0:
             problems.append(f"cone {ci} is not simplicial")
-            continue
-        simplicial.append(ci)
     used = {i for cone in fan.max_cones for i in cone}
     for i in range(len(fan.rays)):
         if i not in used:
@@ -146,24 +177,29 @@ def validate(fan):
     cone_sets = {}
     for ci, cone in enumerate(fan.max_cones):
         key = tuple(sorted(set(cone)))
-        if key in cone_sets:
+        if cone_sets.setdefault(key, ci) != ci:
             problems.append(f"cones {cone_sets[key]} and {ci} have the same rays")
-        else:
-            cone_sets[key] = ci
-    if not problems:
-        # exact rational feasibility: an interior point common to two cones
-        for ci, cj in combinations(simplicial, 2):
-            a, b = fan.max_cones[ci], fan.max_cones[cj]
-            cols = [fan.rays[i] for i in a] + [
-                tuple(-x for x in fan.rays[i]) for i in b
-            ]
-            rhs = tuple(
-                sum(fan.rays[i][k] for i in b) - sum(fan.rays[i][k] for i in a)
-                for k in range(fan.dim)
-            )
-            if in_nonneg_span(cols, rhs):
-                problems.append(f"cones {ci} and {cj} have overlapping interiors")
-    return ValidationReport(tuple(problems))
+    if problems:
+        return ValidationReport(tuple(problems)), False, False
+    facets = _facet_map(fan)
+    paired = all(len(cones) == 2 for cones in facets.values())
+    # the apex at position k is on the side sign(det * (-1)^k) of its facet
+    if not (
+        paired
+        and all(
+            dets[ca] * dets[cb] * (-1) ** (ka + kb) < 0
+            for (ca, ka), (cb, kb) in facets.values()
+        )
+        and _covered_once(fan, dets)
+    ):
+        problems = _overlaps(fan)
+    smooth = all(d in (1, -1) for d in dets)
+    return ValidationReport(tuple(problems)), smooth, paired
+
+
+def validate(fan):
+    """Check every Fan invariant and report each violation with indices."""
+    return _analyze(fan)[0]
 
 
 def ensure_valid(fan):
@@ -172,61 +208,22 @@ def ensure_valid(fan):
         raise InvalidFanError("; ".join(report.problems))
 
 
-@lru_cache(maxsize=None)
 def is_smooth(fan):
     """True when every maximal cone's generators are part of a lattice basis."""
     ensure_valid(fan)
-    return all(
-        kernel.det(fan.ray_matrix(cone)) in (1, -1) for cone in fan.max_cones
-    )
+    return _analyze(fan)[1]
 
 
-def _facet_map(fan):
-    facets = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for drop in cone:
-            facets.setdefault(
-                tuple(i for i in cone if i != drop), []
-            ).append(ci)
-    return facets
-
-
-@lru_cache(maxsize=None)
 def is_complete(fan):
-    """No boundary facets plus a connected wall-adjacency graph.
+    """True when the cones cover R^n: every facet lies in exactly two cones.
 
-    For a valid simplicial fan this is equivalent to the support being all
-    of R^n; a deterministic sample of integer points double-checks coverage.
+    Reason: with every facet in two cones, their apexes on opposite sides,
+    a generic path leaves one cone where it enters the next, so all generic
+    points lie in the same number of cones, the covering degree.  The ray
+    sum of cone 0 lies in no other cone of a valid fan, so the degree is 1.
     """
     ensure_valid(fan)
-    facets = _facet_map(fan)
-    if any(len(cs) != 2 for cs in facets.values()):
-        return False
-    adj = {ci: set() for ci in range(len(fan.max_cones))}
-    for cs in facets.values():
-        adj[cs[0]].add(cs[1])
-        adj[cs[1]].add(cs[0])
-    seen = {0}
-    queue = [0]
-    while queue:
-        for nxt in adj[queue.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    complete = len(seen) == len(fan.max_cones)
-    assert not complete or _covers_sample_points(fan)
-    return complete
-
-
-def _covers_sample_points(fan):
-    rng = random.Random(0xFA17)
-    for _ in range(16):
-        point = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
-        if not any(point):
-            continue
-        if not any(cone_contains(fan, cone, point) for cone in fan.max_cones):
-            return False
-    return True
+    return _analyze(fan)[2]
 
 
 def ensure_smooth_complete(fan):
@@ -242,18 +239,14 @@ def walls(fan):
     ensure_smooth_complete(fan)
     out = []
     for facet, cones in sorted(_facet_map(fan).items()):
-        ca, cb = cones
-        (a,) = set(fan.max_cones[ca]) - set(facet)
-        (b,) = set(fan.max_cones[cb]) - set(facet)
-        apex_a, apex_b = min(a, b), max(a, b)
-        host = fan.max_cones[ca] if a == apex_a else fan.max_cones[cb]
-        # write the opposite apex in the basis of the hosting cone; the
-        # apex coordinate must be -1 exactly, the rest give the relation
-        coords = _cone_coords(fan, host, fan.rays[apex_b])
-        position = {i: k for k, i in enumerate(host)}
-        if coords[position[apex_a]] != -1:
+        (host, k), (other, j) = sorted(cones, key=lambda c: fan.max_cones[c[0]][c[1]])
+        apex_a, apex_b = fan.max_cones[host][k], fan.max_cones[other][j]
+        # write apex_b in the basis of the cone holding apex_a; the apex_a
+        # coordinate must be -1 exactly, the rest give the relation
+        coords = _cone_coords(fan, fan.max_cones[host], fan.rays[apex_b])
+        if coords[k] != -1:
             raise InvalidFanError("fan not smooth along wall")
-        coeffs = tuple(-coords[position[i]] for i in facet)
+        coeffs = tuple(-c for c in coords[:k] + coords[k + 1 :])
         out.append(Wall(facet, apex_a, apex_b, coeffs))
     return tuple(out)
 
@@ -292,7 +285,6 @@ def star_subdivide(fan, center):
     )
     if w in fan.rays:
         raise InvalidFanError("the center's ray sum is already a ray of the fan")
-    assert lattice.is_primitive(w)
     new_index = len(fan.rays)
     cones = []
     for cone in fan.max_cones:
@@ -303,7 +295,7 @@ def star_subdivide(fan, center):
                 )
         else:
             cones.append(cone)
-    return Fan(fan.dim, fan.rays + (w,), tuple(cones), trusted=True)
+    return Fan(fan.dim, fan.rays + (w,), tuple(cones))
 
 
 def contract_codim2(fan, wall):
@@ -350,8 +342,8 @@ def contract_codim2(fan, wall):
             cones.append(merged)
         # the partner cone through b is dropped; the merged cone covers both
     rays = tuple(r for i, r in enumerate(fan.rays) if i != j)
-    result = Fan(fan.dim, rays, tuple(cones), trusted=True)
-    assert is_smooth(result) and is_complete(result)
+    result = Fan(fan.dim, rays, tuple(cones))
+    ensure_smooth_complete(result)
     return result, j
 
 

@@ -87,7 +87,8 @@ def quotient_matrix(v):
             [-qi * U[0][j] + q0 * U[i][j] for j in range(n)],
         )
         x[0], x[i] = g, 0
-    assert x[0] == 1
+    if x[0] != 1:
+        raise ArithmeticError(f"gcd reduction of primitive {v} ended at {x[0]}")
     return tuple(tuple(r) for r in U[1:])
 
 

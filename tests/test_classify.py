@@ -47,8 +47,8 @@ class TestDivisorStarFan:
 
 class TestDivisorStarFanValidity:
     def test_star_fans_fully_validate(self):
-        # rebuild without the construction-trust flag and run every check,
-        # including the exact interior-overlap detection
+        # run every check on a copy rebuilt from the bare data, including
+        # the exact covering certificate
         from toricfano import Fan
 
         fans = list(random_corpus(3, 15, 3, seed=23))
@@ -168,6 +168,12 @@ class TestCatalog:
     def test_boundary_fano(self):
         assert is_fano(p1_bundle_fan(3, 2))
         assert not is_fano(p1_bundle_fan(3, 3))
+
+    def test_entry_rejects_wrong_divisor_map(self, p3):
+        from toricfano.classify import _entry
+
+        with pytest.raises(ClassificationViolation, match="divisors"):
+            _entry("i", None, p3, {0: 1}, "P^3")
 
 
 class TestClassify:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import toricfano
 from toricfano.cli import FanFormatError, parse_fan, run, write_fan
 from toricfano import projective_space_fan
 
@@ -263,3 +267,46 @@ class TestReports:
             f["anticanonical_degree"] == 4 and f["mori_extremal"]
             for f in report["findings"]
         )
+
+
+# eight cones winding twice around the origin: every check but the
+# overlap LP passes, so `check` must still name the overlapping pairs
+DOUBLE_COVER = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, 1], [-1, -1], [1, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [0, 7]],
+}
+
+
+def run_in_child(flags, argv):
+    """Exit code and stdout bytes of ``cli.run(argv)`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricfano.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys; from toricfano.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["verify-theorem1", "--corpus", "3,20,3,1", "--json"], 0),
+        (["verify-theorem2", "--dim", "3", "--json"], 0),
+        (["check", "{p3}", "--json"], 0),
+        (["check", "{double_cover}", "--json"], 2),
+    ],
+)
+def test_optimized_interpreter_prints_the_same(argv, exit_code, tmp_path, p3_file):
+    files = {
+        "p3": p3_file,
+        "double_cover": write_json(tmp_path, "double_cover.json", DOUBLE_COVER),
+    }
+    argv = [arg.format(**files) for arg in argv]
+    plain = run_in_child([], argv)
+    assert plain[0] == exit_code
+    assert run_in_child(["-O"], argv) == plain

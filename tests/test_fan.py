@@ -5,6 +5,7 @@ import pytest
 from toricfano import (
     Fan,
     InvalidFanError,
+    catalog,
     contract_codim2,
     fans_isomorphic,
     is_complete,
@@ -16,7 +17,7 @@ from toricfano import (
     walls,
 )
 from toricfano import lattice
-from toricfano.fan import cone_contains, wall_relation_holds
+from toricfano.fan import _overlaps, wall_relation_holds
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -92,6 +93,117 @@ class TestComplete:
     def test_p3_with_cone_deleted(self, p3):
         fan = Fan(3, p3.rays, p3.max_cones[:-1])
         assert not is_complete(fan)
+
+
+def reference_check(fan):
+    """(problems, complete) with the overlap LP run on every cone pair.
+
+    complete is the earlier definition: every facet in exactly two cones
+    and a connected wall-adjacency graph; None when the fan is invalid.
+    """
+    problems = [p for p in validate(fan).problems if "overlapping" not in p]
+    if not problems:
+        problems = _overlaps(fan)
+    if problems:
+        return problems, None
+    facets = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for drop in cone:
+            facets.setdefault(tuple(i for i in cone if i != drop), []).append(ci)
+    if any(len(cones) != 2 for cones in facets.values()):
+        return problems, False
+    reached, frontier = {0}, [0]
+    while frontier:
+        ci = frontier.pop()
+        for cones in facets.values():
+            if ci in cones:
+                (other,) = set(cones) - {ci}
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+    return problems, len(reached) == len(fan.max_cones)
+
+
+def mutations(fan, rng):
+    """The fan, one cone dropped, a ray negated, a cone duplicated, and one
+    cone ray replaced by another ray."""
+    ci = rng.randrange(len(fan.max_cones))
+    ri = rng.randrange(len(fan.rays))
+    cone = fan.max_cones[ci]
+    swap = rng.choice([i for i in range(len(fan.rays)) if i not in cone])
+    replaced = tuple(swap if i == cone[0] else i for i in cone)
+    negated = tuple(
+        tuple(-x for x in r) if i == ri else r for i, r in enumerate(fan.rays)
+    )
+    before, after = fan.max_cones[:ci], fan.max_cones[ci + 1 :]
+    return (
+        fan,
+        Fan(fan.dim, fan.rays, before + after),
+        Fan(fan.dim, negated, fan.max_cones),
+        Fan(fan.dim, fan.rays, fan.max_cones + (cone,)),
+        Fan(fan.dim, fan.rays, before + (replaced,) + after),
+    )
+
+
+# every facet pairs with apexes on opposite sides, yet the eight cones
+# wind twice around the origin
+DOUBLE_COVER = Fan(
+    2,
+    ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)),
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)),
+)
+# every facet lies in two cones, and the ray sum of cone 0 in no other
+# cone, but the cones through (0, 1) fold back onto the first quadrant
+FOLDED = Fan(
+    2,
+    ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)),
+    ((3, 4), (0, 1), (1, 2), (2, 3), (0, 4)),
+)
+
+
+class TestCertificateAgainstOverlapLP:
+    def assert_agrees(self, fan):
+        problems, complete = reference_check(fan)
+        assert list(validate(fan).problems) == problems, fan
+        if complete is None:
+            with pytest.raises(InvalidFanError):
+                is_complete(fan)
+        else:
+            assert is_complete(fan) == complete, fan
+
+    def test_corpora_catalog_and_mutations(self):
+        fans = list(random_corpus(3, 60, 3, 2024))
+        fans += random_corpus(4, 20, 4, 7)
+        fans += [entry.fan for n in (3, 4, 5) for entry in catalog(n)]
+        rng = random.Random(2000)
+        outcomes = set()
+        for fan in fans:
+            for mutated in mutations(fan, rng):
+                self.assert_agrees(mutated)
+                report = validate(mutated)
+                outcomes.add(
+                    (report.valid, any("overlapping" in p for p in report.problems))
+                )
+        # valid fans, overlapping ones, and ones with other problems all occur
+        assert outcomes >= {(True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("fan, count", [(DOUBLE_COVER, 8), (FOLDED, 3)])
+    def test_multiple_covers_report_their_overlaps(self, fan, count):
+        self.assert_agrees(fan)
+        overlaps = [p for p in validate(fan).problems if "overlapping" in p]
+        assert len(overlaps) == count
+
+    def test_valid_fans_skip_the_overlap_lp(self, monkeypatch):
+        import toricfano.fan
+
+        def no_lp(columns, target):
+            raise AssertionError("the overlap LP ran on a valid fan")
+
+        monkeypatch.setattr(toricfano.fan, "in_nonneg_span", no_lp)
+        # negating every ray gives valid fans no other test has validated
+        for fan in random_corpus(4, 10, 4, 7):
+            flipped = Fan(fan.dim, [[-x for x in r] for r in fan.rays], fan.max_cones)
+            assert validate(flipped).valid and is_complete(flipped)
 
 
 class TestWalls:
@@ -285,12 +397,6 @@ class TestIsomorphism:
         m = fans_isomorphic(blown, entry.fan)
         assert m is not None
         assert apply_witness(m, blown, entry.fan)
-
-
-class TestConeContains:
-    def test_membership(self, p3):
-        assert cone_contains(p3, (0, 1, 2), (2, 3, 1))
-        assert not cone_contains(p3, (0, 1, 2), (-1, 0, 0))
 
 
 def test_random_corpus_contract():
