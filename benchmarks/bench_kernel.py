@@ -3,8 +3,8 @@
 Run:  python3 benchmarks/bench_kernel.py [--repeat N]
 
 Workloads exercise the kernel the way the library does: unimodularity
-determinants over every catalog cone, wall-relation solves, and a full
-point-blow-up sweep over a random corpus.  Caches are cleared between
+determinants over every catalog cone, wall relations from one inverse per
+cone, and a full point-blow-up sweep over a random corpus.  Caches are cleared between
 runs so both backends do the same work.
 """
 

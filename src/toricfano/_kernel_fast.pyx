@@ -1,5 +1,5 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""64-bit mirror of ``_kernel_pure``.
+"""64-bit mirror of ``_kernel_pure.det``.
 
 Entries are kept below 2**62 and intermediate products run in 128-bit
 registers, so nothing here can silently wrap.  Any input or intermediate
@@ -71,33 +71,3 @@ def det(rows):
     cdef long long[12][12] m
     cdef int n = _load(m, rows)
     return _bareiss(m, n)
-
-
-def solve(rows, rhs):
-    """Solve A x = b exactly by Cramer's rule; returns (nums, den)."""
-    cdef long long[12][12] a
-    cdef long long[12][12] work
-    cdef long long[12] b
-    cdef int n = _load(a, rows)
-    cdef int i, j, k
-    cdef long long x, d
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong length")
-    for i in range(n):
-        x = rhs[i]
-        if x > LIMIT or x < -LIMIT:
-            raise OverflowError("fast kernel range exceeded")
-        b[i] = x
-    for i in range(n):
-        for j in range(n):
-            work[i][j] = a[i][j]
-    d = _bareiss(work, n)
-    if d == 0:
-        raise ValueError("singular linear system")
-    nums = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                work[i][j] = b[i] if j == k else a[i][j]
-        nums.append(_bareiss(work, n))
-    return tuple(nums), d

@@ -1,9 +1,9 @@
 """Exact integer linear algebra over arbitrary-precision Python ints.
 
-Reference implementation of the kernel API.  `_kernel_fast` mirrors these
-semantics in 64-bit arithmetic and raises OverflowError whenever a value
-might not fit, at which point `kernel` retries here, so results are exact
-no matter which backend is active.
+Reference implementation of the kernel API.  `_kernel_fast` mirrors `det`
+in 64-bit arithmetic and raises OverflowError whenever a value might not
+fit, at which point `kernel` retries here, so results are exact no matter
+which backend is active.
 """
 
 
@@ -34,22 +34,47 @@ def det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def solve(rows, rhs):
-    """Solve A x = b exactly by Cramer's rule.
+def inverse(rows):
+    """Adjugate and determinant of a square integer matrix.
 
-    Returns (nums, den) with x_i = nums[i] / den and den = det(A).
-    Raises ValueError when A is singular.
+    One fraction-free Gauss-Jordan pass on [A | I]: pivoting on column k
+    clears it above and below the pivot, and every entry is updated as
+    (entry * pivot - factor * pivot_row_entry) // previous pivot, a Bareiss
+    step whose division is exact because each entry is a minor of [A | I].
+    After the last column the right block T satisfies T A = D I, where the
+    last pivot D is the determinant of A with its rows swapped; the sign of
+    the swaps turns (T, D) into the adjugate and det of A.
+    Returns (adj, det) with A adj = det I.  Raises ValueError when A is
+    singular.
     """
-    d = det(rows)
-    if d == 0:
-        raise ValueError("singular linear system")
     n = len(rows)
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong length")
-    nums = []
-    for j in range(n):
-        replaced = [list(r) for r in rows]
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and non-empty")
+    width = 2 * n
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix")
+        top = m[k]
+        pivot = top[k]
         for i in range(n):
-            replaced[i][j] = rhs[i]
-        nums.append(det(replaced))
-    return tuple(nums), d
+            if i == k:
+                continue
+            row = m[i]
+            factor = row[k]
+            # left columns before k are zero off the diagonal and stay so,
+            # and the left diagonal is never read again: skip them
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
+            row[k] = 0
+        prev = pivot
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in m)
+    return adj, sign * prev

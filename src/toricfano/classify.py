@@ -29,7 +29,7 @@ from .fan import (
     star_subdivide,
     walls,
 )
-from .intersect import is_fano
+from .intersect import is_fano, point_blowup_is_fano
 from .mori import (
     contraction_info,
     curve_class,
@@ -447,12 +447,14 @@ class Theorem1Report:
 def theorem1_check(fan):
     """Blow up every fixed point, test for Fano, identify the input fan.
 
-    For each maximal cone whose star subdivision is Fano, the input fan
-    must be projective space (then every fixed point works) or the blow-up
-    of projective space along a linear codimension-two subspace (then the
-    fixed point avoids the exceptional divisor); both identifications come
-    with explicit witnesses.  Contradictions are recorded per fixed point,
-    not raised.
+    Each fixed point is first decided by :func:`point_blowup_is_fano` from
+    the input's walls; only the blow-ups it passes are built, and their own
+    walls must confirm them.  For each maximal cone whose star subdivision
+    is Fano, the input fan must be projective space (then every fixed point
+    works) or the blow-up of projective space along a linear codimension-two
+    subspace (then the fixed point avoids the exceptional divisor); both
+    identifications come with explicit witnesses.  Contradictions are
+    recorded per fixed point, not raised.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
@@ -461,14 +463,19 @@ def theorem1_check(fan):
     probes = []
     any_fano = False
     for ci, cone in enumerate(fan.max_cones):
-        blown = star_subdivide(fan, cone)
-        exceptional = len(blown.rays) - 1
-        if not is_fano(blown):
+        if not point_blowup_is_fano(fan, cone):
             probes.append(FixedPointProbe(ci, cone, False))
             continue
         any_fano = True
+        blown = star_subdivide(fan, cone)
+        exceptional = len(blown.rays) - 1
         conclusion = witness = violation = None
         try:
+            if not is_fano(blown):
+                raise ClassificationViolation(
+                    "the local Fano test passed the point blow-up, but a wall"
+                    " of the blown-up fan has non-positive anticanonical degree"
+                )
             analysis = analyze_divisor(blown, exceptional)
             if not analysis.is_proj_space or analysis.d != -1:
                 raise ClassificationViolation(

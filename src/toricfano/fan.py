@@ -4,8 +4,10 @@ A fan is the combinatorial datum of a toric variety: primitive ray
 generators plus the full-dimensional simplicial cones, each recorded as a
 sorted tuple of ray indices.  This module owns validation, smoothness and
 completeness tests (one covering certificate), wall (invariant curve)
-enumeration with exact wall relations, star-subdivision blow-ups,
-codimension-two blow-downs, and the brute-force fan isomorphism search.
+enumeration with exact wall relations read from one exact integer inverse
+per cone, star-subdivision blow-ups, codimension-two blow-downs, and the
+brute-force fan isomorphism search.  Whether a point blow-up is Fano is
+decided from the parent's walls, in ``intersect``, without building it.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot, so fans can be shared freely between workers.
@@ -73,14 +75,6 @@ class Wall:
     apex_a: int
     apex_b: int
     coeffs: tuple
-
-
-def _cone_coords(fan, cone, vector):
-    """Coordinates of ``vector`` in the generator basis of a smooth cone."""
-    nums, den = kernel.solve(fan.ray_matrix(cone), vector)
-    if den not in (1, -1):
-        raise InvalidFanError("cone generators are not a lattice basis")
-    return tuple(x * den for x in nums)
 
 
 def _facet_map(fan):
@@ -235,15 +229,26 @@ def ensure_smooth_complete(fan):
 
 @lru_cache(maxsize=None)
 def walls(fan):
-    """All walls with their exact integral relations, sorted by wall rays."""
+    """All walls with their exact integral relations, sorted by wall rays.
+
+    Each cone holding the lower apex of a wall is inverted once, with its
+    rays as the rows of A: the coordinates of a vector u in the ray basis
+    are then u A^-1, one dot product with each column of the inverse.
+    """
     ensure_smooth_complete(fan)
+    columns = {}
     out = []
     for facet, cones in sorted(_facet_map(fan).items()):
         (host, k), (other, j) = sorted(cones, key=lambda c: fan.max_cones[c[0]][c[1]])
         apex_a, apex_b = fan.max_cones[host][k], fan.max_cones[other][j]
+        if host not in columns:
+            adj, det = kernel.inverse([fan.rays[i] for i in fan.max_cones[host]])
+            # the fan is smooth, so det is +-1 and A^-1 = det * adj
+            columns[host] = [tuple(det * x for x in col) for col in zip(*adj)]
         # write apex_b in the basis of the cone holding apex_a; the apex_a
         # coordinate must be -1 exactly, the rest give the relation
-        coords = _cone_coords(fan, fan.max_cones[host], fan.rays[apex_b])
+        u = fan.rays[apex_b]
+        coords = [sum(a * b for a, b in zip(u, col)) for col in columns[host]]
         if coords[k] != -1:
             raise InvalidFanError("fan not smooth along wall")
         coeffs = tuple(-c for c in coords[:k] + coords[k + 1 :])

@@ -106,3 +106,34 @@ def is_fano(fan):
     """True when the anticanonical degree of every wall is positive."""
     ensure_smooth_complete(fan)
     return all(anticanonical_degree(fan, w) > 0 for w in walls(fan))
+
+
+def point_blowup_is_fano(fan, cone):
+    """True when blowing up the fixed point of ``cone`` gives a Fano fan.
+
+    Decided from the parent's walls, without building the blow-up.  Let
+    cone = {v_1..v_n} and w = v_1 + ... + v_n the new ray.
+
+    - A wall that is not a facet of the cone lies in two cones that the
+      subdivision keeps, so it keeps its relation and its degree.
+    - The facet opposite v_k, with relation b + v_k + sum c_i v_i = 0,
+      becomes a wall between {w} + facet and the cone across it.  Putting
+      v_k = w - sum_{i != k} v_i gives b + w + sum (c_i - 1) v_i = 0, so
+      its anticanonical degree 2 + sum c_i drops by n - 1.
+    - The new walls inside the cone, where {w} + cone - {v_i} meets
+      {w} + cone - {v_j}, have relation v_i + v_j - w + sum of the other
+      n - 2 rays = 0 and degree n - 1 > 0.
+
+    So the blow-up is Fano exactly when every other wall has degree > 0
+    and every facet wall of the cone has degree > n - 1.
+    """
+    parent_walls = walls(fan)  # raises unless the fan is smooth and complete
+    center = set(cone)
+    if tuple(sorted(center)) not in fan.max_cones:
+        raise ValueError("center is not a maximal cone of the fan")
+    drop = fan.dim - 1
+    return all(
+        anticanonical_degree(fan, w)
+        > (drop if all(i in center for i in w.wall_rays) else 0)
+        for w in parent_walls
+    )

@@ -1,9 +1,11 @@
 """Kernel selection: compiled fast path when available, pure Python otherwise.
 
-The fast kernel raises OverflowError whenever 64-bit arithmetic could lose
-exactness; the wrappers here retry in the pure kernel, so every result is
-exact regardless of which backend is active.  Set TORICFANO_PURE_KERNEL=1
-(or call :func:`set_backend`) to force the pure kernel.
+Only :func:`det` has a compiled version.  The fast kernel raises
+OverflowError whenever 64-bit arithmetic could lose exactness; the wrapper
+here retries in the pure kernel, so every result is exact regardless of
+which backend is active.  Set TORICFANO_PURE_KERNEL=1 (or call
+:func:`set_backend`) to force the pure kernel.  ``inverse`` is the pure
+kernel's, whichever backend is active.
 """
 
 import os
@@ -46,8 +48,4 @@ def det(rows):
         return _pure.det(rows)
 
 
-def solve(rows, rhs):
-    try:
-        return _active.solve(rows, rhs)
-    except OverflowError:
-        return _pure.solve(rows, rhs)
+inverse = _pure.inverse

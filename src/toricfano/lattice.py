@@ -108,12 +108,7 @@ def matrix_apply(m, v):
 
 def matrix_inverse_unimodular(rows):
     """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(rows)
-    cols = []
-    for k in range(n):
-        unit = tuple(int(i == k) for i in range(n))
-        nums, den = kernel.solve(rows, unit)
-        if den not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        cols.append(tuple(x * den for x in nums))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    adj, det = kernel.inverse(rows)
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(det * x for x in row) for row in adj)

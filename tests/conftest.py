@@ -1,6 +1,6 @@
 import pytest
 
-from toricfano import Fan, projective_space_fan, star_subdivide
+from toricfano import Fan, catalog, projective_space_fan, random_corpus, star_subdivide
 
 
 @pytest.fixture
@@ -39,3 +39,11 @@ def wall_by_rays(fan_walls, rays):
 @pytest.fixture
 def get_wall():
     return wall_by_rays
+
+
+@pytest.fixture(scope="session")
+def differential_fans():
+    """Fans on which fast paths are compared with the slow ones they replace:
+    two corpora and every catalog fan of dimensions 3 to 6."""
+    fans = random_corpus(3, 200, 3, 42) + random_corpus(4, 50, 4, 7)
+    return fans + tuple(entry.fan for n in range(3, 7) for entry in catalog(n))

@@ -279,3 +279,48 @@ def test_adjunction_bound_on_catalog():
                 analysis = analyze_divisor(entry.fan, i)
                 if analysis.is_proj_space:
                     assert analysis.d >= 1 - n
+
+
+def test_local_fano_test_is_double_checked(monkeypatch):
+    # a wrong "Fano" from the local test must be caught by the blow-up's own
+    # walls and recorded on its probe, not crash the classification
+    import toricfano.classify
+
+    monkeypatch.setattr(toricfano.classify, "point_blowup_is_fano", lambda f, c: True)
+    report = theorem1_check(p1_bundle_fan(3, 2))
+    assert all(p.blowup_fano for p in report.probes)
+    assert all("local Fano test" in p.violation for p in report.probes)
+
+
+def test_theorem1_builds_only_the_fano_blowups(monkeypatch):
+    import sys
+
+    import toricfano.classify
+    import toricfano.fan
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricfano"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    corpus = random_corpus(3, 60, 3, 2024)
+    catalog(3)  # built once per process, and with star_subdivide of its own
+    counts = {"star_subdivide": 0, "fans": 0}
+
+    def counting_subdivide(fan, center):
+        counts["star_subdivide"] += 1
+        return star_subdivide(fan, center)
+
+    post_init = toricfano.fan.Fan.__post_init__
+
+    def counting_post_init(fan):
+        counts["fans"] += 1
+        post_init(fan)
+
+    monkeypatch.setattr(toricfano.classify, "star_subdivide", counting_subdivide)
+    monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
+    before = walls.cache_info().misses
+    fano_probes = sum(len(theorem1_check(fan).fano_cone_indices) for fan in corpus)
+    assert fano_probes > 0
+    assert counts["star_subdivide"] == fano_probes
+    assert walls.cache_info().misses - before <= len(corpus) + counts["fans"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -310,3 +311,16 @@ def test_optimized_interpreter_prints_the_same(argv, exit_code, tmp_path, p3_fil
     plain = run_in_child([], argv)
     assert plain[0] == exit_code
     assert run_in_child(["-O"], argv) == plain
+
+
+@pytest.mark.parametrize(
+    "corpus, digest",
+    [
+        ("3,200,3,42", "47d1899f3ac5f9bed8484826d7de82cd34846e2b66fe7e260aaa11adc8a7fb9e"),
+        ("4,100,4,7", "4b240da35eb1aeb599eec4001e97cf946cdc5e8feaf808a4eebf4533654736c1"),
+    ],
+)
+def test_theorem1_report_bytes_are_pinned(corpus, digest, capsys):
+    assert run(["verify-theorem1", "--corpus", corpus, "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest

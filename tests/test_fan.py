@@ -16,8 +16,8 @@ from toricfano import (
     validate,
     walls,
 )
-from toricfano import lattice
-from toricfano.fan import _overlaps, wall_relation_holds
+from toricfano import kernel, lattice
+from toricfano.fan import Wall, _overlaps, wall_relation_holds
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -206,7 +206,37 @@ class TestCertificateAgainstOverlapLP:
             assert validate(flipped).valid and is_complete(flipped)
 
 
+def cramer_walls(fan):
+    """Reference walls: each apex_b written in the basis of apex_a's cone
+    by Cramer's rule, one determinant per coordinate."""
+    facets = {}
+    for cone in fan.max_cones:
+        for apex in cone:
+            facets.setdefault(tuple(i for i in cone if i != apex), []).append(apex)
+    out = []
+    for facet in sorted(facets):
+        apex_a, apex_b = sorted(facets[facet])
+        basis = tuple(sorted(facet + (apex_a,)))
+        columns = fan.ray_matrix(basis)
+        den = kernel.det(columns)
+        coords = {}
+        for k, ray in enumerate(basis):
+            replaced = [
+                row[:k] + (b,) + row[k + 1 :] for row, b in zip(columns, fan.rays[apex_b])
+            ]
+            num = kernel.det(replaced)
+            assert num % den == 0
+            coords[ray] = num // den
+        assert coords[apex_a] == -1
+        out.append(Wall(facet, apex_a, apex_b, tuple(-coords[i] for i in facet)))
+    return tuple(out)
+
+
 class TestWalls:
+    def test_match_cramer_reference(self, differential_fans):
+        for fan in differential_fans:
+            assert walls(fan) == cramer_walls(fan), fan
+
     def test_p3_walls(self, p3, get_wall):
         ws = walls(p3)
         assert len(ws) == 6

@@ -1,6 +1,8 @@
 import pytest
 
 from toricfano import (
+    Fan,
+    InvalidFanError,
     TDivisor,
     anticanonical_degree,
     anticanonical_divisor,
@@ -9,10 +11,12 @@ from toricfano import (
     is_fano,
     is_nef,
     p1_bundle_fan,
+    point_blowup_is_fano,
     positivity,
     prime_divisor,
     principal_divisor,
     projective_space_fan,
+    star_subdivide,
     walls,
 )
 
@@ -100,3 +104,27 @@ def test_pn_wall_degrees():
     for n in range(2, 6):
         fan = projective_space_fan(n)
         assert all(anticanonical_degree(fan, w) == n + 1 for w in walls(fan))
+
+
+def test_point_blowup_is_fano_matches_the_built_blowup(differential_fans):
+    fano = 0
+    for fan in differential_fans:
+        for cone in fan.max_cones:
+            expected = is_fano(star_subdivide(fan, cone))
+            assert point_blowup_is_fano(fan, cone) == expected, (fan, cone)
+            fano += expected
+    # both answers occur; the Fano ones are the rare side
+    assert 0 < fano < sum(len(f.max_cones) for f in differential_fans)
+
+
+def test_point_blowup_is_fano_examples(p3, blowup_p3_line):
+    assert all(point_blowup_is_fano(p3, cone) for cone in p3.max_cones)
+    # only the two fixed points off the exceptional ray blow up to a Fano
+    cones = blowup_p3_line.max_cones
+    fano = [c for c in cones if point_blowup_is_fano(blowup_p3_line, c)]
+    assert fano == [c for c in cones if 4 not in c]
+    with pytest.raises(ValueError, match="not a maximal cone"):
+        point_blowup_is_fano(p3, (0, 1))
+    single = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
+    with pytest.raises(InvalidFanError):
+        point_blowup_is_fano(single, (0, 1, 2))

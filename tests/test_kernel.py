@@ -63,25 +63,36 @@ def test_det_rejects_non_square(backend):
         kernel.det(())
 
 
-def test_solve_verified_by_substitution(backend):
+def assert_adjugate(m, adj, d):
+    n = len(m)
+    assert d == permutation_det(m)
+    for i in range(n):
+        for j in range(n):
+            assert sum(m[i][k] * adj[k][j] for k in range(n)) == d * (i == j)
+
+
+def test_inverse_is_the_adjugate():
     rng = random.Random(202)
-    done = 0
-    while done < 60:
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, 7)
-        if kernel.det(m) == 0:
-            continue
-        rhs = tuple(rng.randint(-9, 9) for _ in range(n))
-        nums, den = kernel.solve(m, rhs)
-        assert den == kernel.det(m)
-        for i in range(n):
-            assert sum(m[i][j] * nums[j] for j in range(n)) == rhs[i] * den
-        done += 1
+    for n in range(1, 7):
+        done = 0
+        while done < 12:
+            m = random_matrix(rng, n, 7)
+            if n > 1 and done % 3 == 0:
+                # a zero leading entry forces a row swap
+                m = ((0,) + m[0][1:],) + m[1:]
+            if permutation_det(m) == 0:
+                continue
+            assert_adjugate(m, *kernel.inverse(m))
+            done += 1
 
 
-def test_solve_singular(backend):
-    with pytest.raises(ValueError, match="singular"):
-        kernel.solve(((1, 2), (2, 4)), (1, 1))
+def test_inverse_singular():
+    singular = (((1, 2), (2, 4)), ((0, 0), (0, 1)), ((1, 2, 3), (4, 5, 6), (5, 7, 9)))
+    for m in singular:
+        with pytest.raises(ValueError, match="singular"):
+            kernel.inverse(m)
+    with pytest.raises(ValueError):
+        kernel.inverse(((1, 2, 3), (4, 5, 6)))
 
 
 def test_wrappers_fall_back_on_huge_entries():
@@ -89,11 +100,9 @@ def test_wrappers_fall_back_on_huge_entries():
     m = ((big, 1), (1, big))
     expected = _kernel_pure.det(m)
     assert kernel.det(m) == expected
-    nums, den = kernel.solve(m, (big, big))
-    assert den == expected
-    assert all(
-        sum(m[i][j] * nums[j] for j in range(2)) == big * den for i in range(2)
-    )
+    adj, d = kernel.inverse(m)
+    assert adj == ((big, -1), (-1, big)) and d == expected
+    assert_adjugate(m, adj, d)
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="fast kernel not built")
