@@ -38,17 +38,22 @@ def _require_int(value, what):
     return value
 
 
-def parse_fan(source):
-    """Parse and validate a fan file (path or file object)."""
+def _read_json(source):
+    """The JSON document in a path or file object."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise FanFormatError(f"malformed JSON: {err}") from None
+
+
+def parse_fan(source):
+    """Parse and validate a fan file (path or file object)."""
+    data = _read_json(source)
     if not isinstance(data, dict):
         raise FanFormatError("fan file must be a JSON object")
     extra = set(data) - {"dim", "rays", "max_cones"}
@@ -93,15 +98,7 @@ def fan_to_dict(fan):
 
 def parse_divisor(source, fan):
     """Parse a divisor file {"coeffs": [int, ...]} aligned with ray order."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FanFormatError(f"malformed JSON: {err}") from None
+    data = _read_json(source)
     if not isinstance(data, dict) or set(data) != {"coeffs"}:
         raise FanFormatError('divisor file must be {"coeffs": [int, ...]}')
     coeffs = data["coeffs"]

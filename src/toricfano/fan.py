@@ -197,15 +197,16 @@ def validate(fan):
 
 
 def ensure_valid(fan):
-    report = validate(fan)
+    """Raise InvalidFanError naming every problem; else (smooth, complete)."""
+    report, smooth, complete = _analyze(fan)
     if not report.valid:
         raise InvalidFanError("; ".join(report.problems))
+    return smooth, complete
 
 
 def is_smooth(fan):
     """True when every maximal cone's generators are part of a lattice basis."""
-    ensure_valid(fan)
-    return _analyze(fan)[1]
+    return ensure_valid(fan)[0]
 
 
 def is_complete(fan):
@@ -216,14 +217,14 @@ def is_complete(fan):
     points lie in the same number of cones, the covering degree.  The ray
     sum of cone 0 lies in no other cone of a valid fan, so the degree is 1.
     """
-    ensure_valid(fan)
-    return _analyze(fan)[2]
+    return ensure_valid(fan)[1]
 
 
 def ensure_smooth_complete(fan):
-    if not is_smooth(fan):
+    smooth, complete = ensure_valid(fan)
+    if not smooth:
         raise InvalidFanError("fan must be smooth")
-    if not is_complete(fan):
+    if not complete:
         raise InvalidFanError("fan must be complete")
 
 
@@ -234,6 +235,7 @@ def walls(fan):
     Each cone holding the lower apex of a wall is inverted once, with its
     rays as the rows of A: the coordinates of a vector u in the ray basis
     are then u A^-1, one dot product with each column of the inverse.
+    Raises InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
     columns = {}

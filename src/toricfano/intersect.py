@@ -8,7 +8,7 @@ the ample and the Fano test reduce to one exact scan over the walls.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fan import ensure_smooth_complete, walls
+from .fan import walls
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,11 @@ def anticanonical_degree(fan, wall):
 
 def is_ample(fan, divisor):
     """Strictly positive intersection with every wall."""
-    ensure_smooth_complete(fan)
     return all(divisor_dot_curve(fan, divisor, w) > 0 for w in walls(fan))
 
 
 def is_nef(fan, divisor):
     """Nonnegative intersection with every wall."""
-    ensure_smooth_complete(fan)
     return all(divisor_dot_curve(fan, divisor, w) >= 0 for w in walls(fan))
 
 
@@ -91,7 +89,6 @@ class DivisorPositivity:
 
 
 def positivity(fan, divisor):
-    ensure_smooth_complete(fan)
     best = None
     best_wall = None
     for w in walls(fan):
@@ -104,7 +101,6 @@ def positivity(fan, divisor):
 @lru_cache(maxsize=None)
 def is_fano(fan):
     """True when the anticanonical degree of every wall is positive."""
-    ensure_smooth_complete(fan)
     return all(anticanonical_degree(fan, w) > 0 for w in walls(fan))
 
 

@@ -1,51 +1,87 @@
-"""Kernel selection: compiled fast path when available, pure Python otherwise.
+"""Exact integer linear algebra over arbitrary-precision Python ints.
 
-Only :func:`det` has a compiled version.  The fast kernel raises
-OverflowError whenever 64-bit arithmetic could lose exactness; the wrapper
-here retries in the pure kernel, so every result is exact regardless of
-which backend is active.  Set TORICFANO_PURE_KERNEL=1 (or call
-:func:`set_backend`) to force the pure kernel.  ``inverse`` is the pure
-kernel's, whichever backend is active.
+Every decision in the package is an exact sign test, so the kernel has one
+implementation: fraction-free (Bareiss) elimination, whose divisions are
+exact and whose entries stay minors of the input.
 """
-
-import os
-
-from . import _kernel_pure as _pure
-
-try:
-    from . import _kernel_fast as _fast
-except ImportError:
-    _fast = None
-
-_active = _pure if (_fast is None or os.environ.get("TORICFANO_PURE_KERNEL")) else _fast
 
 
 def backend_name():
-    return "pure" if _active is _pure else "fast"
+    return "pure"
 
 
 def available_backends():
-    return ("pure",) if _fast is None else ("pure", "fast")
-
-
-def set_backend(name):
-    """Select 'pure' or 'fast' at runtime (used by tests and benchmarks)."""
-    global _active
-    if name == "pure":
-        _active = _pure
-    elif name == "fast":
-        if _fast is None:
-            raise ValueError("fast kernel is not built")
-        _active = _fast
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
+    return ("pure",)
 
 
 def det(rows):
-    try:
-        return _active.det(rows)
-    except OverflowError:
-        return _pure.det(rows)
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0 or any(len(r) != n for r in m):
+        raise ValueError("matrix must be square and non-empty")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss step: the division by the previous pivot is exact.
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
-inverse = _pure.inverse
+def inverse(rows):
+    """Adjugate and determinant of a square integer matrix.
+
+    One fraction-free Gauss-Jordan pass on [A | I]: pivoting on column k
+    clears it above and below the pivot, and every entry is updated as
+    (entry * pivot - factor * pivot_row_entry) // previous pivot, a Bareiss
+    step whose division is exact because each entry is a minor of [A | I].
+    After the last column the right block T satisfies T A = D I, where the
+    last pivot D is the determinant of A with its rows swapped; the sign of
+    the swaps turns (T, D) into the adjugate and det of A.
+    Returns (adj, det) with A adj = det I.  Raises ValueError when A is
+    singular.
+    """
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and non-empty")
+    width = 2 * n
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix")
+        top = m[k]
+        pivot = top[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            factor = row[k]
+            # left columns before k are zero off the diagonal and stay so,
+            # and the left diagonal is never read again: skip them
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
+            row[k] = 0
+        prev = pivot
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in m)
+    return adj, sign * prev

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._simplex import in_nonneg_span
-from .fan import ensure_smooth_complete, walls
+from .fan import walls
 from .intersect import anticanonical_degree
 
 
@@ -57,11 +57,11 @@ def is_extremal(fan, wall):
     rational combination of the wall classes that are not positive
     multiples of it.
     """
-    ensure_smooth_complete(fan)
+    fan_walls = walls(fan)  # raises unless the fan is smooth and complete
     target = curve_class(fan, wall).dots
     candidates = []
     seen = set()
-    for w in walls(fan):
+    for w in fan_walls:
         dots = curve_class(fan, w).dots
         if dots in seen or is_positive_multiple(target, dots):
             continue

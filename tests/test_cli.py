@@ -324,3 +324,18 @@ def test_theorem1_report_bytes_are_pinned(corpus, digest, capsys):
     assert run(["verify-theorem1", "--corpus", corpus, "--json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "dim, digest",
+    [
+        (3, "72226655459d018d862b919ff973cd58273507ae6c4b721b2affb855c1ae77ac"),
+        (4, "17a24abade86eebfbb24a01b41b5264ed02323189bc02e5dfcd9793dd5db9c13"),
+        (5, "73ea268233c6bbeacd56ef175d434f0f65050037212505577e3e32d7aca0ab2a"),
+        (6, "8f380d2de662aa57f7f76800e73fb8ea525799c4ec8d85ff4cdf55b572740085"),
+    ],
+)
+def test_theorem2_report_bytes_are_pinned(dim, digest, capsys):
+    assert run(["verify-theorem2", "--dim", str(dim), "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest

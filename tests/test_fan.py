@@ -5,14 +5,20 @@ import pytest
 from toricfano import (
     Fan,
     InvalidFanError,
+    anticanonical_divisor,
     catalog,
     contract_codim2,
+    divisor_star_fan,
     fans_isomorphic,
     is_complete,
+    is_extremal,
+    is_fano,
     is_smooth,
+    positivity,
     projective_space_fan,
     random_corpus,
     star_subdivide,
+    theorem1_check,
     validate,
     walls,
 )
@@ -93,6 +99,37 @@ class TestComplete:
     def test_p3_with_cone_deleted(self, p3):
         fan = Fan(3, p3.rays, p3.max_cones[:-1])
         assert not is_complete(fan)
+
+
+P3_CONES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# every entry point that needs a smooth complete fan, on each way to lack one
+NEEDS_SMOOTH_COMPLETE = {
+    "walls": walls,
+    "is_fano": is_fano,
+    "positivity": lambda f: positivity(f, anticanonical_divisor(f)),
+    "is_extremal": lambda f: is_extremal(f, Wall((0, 1), 2, 3, (0, 0))),
+    "fans_isomorphic": lambda f: fans_isomorphic(f, projective_space_fan(3)),
+    "theorem1_check": theorem1_check,
+    "divisor_star_fan": lambda f: divisor_star_fan(f, 0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEEDS_SMOOTH_COMPLETE))
+@pytest.mark.parametrize(
+    "fan, message",
+    [
+        (Fan(3, ((2, 0, 0),) + E3[1:] + ((-1, -1, -1),), P3_CONES), "ray 0 not primitive"),
+        (Fan(3, E3 + ((-1, -1, -2),), P3_CONES), "fan must be smooth"),
+        (Fan(3, E3, ((0, 1, 2),)), "fan must be complete"),
+    ],
+    ids=["not-primitive", "not-smooth", "one-cone"],
+)
+def test_validity_errors_are_typed_and_exact(fan, message, call):
+    with pytest.raises(InvalidFanError) as err:
+        NEEDS_SMOOTH_COMPLETE[call](fan)
+    assert str(err.value) == message
 
 
 def reference_check(fan):

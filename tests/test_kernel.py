@@ -1,4 +1,4 @@
-"""Both kernel backends against a brute-force determinant oracle."""
+"""The exact integer kernel against a brute-force determinant oracle."""
 
 import random
 from itertools import permutations
@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from toricfano import kernel
-from toricfano import _kernel_pure
 
 
 def permutation_det(rows):
@@ -24,23 +23,13 @@ def permutation_det(rows):
     return total
 
 
-BACKENDS = kernel.available_backends()
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(kernel.available_backends()[-1])
-
-
 def random_matrix(rng, n, bound):
     return tuple(
         tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
     )
 
 
-def test_det_matches_permutation_oracle(backend):
+def test_det_matches_permutation_oracle():
     rng = random.Random(101)
     for n in (1, 2, 3, 4, 5):
         for _ in range(40):
@@ -48,7 +37,7 @@ def test_det_matches_permutation_oracle(backend):
             assert kernel.det(m) == permutation_det(m)
 
 
-def test_det_known_values(backend):
+def test_det_known_values():
     assert kernel.det(((1, 0), (0, 1))) == 1
     assert kernel.det(((1, 0), (1, 2))) == 2
     assert kernel.det(((1, 1, 1), (1, 0, 0), (0, 1, 0))) == 1
@@ -56,7 +45,7 @@ def test_det_known_values(backend):
     assert kernel.det(((1, 2), (2, 4))) == 0
 
 
-def test_det_rejects_non_square(backend):
+def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         kernel.det(((1, 2, 3), (4, 5, 6)))
     with pytest.raises(ValueError):
@@ -98,35 +87,9 @@ def test_inverse_singular():
 def test_wrappers_fall_back_on_huge_entries():
     big = 10 ** 30
     m = ((big, 1), (1, big))
-    expected = _kernel_pure.det(m)
+    expected = permutation_det(m)
     assert kernel.det(m) == expected
     adj, d = kernel.inverse(m)
     assert adj == ((big, -1), (-1, big)) and d == expected
     assert_adjugate(m, adj, d)
 
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="fast kernel not built")
-def test_backends_agree_on_random_inputs():
-    rng = random.Random(303)
-    from toricfano import _kernel_fast
-
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        m = random_matrix(rng, n, 50)
-        assert _kernel_fast.det(m) == _kernel_pure.det(m)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="fast kernel not built")
-def test_fast_kernel_raises_overflow_not_garbage():
-    from toricfano import _kernel_fast
-
-    with pytest.raises(OverflowError):
-        _kernel_fast.det(((2 ** 63, 0), (0, 1)))
-    with pytest.raises(OverflowError):
-        _kernel_fast.det(((2 ** 62 + 1, 0), (0, 1)))
-    # 13x13 exceeds the stack bound and must defer, not crash
-    n = 13
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    with pytest.raises(OverflowError):
-        _kernel_fast.det(eye)
-    assert kernel.det(eye) == 1
