@@ -149,6 +149,7 @@ def _witness_rows(matrix):
 
 def cmd_check(args):
     fan = parse_fan(args.fan)
+    divisor = parse_divisor(args.divisor, fan) if args.divisor else None
     report = Report("check")
     smooth = is_smooth(fan)
     complete = is_complete(fan)
@@ -162,8 +163,7 @@ def cmd_check(args):
     }
     report.findings.append(record)
     if smooth and complete:
-        if args.divisor:
-            divisor = parse_divisor(args.divisor, fan)
+        if divisor is not None:
             scan = positivity(fan, divisor)
             report.findings.append(
                 {

@@ -4,9 +4,11 @@ A fan is the combinatorial datum of a toric variety: primitive ray
 generators plus the full-dimensional simplicial cones, each recorded as a
 sorted tuple of ray indices.  This module owns validation, smoothness and
 completeness tests (one covering certificate), wall (invariant curve)
-enumeration with exact wall relations read from one exact integer inverse
-per cone, star-subdivision blow-ups, codimension-two blow-downs, and the
-brute-force fan isomorphism search.  Whether a point blow-up is Fano is
+enumeration with exact wall relations, star-subdivision blow-ups,
+codimension-two blow-downs, and the brute-force fan isomorphism search.
+Every change of basis reads one exact integer inverse per maximal cone,
+computed once by the validity pass: the covering certificate, the wall
+relations and the isomorphism anchor.  Whether a point blow-up is Fano is
 decided from the parent's walls, in ``intersect``, without building it.
 
 Fans are immutable and hashable; all operations are pure functions, cached
@@ -41,12 +43,6 @@ class Fan:
             self,
             "max_cones",
             tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones),
-        )
-
-    def ray_matrix(self, cone):
-        """Matrix whose columns are the generators of ``cone``."""
-        return tuple(
-            tuple(self.rays[j][i] for j in cone) for i in range(self.dim)
         )
 
 
@@ -104,17 +100,18 @@ def _overlaps(fan):
     return problems
 
 
-def _covered_once(fan, dets):
+def _covered_once(fan, inverses):
     """True when p, the ray sum of cone 0, lies in no other closed cone."""
     first = set(fan.max_cones[0])
     p = [sum(col) for col in zip(*(fan.rays[i] for i in first))]
     for ci in range(1, len(fan.max_cones)):
         cone = fan.max_cones[ci]
-        rows = [fan.rays[i] for i in cone]
-        # Cramer: p's k-th coordinate is det(rows, row k := p) / dets[ci];
-        # a negative one usually sits at a ray outside cone 0, so try those first
+        adj, det = inverses[ci]
+        # p's k-th coordinate is (p . column k of adj) / det: the Cramer
+        # numerator over det; a negative one usually sits at a ray outside
+        # cone 0, so try those first
         for k in sorted(range(len(cone)), key=lambda k: cone[k] in first):
-            if kernel.det(rows[:k] + [p] + rows[k + 1 :]) * dets[ci] < 0:
+            if sum(a * row[k] for a, row in zip(p, adj)) * det < 0:
                 break
         else:
             return False
@@ -123,14 +120,18 @@ def _covered_once(fan, dets):
 
 @lru_cache(maxsize=None)
 def _analyze(fan):
-    """The validity pass behind validate, is_smooth and is_complete.
+    """The validity pass behind validate, is_smooth, is_complete and walls.
 
-    Returns (ValidationReport, smooth, complete).  Overlaps are excluded by
-    the covering-degree certificate of :func:`is_complete`; only when it
-    fails does the O(C^2) overlap LP run, to name the overlapping pairs.
+    Each maximal cone is inverted once with :func:`kernel.inverse`, its rays
+    as the rows of A, and every later change of basis reads that inverse.
+    Returns (ValidationReport, smooth, complete, inverses), where
+    ``inverses[ci]`` is the ``(adj, det)`` of cone ci when the report is
+    valid.  Overlaps are excluded by the covering-degree certificate of
+    :func:`is_complete`; only when it fails does the O(C^2) overlap LP run,
+    to name the overlapping pairs.
     """
     if fan.dim < 2:
-        return ValidationReport(("dimension must be at least 2",)), False, False
+        return ValidationReport(("dimension must be at least 2",)), False, False, ()
     problems = []
     if not fan.rays:
         problems.append("fan has no rays")
@@ -147,7 +148,7 @@ def _analyze(fan):
     for i, ray in enumerate(fan.rays):
         if seen.setdefault(ray, i) != i:
             problems.append(f"rays {seen[ray]} and {i} are equal")
-    dets = []
+    inverses = []
     for ci, cone in enumerate(fan.max_cones):
         if len(cone) != fan.dim:
             problems.append(f"cone {ci} has size {len(cone)}, expected {fan.dim}")
@@ -160,9 +161,9 @@ def _analyze(fan):
         rows = [fan.rays[i] for i in cone]
         if any(len(row) != fan.dim for row in rows):
             continue  # the ray's dimension is already reported
-        # det of the transpose is the same, so the rays can be the rows
-        dets.append(kernel.det(rows))
-        if dets[-1] == 0:
+        try:
+            inverses.append(kernel.inverse(rows))
+        except ValueError:
             problems.append(f"cone {ci} is not simplicial")
     used = {i for cone in fan.max_cones for i in cone}
     for i in range(len(fan.rays)):
@@ -174,7 +175,8 @@ def _analyze(fan):
         if cone_sets.setdefault(key, ci) != ci:
             problems.append(f"cones {cone_sets[key]} and {ci} have the same rays")
     if problems:
-        return ValidationReport(tuple(problems)), False, False
+        return ValidationReport(tuple(problems)), False, False, ()
+    dets = [det for _, det in inverses]
     facets = _facet_map(fan)
     paired = all(len(cones) == 2 for cones in facets.values())
     # the apex at position k is on the side sign(det * (-1)^k) of its facet
@@ -184,11 +186,11 @@ def _analyze(fan):
             dets[ca] * dets[cb] * (-1) ** (ka + kb) < 0
             for (ca, ka), (cb, kb) in facets.values()
         )
-        and _covered_once(fan, dets)
+        and _covered_once(fan, inverses)
     ):
         problems = _overlaps(fan)
     smooth = all(d in (1, -1) for d in dets)
-    return ValidationReport(tuple(problems)), smooth, paired
+    return ValidationReport(tuple(problems)), smooth, paired, tuple(inverses)
 
 
 def validate(fan):
@@ -198,7 +200,7 @@ def validate(fan):
 
 def ensure_valid(fan):
     """Raise InvalidFanError naming every problem; else (smooth, complete)."""
-    report, smooth, complete = _analyze(fan)
+    report, smooth, complete, _ = _analyze(fan)
     if not report.valid:
         raise InvalidFanError("; ".join(report.problems))
     return smooth, complete
@@ -232,19 +234,20 @@ def ensure_smooth_complete(fan):
 def walls(fan):
     """All walls with their exact integral relations, sorted by wall rays.
 
-    Each cone holding the lower apex of a wall is inverted once, with its
-    rays as the rows of A: the coordinates of a vector u in the ray basis
-    are then u A^-1, one dot product with each column of the inverse.
-    Raises InvalidFanError unless the fan is smooth and complete.
+    The cone holding the lower apex of a wall has its rays as the rows of
+    A, inverted once by the validity pass: the coordinates of a vector u in
+    the ray basis are u A^-1, one dot product with each column of the
+    inverse.  Raises InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
+    inverses = _analyze(fan)[3]
     columns = {}
     out = []
     for facet, cones in sorted(_facet_map(fan).items()):
         (host, k), (other, j) = sorted(cones, key=lambda c: fan.max_cones[c[0]][c[1]])
         apex_a, apex_b = fan.max_cones[host][k], fan.max_cones[other][j]
         if host not in columns:
-            adj, det = kernel.inverse([fan.rays[i] for i in fan.max_cones[host]])
+            adj, det = inverses[host]
             # the fan is smooth, so det is +-1 and A^-1 = det * adj
             columns[host] = [tuple(det * x for x in col) for col in zip(*adj)]
         # write apex_b in the basis of the cone holding apex_a; the apex_a
@@ -313,7 +316,6 @@ def contract_codim2(fan, wall):
     and the paired cones across it are merged; ray indices above it shift
     down by one.  Returns (new_fan, removed_ray_index).
     """
-    ensure_smooth_complete(fan)
     if wall not in walls(fan):
         raise ValueError("wall does not belong to the fan")
     negatives = [k for k, c in enumerate(wall.coeffs) if c == -1]
@@ -371,10 +373,11 @@ def fans_isomorphic(f, g):
     """Search for a determinant +-1 matrix matching rays and maximal cones.
 
     Anchored brute force: fix the first maximal cone of ``f``; for every
-    maximal cone of ``g`` and every ordering of its rays, solve for the
-    matrix sending one generator tuple to the other and verify it maps the
-    ray set and the cone family bijectively.  Returns one witness matrix
-    (tuple of rows) or None.
+    maximal cone of ``g`` and every ordering of its rays, form the matrix
+    sending one generator tuple to the other and verify it maps the ray set
+    and the cone family bijectively.  The anchor's inverse is the validity
+    pass's inverse of cone 0, transposed, because here the generators are
+    the columns.  Returns one witness matrix (tuple of rows) or None.
     """
     ensure_smooth_complete(f)
     ensure_smooth_complete(g)
@@ -387,7 +390,8 @@ def fans_isomorphic(f, g):
     if _iso_signature(f) != _iso_signature(g):
         return None
     n = f.dim
-    anchor_inv = lattice.matrix_inverse_unimodular(f.ray_matrix(f.max_cones[0]))
+    adj, det = _analyze(f)[3][0]
+    anchor_inv = tuple(tuple(det * x for x in col) for col in zip(*adj))
     g_ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_cone_set = set(g.max_cones)
     for target in g.max_cones:

@@ -1,8 +1,10 @@
 """Exact integer linear algebra over arbitrary-precision Python ints.
 
 Every decision in the package is an exact sign test, so the kernel has one
-implementation: fraction-free (Bareiss) elimination, whose divisions are
-exact and whose entries stay minors of the input.
+routine: the adjugate and determinant of a square matrix by fraction-free
+(Bareiss) Gauss-Jordan elimination, whose divisions are exact and whose
+entries stay minors of the input.  The validity pass in ``fan`` calls it
+once per maximal cone; every other change of basis reads that result.
 """
 
 
@@ -12,33 +14,6 @@ def backend_name():
 
 def available_backends():
     return ("pure",)
-
-
-def det(rows):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0 or any(len(r) != n for r in m):
-        raise ValueError("matrix must be square and non-empty")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss step: the division by the previous pivot is exact.
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def inverse(rows):

@@ -1,4 +1,4 @@
-"""Exact lattice arithmetic: primitive vectors, unimodularity, quotient maps.
+"""Exact lattice arithmetic: primitive vectors, quotient maps.
 
 Vectors are plain tuples of Python ints.  Everything is integral; Fano and
 extremality questions downstream are sign decisions, so no floats appear
@@ -7,8 +7,6 @@ anywhere in this package.
 
 from functools import lru_cache
 from math import gcd
-
-from . import kernel
 
 
 def primitivize(v):
@@ -25,15 +23,6 @@ def primitivize(v):
 def is_primitive(v):
     v = tuple(v)
     return any(v) and primitivize(v) == v
-
-
-def is_unimodular(vectors):
-    """True when the given n vectors of dimension n form a lattice basis."""
-    vs = [tuple(v) for v in vectors]
-    n = len(vs)
-    if n == 0 or any(len(v) != n for v in vs):
-        raise ValueError("need exactly n vectors of dimension n")
-    return kernel.det(vs) in (1, -1)
 
 
 def xgcd(a, b):
@@ -104,11 +93,3 @@ def quotient_project(v, w):
 def matrix_apply(m, v):
     """Multiply the matrix (tuple of rows) by the column vector v."""
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def matrix_inverse_unimodular(rows):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    adj, det = kernel.inverse(rows)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(det * x for x in row) for row in adj)

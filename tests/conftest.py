@@ -1,3 +1,6 @@
+from functools import lru_cache
+from itertools import permutations
+
 import pytest
 
 from toricfano import Fan, catalog, projective_space_fan, random_corpus, star_subdivide
@@ -47,3 +50,26 @@ def differential_fans():
     two corpora and every catalog fan of dimensions 3 to 6."""
     fans = random_corpus(3, 200, 3, 42) + random_corpus(4, 50, 4, 7)
     return fans + tuple(entry.fan for n in range(3, 7) for entry in catalog(n))
+
+
+@lru_cache(maxsize=None)
+def signed_permutations(n):
+    """Every permutation of range(n) with its sign, by counting inversions."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def permutation_det(rows):
+    """Independent oracle: signed permutation expansion."""
+    total = 0
+    for perm, sign in signed_permutations(len(rows)):
+        prod = sign
+        for row, j in zip(rows, perm):
+            prod *= row[j]
+        total += prod
+    return total

@@ -10,6 +10,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from conftest import permutation_det
 
 from toricfano import (
     analyze_divisor,
@@ -48,9 +49,7 @@ def criterion(number, label):
 
 
 def witness_is_valid(witness, source, target):
-    from toricfano import kernel
-
-    if kernel.det(witness) not in (1, -1):
+    if permutation_det(witness) not in (1, -1):
         return False
     image = {lattice.matrix_apply(witness, r) for r in source.rays}
     return image == set(target.rays)

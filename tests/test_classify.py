@@ -1,3 +1,6 @@
+import sys
+from functools import lru_cache
+
 import pytest
 
 from toricfano import (
@@ -292,17 +295,19 @@ def test_local_fano_test_is_double_checked(monkeypatch):
     assert all("local Fano test" in p.violation for p in report.probes)
 
 
-def test_theorem1_builds_only_the_fano_blowups(monkeypatch):
-    import sys
-
-    import toricfano.classify
-    import toricfano.fan
-
+def clear_caches():
     for name, module in list(sys.modules.items()):
         if name.startswith("toricfano"):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+def test_theorem1_builds_only_the_fano_blowups(monkeypatch):
+    import toricfano.classify
+    import toricfano.fan
+
+    clear_caches()
     corpus = random_corpus(3, 60, 3, 2024)
     catalog(3)  # built once per process, and with star_subdivide of its own
     counts = {"star_subdivide": 0, "fans": 0}
@@ -324,3 +329,33 @@ def test_theorem1_builds_only_the_fano_blowups(monkeypatch):
     assert fano_probes > 0
     assert counts["star_subdivide"] == fano_probes
     assert walls.cache_info().misses - before <= len(corpus) + counts["fans"]
+
+
+def test_theorem1_inverts_each_cone_once(monkeypatch):
+    """Operation budget: the validity pass inverts each maximal cone of each
+    fan once, and walls and fans_isomorphic read its inverses."""
+    import toricfano.fan
+    import toricfano.kernel
+
+    clear_caches()
+    missed = []
+    inverses = {"calls": 0}
+    analyze = toricfano.fan._analyze.__wrapped__
+    inverse = toricfano.kernel.inverse
+
+    def counting_analyze(fan):
+        missed.append(fan)
+        return analyze(fan)
+
+    def counting_inverse(rows):
+        inverses["calls"] += 1
+        return inverse(rows)
+
+    monkeypatch.setattr(
+        toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
+    )
+    monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
+    for fan in random_corpus(3, 60, 3, 2024):
+        theorem1_check(fan)
+    assert inverses["calls"] == sum(len(fan.max_cones) for fan in missed)
+    assert inverses["calls"] <= 760

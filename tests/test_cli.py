@@ -250,6 +250,21 @@ class TestReports:
         assert run(["check", p3_file, "--divisor", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("complete", [True, False], ids=["p3", "one-cone"])
+    @pytest.mark.parametrize("text", ["not json", '{"coeffs": [1, 1]}'])
+    def test_divisor_is_parsed_on_every_fan(
+        self, tmp_path, p3_file, complete, text, capsys
+    ):
+        # the divisor is malformed input whether or not the fan is complete
+        one_cone = {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    "max_cones": [[0, 1, 2]]}
+        fan = p3_file if complete else write_json(tmp_path, "cone.json", one_cone)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["check", fan, "--divisor", str(bad), "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "invalid-input"
+
     def test_divisor_round_trip(self):
         from toricfano.cli import divisor_to_dict, parse_divisor
         from toricfano import anticanonical_divisor, projective_space_fan

@@ -1,26 +1,11 @@
 """The exact integer kernel against a brute-force determinant oracle."""
 
 import random
-from itertools import permutations
 
 import pytest
+from conftest import permutation_det
 
 from toricfano import kernel
-
-
-def permutation_det(rows):
-    """Independent oracle: signed permutation expansion."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        prod = 1
-        for i in range(n):
-            prod *= rows[i][perm[i]]
-        total += -prod if inversions % 2 else prod
-    return total
 
 
 def random_matrix(rng, n, bound):
@@ -30,26 +15,32 @@ def random_matrix(rng, n, bound):
 
 
 def test_det_matches_permutation_oracle():
+    # inverse's determinant, on random matrices; the singular ones raise
     rng = random.Random(101)
     for n in (1, 2, 3, 4, 5):
         for _ in range(40):
             m = random_matrix(rng, n, 9)
-            assert kernel.det(m) == permutation_det(m)
+            expected = permutation_det(m)
+            if expected == 0:
+                with pytest.raises(ValueError, match="singular"):
+                    kernel.inverse(m)
+            else:
+                assert kernel.inverse(m)[1] == expected
 
 
 def test_det_known_values():
-    assert kernel.det(((1, 0), (0, 1))) == 1
-    assert kernel.det(((1, 0), (1, 2))) == 2
-    assert kernel.det(((1, 1, 1), (1, 0, 0), (0, 1, 0))) == 1
-    assert kernel.det(((2, 0), (0, 2))) == 4
-    assert kernel.det(((1, 2), (2, 4))) == 0
+    assert kernel.inverse(((1, 0), (0, 1)))[1] == 1
+    assert kernel.inverse(((1, 0), (1, 2)))[1] == 2
+    assert kernel.inverse(((1, 1, 1), (1, 0, 0), (0, 1, 0)))[1] == 1
+    assert kernel.inverse(((2, 0), (0, 2)))[1] == 4
+    with pytest.raises(ValueError, match="singular"):
+        kernel.inverse(((1, 2), (2, 4)))
 
 
 def test_det_rejects_non_square():
-    with pytest.raises(ValueError):
-        kernel.det(((1, 2, 3), (4, 5, 6)))
-    with pytest.raises(ValueError):
-        kernel.det(())
+    for m in (((1, 2, 3), (4, 5, 6)), ()):
+        with pytest.raises(ValueError, match="square"):
+            kernel.inverse(m)
 
 
 def assert_adjugate(m, adj, d):
@@ -87,9 +78,7 @@ def test_inverse_singular():
 def test_wrappers_fall_back_on_huge_entries():
     big = 10 ** 30
     m = ((big, 1), (1, big))
-    expected = permutation_det(m)
-    assert kernel.det(m) == expected
     adj, d = kernel.inverse(m)
-    assert adj == ((big, -1), (-1, big)) and d == expected
+    assert adj == ((big, -1), (-1, big)) and d == permutation_det(m)
     assert_adjugate(m, adj, d)
 

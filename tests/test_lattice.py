@@ -28,19 +28,6 @@ def test_primitivize_idempotent(v):
     assert all(a * b >= 0 for a, b in zip(p, v))
 
 
-def test_is_unimodular_examples():
-    assert lattice.is_unimodular(((1, 0), (0, 1)))
-    assert not lattice.is_unimodular(((1, 0), (1, 2)))
-    assert lattice.is_unimodular(((1, 1, 1), (1, 0, 0), (0, 1, 0)))
-
-
-def test_is_unimodular_errors():
-    with pytest.raises(ValueError):
-        lattice.is_unimodular(((1, 0, 0), (0, 1, 0)))
-    with pytest.raises(ValueError):
-        lattice.is_unimodular(((1, 0), (0, 1, 0)))
-
-
 def test_quotient_project_coordinate_drop():
     assert lattice.quotient_project((0, 0, 1), (1, 0, 0)) == (1, 0)
     assert lattice.quotient_project((0, 0, 1), (0, 1, 0)) == (0, 1)
@@ -94,15 +81,3 @@ def test_quotient_kernel_is_exactly_the_ray(v):
                 w == tuple(k * c for c in v) for k in range(-6, 7)
             ), f"{w} is in the kernel but not a multiple of {v}"
 
-
-def test_matrix_inverse_unimodular():
-    m = ((1, 1, 1), (1, 0, 0), (0, 1, 0))
-    inv = lattice.matrix_inverse_unimodular(m)
-    n = 3
-    prod = tuple(
-        tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    assert prod == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(ValueError):
-        lattice.matrix_inverse_unimodular(((2, 0), (0, 1)))
