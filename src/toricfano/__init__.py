@@ -19,7 +19,6 @@ from .classify import (
     analyze_divisor,
     catalog,
     classify_fano_with_divisor,
-    divisor_star_fan,
     find_transverse_extremal,
     p1_bundle_fan,
     projective_space_fan,
@@ -90,7 +89,6 @@ __all__ = [
     "contraction_info",
     "curve_class",
     "divisor_dot_curve",
-    "divisor_star_fan",
     "fans_isomorphic",
     "find_transverse_extremal",
     "is_ample",

@@ -10,7 +10,10 @@ codimension-two subspace, with the point off the exceptional divisor.
 
 Everything is decided on fans with exact integer arithmetic; whenever a
 fan is identified with a catalog member, an explicit unimodular matrix
-witness is produced.
+witness is produced.  An invariant divisor is recognised as projective
+(n-1)-space by counting its ray's neighbours in the maximal cones, and
+its degree and line are read off the walls through the ray; no quotient
+fan is built.
 """
 
 import random
@@ -54,7 +57,8 @@ class DivisorAnalysis:
 
     ``d`` is the self-intersection degree of the divisor along any of its
     lines (the twist of its normal bundle); ``line_class`` is the curve
-    class of one such line.  Both are present exactly when
+    class of one such line and ``line_wall`` the first wall through the
+    ray, whose curve is that line.  All three are present exactly when
     ``is_proj_space`` holds.
     """
 
@@ -62,6 +66,7 @@ class DivisorAnalysis:
     is_proj_space: bool
     d: int | None = None
     line_class: object = None
+    line_wall: object = None
 
 
 @dataclass(frozen=True)
@@ -97,60 +102,26 @@ class ClassificationResult:
     steps: tuple = ()
 
 
-def divisor_star_fan(fan, ray_index):
-    """Fan of the invariant divisor V(ray) in the quotient lattice.
+@lru_cache(maxsize=None)
+def analyze_divisor(fan, ray_index):
+    """Decide whether V(ray) is a projective space and read its degree.
 
-    Collects the maximal cones through the ray, projects the other rays to
-    the quotient by the ray's span, and primitivizes the images.  For a
-    smooth complete ambient fan the result is again smooth and complete.
+    Recognition: on a smooth complete fan the fan of V(ray) is the ray's
+    star in N / Z*ray, whose rays are the pairwise distinct images of the
+    ray's neighbours (the rays sharing a maximal cone with it).  A smooth
+    complete fan of Picard rank one is projective space, so V(ray) is
+    projective (n-1)-space exactly when the ray has n neighbours.  The
+    degree is the coefficient of the ray in any wall relation through it;
+    every such wall must agree, since all lines in the divisor are
+    equivalent.  The first of them is kept as the line wall.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
         raise ValueError("divisor fans need ambient dimension at least 3")
     if not 0 <= ray_index < len(fan.rays):
         raise ValueError("ray index out of range")
-    v = fan.rays[ray_index]
-    star = [cone for cone in fan.max_cones if ray_index in cone]
-    images = {}
-    order = []
-    for cone in star:
-        for i in cone:
-            if i != ray_index and i not in images:
-                images[i] = lattice.primitivize(
-                    lattice.quotient_project(v, fan.rays[i])
-                )
-                order.append(i)
-    ray_list = [images[i] for i in order]
-    if len(set(ray_list)) != len(ray_list):
-        raise ClassificationViolation("divisor fan has two equal rays")
-    index_of = {i: k for k, i in enumerate(order)}
-    cones = tuple(
-        tuple(sorted(index_of[i] for i in cone if i != ray_index))
-        for cone in star
-    )
-    return Fan(fan.dim - 1, tuple(ray_list), cones)
-
-
-def _line_wall(fan, ray_index):
-    """First wall containing the ray; its class is the divisor's line class."""
-    for w in walls(fan):
-        if ray_index in w.wall_rays:
-            return w
-    raise ClassificationViolation("complete fans must have a wall through every ray")
-
-
-@lru_cache(maxsize=None)
-def analyze_divisor(fan, ray_index):
-    """Decide whether V(ray) is a projective space and read its degree.
-
-    Recognition: the divisor fan lives in dimension n-1 with Picard rank
-    (ray count) - (dimension); exactly n rays means rank one, which for a
-    smooth complete fan pins projective (n-1)-space.  The degree is the
-    coefficient of the ray in any wall relation through it; every such
-    wall must agree, since all lines in the divisor are equivalent.
-    """
-    star = divisor_star_fan(fan, ray_index)
-    if len(star.rays) != fan.dim:
+    star = {i for cone in fan.max_cones if ray_index in cone for i in cone}
+    if len(star) != fan.dim + 1:
         return DivisorAnalysis(ray_index, False)
     d = None
     first = None
@@ -161,7 +132,7 @@ def analyze_divisor(fan, ray_index):
                 first, d = w, coeff
             elif coeff != d:
                 raise ClassificationViolation("line class not well-defined")
-    return DivisorAnalysis(ray_index, True, d, curve_class(fan, first))
+    return DivisorAnalysis(ray_index, True, d, curve_class(fan, first), first)
 
 
 def find_transverse_extremal(fan, ray_index):
@@ -368,7 +339,7 @@ def _classify(fan, ray_index, allow_simplify):
     if not analysis.is_proj_space:
         raise ValueError("divisor is not a projective space")
     d = analysis.d
-    line_wall = _line_wall(fan, ray_index)
+    line_wall = analysis.line_wall
     if d >= 0 and is_extremal(fan, line_wall):
         if d == 0:
             return _match(

@@ -27,6 +27,15 @@ class InvalidFanError(ValueError):
     """An operation needed a valid fan and the input is not one."""
 
 
+def require_int(value, what):
+    """The value itself when it is an int; bool and every other type (a
+    float, a string) raise TypeError naming ``what``, since converting
+    them would silently truncate."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Fan:
     """dim, primitive ray generators, and maximal cones of size dim."""
@@ -36,13 +45,22 @@ class Fan:
     max_cones: tuple
 
     def __post_init__(self):
+        require_int(self.dim, "dim")
         object.__setattr__(
-            self, "rays", tuple(tuple(int(c) for c in r) for r in self.rays)
+            self,
+            "rays",
+            tuple(
+                tuple(require_int(c, f"ray {i} coordinate") for c in r)
+                for i, r in enumerate(self.rays)
+            ),
         )
         object.__setattr__(
             self,
             "max_cones",
-            tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones),
+            tuple(
+                tuple(sorted(require_int(i, f"cone {ci} entry") for i in c))
+                for ci, c in enumerate(self.max_cones)
+            ),
         )
 
 

@@ -8,7 +8,7 @@ the ample and the Fano test reduce to one exact scan over the walls.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fan import walls
+from .fan import require_int, walls
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,14 @@ class TDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(
+            self,
+            "coeffs",
+            tuple(
+                require_int(c, f"divisor coefficient {i}")
+                for i, c in enumerate(self.coeffs)
+            ),
+        )
 
     def __add__(self, other):
         if len(self.coeffs) != len(other.coeffs):

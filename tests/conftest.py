@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 
 from toricfano import Fan, catalog, projective_space_fan, random_corpus, star_subdivide
+from toricfano import lattice
+from toricfano.fan import ensure_smooth_complete
 
 
 @pytest.fixture
@@ -73,3 +75,38 @@ def permutation_det(rows):
             prod *= row[j]
         total += prod
     return total
+
+
+def divisor_star_fan(fan, ray_index):
+    """Fan of the invariant divisor V(ray) in the quotient lattice.
+
+    Collects the maximal cones through the ray, projects the other rays to
+    the quotient by the ray's span, and primitivizes the images.  For a
+    smooth complete ambient fan the result is again smooth and complete.
+    The oracle for ``analyze_divisor``'s neighbour count: V(ray) is a
+    projective space exactly when this fan has ``fan.dim`` rays.
+    """
+    ensure_smooth_complete(fan)
+    if fan.dim < 3:
+        raise ValueError("divisor fans need ambient dimension at least 3")
+    if not 0 <= ray_index < len(fan.rays):
+        raise ValueError("ray index out of range")
+    v = fan.rays[ray_index]
+    star = [cone for cone in fan.max_cones if ray_index in cone]
+    images = {}
+    order = []
+    for cone in star:
+        for i in cone:
+            if i != ray_index and i not in images:
+                images[i] = lattice.primitivize(
+                    lattice.quotient_project(v, fan.rays[i])
+                )
+                order.append(i)
+    ray_list = [images[i] for i in order]
+    assert len(set(ray_list)) == len(ray_list), "divisor fan has two equal rays"
+    index_of = {i: k for k, i in enumerate(order)}
+    cones = tuple(
+        tuple(sorted(index_of[i] for i in cone if i != ray_index))
+        for cone in star
+    )
+    return Fan(fan.dim - 1, tuple(ray_list), cones)

@@ -2,13 +2,13 @@ import sys
 from functools import lru_cache
 
 import pytest
+from conftest import divisor_star_fan
 
 from toricfano import (
     ClassificationViolation,
     analyze_divisor,
     catalog,
     classify_fano_with_divisor,
-    divisor_star_fan,
     fans_isomorphic,
     find_transverse_extremal,
     is_complete,
@@ -70,6 +70,21 @@ class TestDivisorStarFanValidity:
                     assert fans_isomorphic(star, target) is not None
                     recognized += 1
         assert recognized > 10
+
+
+def test_neighbour_count_matches_star_fan(differential_fans):
+    """Differential test: the neighbour count recognises V(ray) as a
+    projective space exactly when the quotient star fan has n rays, and the
+    line wall is the first wall through the ray."""
+    for fan in differential_fans:
+        for i in range(len(fan.rays)):
+            analysis = analyze_divisor(fan, i)
+            assert analysis.is_proj_space == (
+                len(divisor_star_fan(fan, i).rays) == fan.dim
+            ), (fan, i)
+            if analysis.is_proj_space:
+                first = next(w for w in walls(fan) if i in w.wall_rays)
+                assert analysis.line_wall == first
 
 
 class TestAnalyzeDivisor:
@@ -329,6 +344,30 @@ def test_theorem1_builds_only_the_fano_blowups(monkeypatch):
     assert fano_probes > 0
     assert counts["star_subdivide"] == fano_probes
     assert walls.cache_info().misses - before <= len(corpus) + counts["fans"]
+
+
+def test_analyze_divisor_builds_no_fan(monkeypatch):
+    """Operation budget: recognising every divisor of the catalog reads the
+    fan's cones and walls and constructs no quotient fan."""
+    import toricfano.fan
+
+    entries = [entry for n in range(3, 7) for entry in catalog(n)]
+    clear_caches()
+    built = {"fans": 0}
+    post_init = toricfano.fan.Fan.__post_init__
+
+    def counting_post_init(fan):
+        built["fans"] += 1
+        post_init(fan)
+
+    monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
+    recognized = sum(
+        analyze_divisor(entry.fan, i).is_proj_space
+        for entry in entries
+        for i in range(len(entry.fan.rays))
+    )
+    assert built["fans"] == 0
+    assert recognized == sum(len(entry.divisor_rays) for entry in entries)
 
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):

@@ -6,10 +6,10 @@ from conftest import permutation_det
 from toricfano import (
     Fan,
     InvalidFanError,
+    analyze_divisor,
     anticanonical_divisor,
     catalog,
     contract_codim2,
-    divisor_star_fan,
     fans_isomorphic,
     is_complete,
     is_extremal,
@@ -114,7 +114,7 @@ NEEDS_SMOOTH_COMPLETE = {
     "is_extremal": lambda f: is_extremal(f, Wall((0, 1), 2, 3, (0, 0))),
     "fans_isomorphic": lambda f: fans_isomorphic(f, projective_space_fan(3)),
     "theorem1_check": theorem1_check,
-    "divisor_star_fan": lambda f: divisor_star_fan(f, 0),
+    "analyze_divisor": lambda f: analyze_divisor(f, 0),
     "contract_codim2": lambda f: contract_codim2(f, Wall((0, 1), 2, 3, (0, -1))),
     "point_blowup_is_fano": lambda f: point_blowup_is_fano(f, (0, 1, 2)),
 }
@@ -134,6 +134,47 @@ def test_validity_errors_are_typed_and_exact(fan, message, call):
     with pytest.raises(InvalidFanError) as err:
         NEEDS_SMOOTH_COMPLETE[call](fan)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "fan, ray, message",
+    [
+        (projective_space_fan(2), 0, "divisor fans need ambient dimension at least 3"),
+        (projective_space_fan(3), 4, "ray index out of range"),
+        (projective_space_fan(3), -1, "ray index out of range"),
+    ],
+    ids=["dim-2", "ray-past-end", "ray-negative"],
+)
+def test_divisor_argument_errors_are_exact(fan, ray, message):
+    with pytest.raises(ValueError) as err:
+        analyze_divisor(fan, ray)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+P2_CONES = ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "dim, rays, cones, message",
+    [
+        (2, ((1.9, 0), (0, 1), (-1, -1)), P2_CONES, "ray 0 coordinate must be an integer, got 1.9"),
+        (2, ((1, 0), (0, True), (-1, -1)), P2_CONES, "ray 1 coordinate must be an integer, got True"),
+        (2, ((1, 0), (0, 1), (-1, "-1")), P2_CONES, "ray 2 coordinate must be an integer, got '-1'"),
+        (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2.0), (1, 2)), "cone 1 entry must be an integer, got 2.0"),
+        (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (True, 2)), "cone 2 entry must be an integer, got True"),
+        (2.0, ((1, 0), (0, 1), (-1, -1)), P2_CONES, "dim must be an integer, got 2.0"),
+    ],
+    ids=["float-ray", "bool-ray", "str-ray", "float-cone", "bool-cone", "float-dim"],
+)
+def test_non_integers_are_rejected_not_truncated(dim, rays, cones, message):
+    with pytest.raises(TypeError) as err:
+        Fan(dim, rays, cones)
+    assert str(err.value) == message
+
+
+def test_integer_sequences_become_tuples():
+    fan = Fan(2, [[1, 0], [0, 1], [-1, -1]], [[1, 0], [0, 2], [2, 1]])
+    assert fan == Fan(2, ((1, 0), (0, 1), (-1, -1)), P2_CONES)
 
 
 def reference_check(fan):

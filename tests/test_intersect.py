@@ -51,6 +51,22 @@ def test_dot_size_mismatch(p3, get_wall):
         divisor_dot_curve(p3, TDivisor((1, 1)), w)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TDivisor((0.5, 1, 1)), "divisor coefficient 0 must be an integer, got 0.5"),
+        (lambda: TDivisor((1, True, 1)), "divisor coefficient 1 must be an integer, got True"),
+        (lambda: TDivisor((1, 1, "1")), "divisor coefficient 2 must be an integer, got '1'"),
+        (lambda: 0.5 * TDivisor((0, 1, 1)), "divisor coefficient 0 must be an integer, got 0.0"),
+    ],
+    ids=["float", "bool", "str", "float-multiple"],
+)
+def test_divisor_rejects_non_integers(make, message):
+    with pytest.raises(TypeError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_anticanonical_degree_examples(p3, blowup_p3_point, get_wall):
     assert anticanonical_degree(p3, get_wall(walls(p3), (0, 1))) == 4
     # P(O+O(3)) over P^2: degree 0 wall
