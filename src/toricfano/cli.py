@@ -4,7 +4,8 @@ Fan files are JSON objects {"dim": n, "rays": [[int,..],..],
 "max_cones": [[idx,..],..]} with 0-based indices, primitive rays, and
 cones sorted ascending.  Reports are plain text or, with --json, a single
 JSON document with deterministic (byte-identical) output.  Exit codes:
-0 all assertions hold, 1 assertion failure, 2 malformed input.
+0 all assertions hold, 1 assertion failure, 2 malformed input; a reader
+that closes stdout early does not change them.
 """
 
 import argparse
@@ -517,7 +518,15 @@ def run(argv=None):
     except (ClassificationViolation, ValueError) as err:
         report = Report(args.command, status="fail")
         report.findings.append({"error": str(err)})
-    _emit(report, args.json, sys.stdout)
+    try:
+        _emit(report, args.json, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); the verdict stands, and
+        # stdout goes to devnull so the flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return {"pass": 0, "fail": 1, "invalid-input": 2}[report.status]
 
 

@@ -299,7 +299,9 @@ def star_subdivide(fan, center):
     completeness carry over.  A center of size ``dim`` blows up the fixed
     point of that cone.
     """
-    center = tuple(sorted(set(int(i) for i in center)))
+    center = tuple(
+        sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
+    )
     if not is_smooth(fan):
         raise InvalidFanError("fan must be smooth")
     if len(center) < 2:

@@ -2,8 +2,10 @@
 
 The cone of effective curves of a smooth projective toric variety is
 spanned by the wall classes, so extremality of a wall class is an exact
-rational feasibility question against the other wall classes.  Contraction
-types follow the count of negative and nonpositive wall coefficients.
+feasibility question against the other wall classes, decided by the
+integer simplex in Picard coordinates: each class is read only on the
+rays outside cone 0, rho = #rays - dim numbers.  Contraction types follow
+the count of negative and nonpositive wall coefficients.
 """
 
 from dataclasses import dataclass
@@ -56,13 +58,27 @@ def is_extremal(fan, wall):
     Decided exactly: the class is extremal iff it is not a nonnegative
     rational combination of the wall classes that are not positive
     multiples of it.
+
+    Every class is first projected onto the rays outside cone 0 (Picard
+    coordinates).  A class C satisfies sum_i (D_i . C) v_i = 0, and the
+    rays of cone 0 are a basis of N, so its numbers on them are fixed by
+    the others: the projection is injective on N_1.  Equal classes,
+    positive multiples and nonnegative-span membership are therefore the
+    same after it; only the LP shrinks to #rays - dim rows.
     """
     fan_walls = walls(fan)  # raises unless the fan is smooth and complete
-    target = curve_class(fan, wall).dots
+    anchor = set(fan.max_cones[0])
+    outside = [i for i in range(len(fan.rays)) if i not in anchor]
+
+    def picard(w):
+        dots = curve_class(fan, w).dots
+        return tuple(dots[i] for i in outside)
+
+    target = picard(wall)
     candidates = []
     seen = set()
     for w in fan_walls:
-        dots = curve_class(fan, w).dots
+        dots = picard(w)
         if dots in seen or is_positive_multiple(target, dots):
             continue
         seen.add(dots)

@@ -1,3 +1,5 @@
+import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -52,6 +54,15 @@ def differential_fans():
     two corpora and every catalog fan of dimensions 3 to 6."""
     fans = random_corpus(3, 200, 3, 42) + random_corpus(4, 50, 4, 7)
     return fans + tuple(entry.fan for n in range(3, 7) for entry in catalog(n))
+
+
+def clear_caches():
+    """Empty every ``lru_cache`` of the package, so a budget counts cold."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricfano"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -110,3 +121,64 @@ def divisor_star_fan(fan, ray_index):
         for cone in star
     )
     return Fan(fan.dim - 1, tuple(ray_list), cones)
+
+
+def fraction_in_nonneg_span(columns, target):
+    """Decide whether target = sum(lam_j * columns[j]) admits lam >= 0.
+
+    ``columns`` and ``target`` are integer vectors of equal length; the
+    answer is exact over the rationals.  The oracle for the integer
+    simplex in ``toricfano._simplex``: phase one over Fraction with
+    Bland's rule, on the full tableau with its artificial columns.
+    """
+    m = len(columns)
+    r = len(target)
+    for col in columns:
+        if len(col) != r:
+            raise ValueError("column length mismatch")
+    # Equality rows A lam = b with b >= 0, plus one artificial per row;
+    # feasible iff the artificial sum minimises to zero.
+    T = []
+    b = []
+    for i in range(r):
+        sign = -1 if target[i] < 0 else 1
+        row = [Fraction(sign * col[i]) for col in columns]
+        row.extend(Fraction(int(i == k)) for k in range(r))
+        T.append(row)
+        b.append(Fraction(sign * target[i]))
+    basis = [m + i for i in range(r)]
+    while True:
+        art_rows = [i for i in range(r) if basis[i] >= m]
+        if sum((b[i] for i in art_rows), Fraction(0)) == 0:
+            return True
+        # Bland's rule: the lowest-index structural column with negative
+        # reduced cost enters (artificials never re-enter).
+        entering = -1
+        for j in range(m):
+            if j in basis:
+                continue
+            if sum((T[i][j] for i in art_rows), Fraction(0)) > 0:
+                entering = j
+                break
+        if entering < 0:
+            return False
+        leave = -1
+        best = None
+        for i in range(r):
+            if T[i][entering] > 0:
+                ratio = b[i] / T[i][entering]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best, leave = ratio, i
+        if leave < 0:
+            raise ArithmeticError("phase-one simplex cannot be unbounded")
+        piv = T[leave][entering]
+        T[leave] = [x / piv for x in T[leave]]
+        b[leave] /= piv
+        for i in range(r):
+            if i != leave and T[i][entering] != 0:
+                f = T[i][entering]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+                b[i] -= f * b[leave]
+        basis[leave] = entering

@@ -1,8 +1,7 @@
-import sys
 from functools import lru_cache
 
 import pytest
-from conftest import divisor_star_fan
+from conftest import clear_caches, divisor_star_fan
 
 from toricfano import (
     ClassificationViolation,
@@ -308,14 +307,6 @@ def test_local_fano_test_is_double_checked(monkeypatch):
     report = theorem1_check(p1_bundle_fan(3, 2))
     assert all(p.blowup_fano for p in report.probes)
     assert all("local Fano test" in p.violation for p in report.probes)
-
-
-def clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("toricfano"):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
 
 
 def test_theorem1_builds_only_the_fano_blowups(monkeypatch):

@@ -294,18 +294,44 @@ DOUBLE_COVER = {
 }
 
 
-def run_in_child(flags, argv):
-    """Exit code and stdout bytes of ``cli.run(argv)`` in a fresh interpreter."""
+def child_process(flags, argv, **streams):
+    """The finished ``cli.run(argv)`` in a fresh interpreter, whose stdout
+    is buffered unless ``flags`` hold ``-u``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(toricfano.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = "import sys; from toricfano.cli import run; sys.exit(run(sys.argv[1:]))"
-    proc = subprocess.run(
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
         [sys.executable, *flags, "-c", code, *argv],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(env, PYTHONPATH=path),
         timeout=300,
+        **streams,
     )
+
+
+def run_in_child(flags, argv):
+    """Exit code and stdout bytes of ``cli.run(argv)`` in a fresh interpreter."""
+    proc = child_process(flags, argv, capture_output=True)
     return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"], ["-u"]], ids=["plain", "O", "unbuffered"])
+def test_closed_stdout_keeps_the_verdict(flags):
+    """A reader that leaves early (``| head -c 10``) is not a failed check:
+    the report's own exit code, and no traceback.  Buffered, the pipe
+    breaks at the flush; unbuffered, at the first write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = child_process(
+            flags,
+            ["verify-theorem2", "--dim", "3", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,27 @@ def test_integer_sequences_become_tuples():
     assert fan == Fan(2, ((1, 0), (0, 1), (-1, -1)), P2_CONES)
 
 
+@pytest.mark.parametrize(
+    "center, message",
+    [
+        ((0.9, 1.7), "center entry 0 must be an integer, got 0.9"),
+        ((0, True), "center entry 1 must be an integer, got True"),
+        ((0, 1, "2"), "center entry 2 must be an integer, got '2'"),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_star_subdivide_rejects_non_integer_centers(center, message):
+    # int() would have blown up (0, 1) from (0.9, 1.7) and read True as 1
+    with pytest.raises(TypeError) as err:
+        star_subdivide(projective_space_fan(3), center)
+    assert str(err.value) == message
+
+
+def test_star_subdivide_accepts_any_integer_sequence():
+    p3 = projective_space_fan(3)
+    assert star_subdivide(p3, [1, 0, 1]) == star_subdivide(p3, (0, 1))
+
+
 def reference_check(fan):
     """(problems, complete) with the overlap LP run on every cone pair.
 

@@ -1,6 +1,9 @@
 """Source-level guards that hold for the whole package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricfano"
@@ -18,3 +21,23 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_start_up_imports_no_rational_arithmetic():
+    """Every decision is made in integers: importing the CLI loads neither
+    ``fractions`` nor ``decimal``."""
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, toricfano.cli; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        text=True,
+        timeout=60,
+    ).stdout
+    assert out == "[]\n"

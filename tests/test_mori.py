@@ -1,5 +1,12 @@
-import pytest
+import io
+from contextlib import redirect_stdout
 
+import pytest
+from conftest import clear_caches, fraction_in_nonneg_span
+
+import toricfano._simplex
+import toricfano.cli
+import toricfano.mori
 from toricfano import (
     anticanonical_divisor,
     catalog,
@@ -113,13 +120,9 @@ def test_contraction_info_requires_mori_extremal(get_wall):
         contraction_info(fan, w)
 
 
-def extremal_by_dual_certificate(fan, wall):
-    """Independent oracle: a supporting functional phi with phi(c) = 0 and
-    phi(v) >= 1 on every wall class v not proportional to c exists iff the
-    class of ``wall`` spans an extremal ray (faces of polyhedral cones are
-    exposed).  Encoded as standard-form feasibility with phi = p - q and
-    surplus variables, decided by the same exact simplex on a different
-    system than the primal membership test."""
+def full_classes(fan, wall):
+    """The wall's full intersection vector, and those of the other walls
+    with duplicates and positive multiples of it removed."""
     target = curve_class(fan, wall).dots
     seen = set()
     candidates = []
@@ -129,6 +132,23 @@ def extremal_by_dual_certificate(fan, wall):
             continue
         seen.add(dots)
         candidates.append(dots)
+    return target, candidates
+
+
+def extremal_by_full_fraction_lp(fan, wall):
+    """The slow path: the Fraction LP on unprojected classes, one row per ray."""
+    target, candidates = full_classes(fan, wall)
+    return not fraction_in_nonneg_span(candidates, target)
+
+
+def extremal_by_dual_certificate(fan, wall):
+    """Independent oracle: a supporting functional phi with phi(c) = 0 and
+    phi(v) >= 1 on every wall class v not proportional to c exists iff the
+    class of ``wall`` spans an extremal ray (faces of polyhedral cones are
+    exposed).  Encoded as standard-form feasibility with phi = p - q and
+    surplus variables, on full intersection vectors, and decided by the
+    Fraction oracle LP, not by the integer simplex it checks."""
+    target, candidates = full_classes(fan, wall)
     r = len(target)
     m = len(candidates)
     # rows: one equality per candidate (phi . v_j - s_j = 1), one for phi . c = 0
@@ -140,7 +160,7 @@ def extremal_by_dual_certificate(fan, wall):
     for j in range(m):  # surplus s_j
         columns.append(tuple(-int(k == j) for k in range(m)) + (0,))
     rhs = (1,) * m + (0,)
-    return in_nonneg_span(columns, rhs)
+    return fraction_in_nonneg_span(columns, rhs)
 
 
 def test_extremality_against_dual_oracle():
@@ -155,3 +175,46 @@ def test_extremality_against_dual_oracle():
             assert is_extremal(fan, w) == extremal_by_dual_certificate(fan, w)
             checked += 1
     assert checked > 150
+
+
+def test_picard_lp_matches_full_fraction_lp(differential_fans):
+    """The fast path (Picard coordinates, integer pivots) against the slow
+    one it replaces (full coordinates, Fraction pivots), on every wall."""
+    answers = []
+    for fan in differential_fans:
+        for w in walls(fan):
+            answer = is_extremal(fan, w)
+            assert answer == extremal_by_full_fraction_lp(fan, w)
+            answers.append(answer)
+    assert len(answers) == 4848
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_extremality_lp_budget(monkeypatch):
+    """Operation budget of verify-theorem2 for dimensions 3 to 6 from cold
+    caches: one LP per is_extremal miss, each with one row per ray outside
+    cone 0 (the Picard rank), and a pinned number of pivots."""
+    clear_caches()
+    lps = []
+    asked = {}
+    fan_walls = toricfano.mori.walls
+
+    def recording_walls(fan):
+        asked["fan"] = fan
+        return fan_walls(fan)
+
+    def recording_lp(columns, target):
+        feasible, pivots = toricfano._simplex._phase_one(columns, target)
+        fan = asked["fan"]
+        lps.append((len(target), len(fan.rays) - fan.dim, pivots))
+        return feasible
+
+    monkeypatch.setattr(toricfano.mori, "walls", recording_walls)
+    monkeypatch.setattr(toricfano.mori, "in_nonneg_span", recording_lp)
+    for n in range(3, 7):
+        with redirect_stdout(io.StringIO()):
+            assert toricfano.cli.run(["verify-theorem2", "--dim", str(n), "--json"]) == 0
+    assert [rows for rows, _, _ in lps] == [rho for _, rho, _ in lps]
+    assert len(lps) == is_extremal.cache_info().misses == 126
+    assert sum(rows for rows, _, _ in lps) == 296
+    assert sum(pivots for _, _, pivots in lps) == 262

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_in_nonneg_span
 
-from toricfano._simplex import in_nonneg_span
+from toricfano._simplex import _phase_one, in_nonneg_span
 
 
 def test_basic_membership():
@@ -45,7 +46,8 @@ def test_length_mismatch():
 
 def test_against_random_certificates():
     # feasible instances built forward from random nonnegative combinations;
-    # infeasible ones certified by a random functional separating the target
+    # infeasible ones certified by a random functional separating the target;
+    # the Fraction oracle must give the same answers
     rng = random.Random(99)
     for _ in range(60):
         r = rng.randint(2, 4)
@@ -58,6 +60,7 @@ def test_against_random_certificates():
             sum(lam[j] * cols[j][i] for j in range(m)) for i in range(r)
         )
         assert in_nonneg_span(cols, target)
+        assert fraction_in_nonneg_span(cols, target)
     for _ in range(60):
         r = rng.randint(2, 4)
         m = rng.randint(1, 6)
@@ -79,6 +82,7 @@ def test_against_random_certificates():
             continue
         # phi >= 0 on every column but phi(target) < 0: unreachable
         assert not in_nonneg_span(cols, target)
+        assert not fraction_in_nonneg_span(cols, target)
 
 
 def test_rational_not_integral_solutions_count():
@@ -86,3 +90,38 @@ def test_rational_not_integral_solutions_count():
     assert in_nonneg_span([(2, 0), (0, 1)], (1, 0))
     assert in_nonneg_span([(3, 3)], (2, 2))
     assert Fraction(2, 3) * 3 == 2
+
+
+@pytest.mark.parametrize("bound", [1, 4, 10**6])
+def test_matches_fraction_oracle(bound):
+    # unstructured instances, degenerate ones (zero targets, repeated and
+    # zero columns) included; large entries exercise the exact divisions
+    rng = random.Random(bound)
+    answers = set()
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        m = rng.randint(0, 8)
+        cols = [
+            tuple(rng.randint(-bound, bound) for _ in range(r)) for _ in range(m)
+        ]
+        if cols and rng.random() < 0.3:
+            cols.append(rng.choice(cols))
+        if rng.random() < 0.5:
+            lam = [rng.randint(0, 2) for _ in range(len(cols))]
+            target = tuple(
+                sum(x * col[i] for x, col in zip(lam, cols)) for i in range(r)
+            )
+        else:
+            target = tuple(rng.randint(-bound, bound) for _ in range(r))
+        answer = in_nonneg_span(cols, target)
+        assert answer == fraction_in_nonneg_span(cols, target)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_pivot_count():
+    # two structural columns enter, one per artificial row
+    assert _phase_one([(1, 0), (0, 1)], (2, 3)) == (True, 2)
+    assert _phase_one([(1, 0), (0, 1)], (0, 0)) == (True, 0)
+    # the second column enters on the zero row, then nothing can
+    assert _phase_one([(2, 0), (0, 1)], (-1, 0)) == (False, 1)
