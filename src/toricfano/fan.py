@@ -5,11 +5,13 @@ generators plus the full-dimensional simplicial cones, each recorded as a
 sorted tuple of ray indices.  This module owns validation, smoothness and
 completeness tests (one covering certificate), wall (invariant curve)
 enumeration with exact wall relations, star-subdivision blow-ups,
-codimension-two blow-downs, and the brute-force fan isomorphism search.
-Every change of basis reads one exact integer inverse per maximal cone,
-computed once by the validity pass: the covering certificate, the wall
-relations and the isomorphism anchor.  Whether a point blow-up is Fano is
-decided from the parent's walls, in ``intersect``, without building it.
+codimension-two blow-downs, and fan isomorphism by wall propagation,
+which checks each anchor candidate on the cached walls and forms a matrix
+only for the one that succeeds.  Every change of basis reads one exact
+integer inverse per maximal cone, computed once by the validity pass: the
+covering certificate, the wall relations and the isomorphism witness.
+Whether a point blow-up is Fano is decided from the parent's walls, in
+``intersect``, without building it.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot, so fans can be shared freely between workers.
@@ -17,7 +19,7 @@ where they are hot, so fans can be shared freely between workers.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import kernel, lattice
 from ._simplex import in_nonneg_span
@@ -377,27 +379,92 @@ def contract_codim2(fan, wall):
 
 
 @lru_cache(maxsize=None)
-def _iso_signature(fan):
-    """Cheap isomorphism invariants: wall coefficient and valence multisets."""
-    coeff_multiset = tuple(sorted(tuple(sorted(w.coeffs)) for w in walls(fan)))
-    valence = tuple(
-        sorted(
-            sum(1 for cone in fan.max_cones if i in cone)
-            for i in range(len(fan.rays))
-        )
-    )
-    return coeff_multiset, valence
+def _iso_record(fan):
+    """What the isomorphism search reads of a smooth complete fan.
+
+    Returns (facet -> Wall, per-ray invariants, their sorted multiset, walk).
+    A ray's invariant is its valence and the sorted multiset of its
+    coefficients in the walls through it; a fan isomorphism preserves both.
+    The walk crosses a spanning tree of the facet graph from cone 0, one
+    step ``(facet, known apex, new apex, coeffs)`` per cone reached.
+    """
+    fan_walls = walls(fan)
+    by_facet = {w.wall_rays: w for w in fan_walls}
+    valence = [0] * len(fan.rays)
+    for cone in fan.max_cones:
+        for i in cone:
+            valence[i] += 1
+    coeffs = [[] for _ in fan.rays]
+    for w in fan_walls:
+        for i, c in zip(w.wall_rays, w.coeffs):
+            coeffs[i].append(c)
+    inv = tuple((v, tuple(sorted(cs))) for v, cs in zip(valence, coeffs))
+    walk = []
+    seen = {fan.max_cones[0]}
+    frontier = [fan.max_cones[0]]
+    for cone in frontier:
+        for k, known in enumerate(cone):
+            w = by_facet[cone[:k] + cone[k + 1 :]]
+            new = w.apex_b if known == w.apex_a else w.apex_a
+            reached = tuple(sorted(w.wall_rays + (new,)))
+            if reached not in seen:
+                seen.add(reached)
+                frontier.append(reached)
+                walk.append((w.wall_rays, known, new, w.coeffs))
+    return by_facet, inv, tuple(sorted(inv)), tuple(walk)
+
+
+def _orders(target, wanted, inv):
+    """The orders of ``target`` whose k-th ray has invariant ``wanted[k]``,
+    in the order ``permutations(target)`` yields them."""
+    if not wanted:
+        yield ()
+        return
+    for j, t in enumerate(target):
+        if inv[t] == wanted[0]:
+            for tail in _orders(target[:j] + target[j + 1 :], wanted[1:], inv):
+                yield (t,) + tail
+
+
+def _propagates(walk, g_walls, anchor, order):
+    """Does cone 0 of f onto ``order`` extend across every step of f's walk?
+
+    Each step needs a wall of g on the image facet with the same aligned
+    coefficients and the image of the known apex as one apex; the other
+    apex is then the image of the new one.  The relations agree, so the
+    linear map of the anchor sends each new ray to that apex.
+    """
+    image = dict(zip(anchor, order))
+    for facet, known, new, coeffs in walk:
+        pairs = sorted(zip([image[i] for i in facet], coeffs))
+        w = g_walls.get(tuple(i for i, _ in pairs))
+        if w is None or w.coeffs != tuple(c for _, c in pairs):
+            return False
+        if image[known] == w.apex_a:
+            image[new] = w.apex_b
+        elif image[known] == w.apex_b:
+            image[new] = w.apex_a
+        else:
+            return False
+    return True
 
 
 def fans_isomorphic(f, g):
     """Search for a determinant +-1 matrix matching rays and maximal cones.
 
-    Anchored brute force: fix the first maximal cone of ``f``; for every
-    maximal cone of ``g`` and every ordering of its rays, form the matrix
-    sending one generator tuple to the other and verify it maps the ray set
-    and the cone family bijectively.  The anchor's inverse is the validity
-    pass's inverse of cone 0, transposed, because here the generators are
-    the columns.  Returns one witness matrix (tuple of rows) or None.
+    Anchored search by wall propagation: fix the first maximal cone of
+    ``f``; for every maximal cone of ``g`` and every ordering of its rays
+    whose per-ray invariants match the anchor's, cross a spanning tree of
+    f's cones wall by wall, asking g for a wall with the same coefficients
+    at each step.  A smooth complete fan is fixed up to GL(n, Z) by its
+    cones and wall coefficients and its facet graph is connected, so a
+    candidate passes exactly when it is a fan isomorphism.  Only then is
+    the witness formed: the matrix sending one generator tuple to the
+    other, whose anchor inverse is the validity pass's inverse of cone 0,
+    transposed, because here the generators are the columns.  Candidates
+    are tried in ``g.max_cones`` x ``permutations`` order and pruning only
+    skips non-isomorphisms, so the witness is the first isomorphism in that
+    order.  Returns one witness matrix (tuple of rows) or None.
     """
     ensure_smooth_complete(f)
     ensure_smooth_complete(g)
@@ -407,35 +474,29 @@ def fans_isomorphic(f, g):
         or len(f.max_cones) != len(g.max_cones)
     ):
         return None
-    if _iso_signature(f) != _iso_signature(g):
-        return None
     n = f.dim
-    adj, det = _analyze(f)[3][0]
-    anchor_inv = tuple(tuple(det * x for x in col) for col in zip(*adj))
-    g_ray_index = {ray: i for i, ray in enumerate(g.rays)}
-    g_cone_set = set(g.max_cones)
+    if f == g:
+        # the first candidate, cone 0 onto itself in order, gives I
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    _, f_inv, f_invariants, walk = _iso_record(f)
+    g_walls, g_inv, g_invariants, _ = _iso_record(g)
+    if f_invariants != g_invariants:
+        return None
+    anchor = f.max_cones[0]
+    wanted = [f_inv[i] for i in anchor]
     for target in g.max_cones:
-        for perm in permutations(target):
-            image_matrix = tuple(
-                tuple(g.rays[j][i] for j in perm) for i in range(n)
-            )
-            m = tuple(
-                tuple(
-                    sum(image_matrix[i][k] * anchor_inv[k][j] for k in range(n))
-                    for j in range(n)
+        for perm in _orders(target, wanted, g_inv):
+            if _propagates(walk, g_walls, anchor, perm):
+                adj, det = _analyze(f)[3][0]
+                anchor_inv = tuple(tuple(det * x for x in col) for col in zip(*adj))
+                image_matrix = tuple(
+                    tuple(g.rays[j][i] for j in perm) for i in range(n)
                 )
-                for i in range(n)
-            )
-            mapped = []
-            for ray in f.rays:
-                gi = g_ray_index.get(lattice.matrix_apply(m, ray))
-                if gi is None:
-                    break
-                mapped.append(gi)
-            else:
-                if len(set(mapped)) == len(mapped) and all(
-                    tuple(sorted(mapped[i] for i in cone)) in g_cone_set
-                    for cone in f.max_cones
-                ):
-                    return m
+                return tuple(
+                    tuple(
+                        sum(image_matrix[i][k] * anchor_inv[k][j] for k in range(n))
+                        for j in range(n)
+                    )
+                    for i in range(n)
+                )
     return None

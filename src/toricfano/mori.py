@@ -4,8 +4,9 @@ The cone of effective curves of a smooth projective toric variety is
 spanned by the wall classes, so extremality of a wall class is an exact
 feasibility question against the other wall classes, decided by the
 integer simplex in Picard coordinates: each class is read only on the
-rays outside cone 0, rho = #rays - dim numbers.  Contraction types follow
-the count of negative and nonpositive wall coefficients.
+rays outside cone 0, rho = #rays - dim numbers, once per fan.
+Contraction types follow the count of negative and nonpositive wall
+coefficients.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,19 @@ def is_positive_multiple(base, other):
 
 
 @lru_cache(maxsize=None)
+def _picard_classes(fan):
+    """Wall -> its class read on the rays outside cone 0, in wall order."""
+    fan_walls = walls(fan)  # raises unless the fan is smooth and complete
+    anchor = set(fan.max_cones[0])
+    outside = [i for i in range(len(fan.rays)) if i not in anchor]
+    classes = {}
+    for w in fan_walls:
+        dots = curve_class(fan, w).dots
+        classes[w] = tuple(dots[i] for i in outside)
+    return classes
+
+
+@lru_cache(maxsize=None)
 def is_extremal(fan, wall):
     """Is the wall class on a one-dimensional face of the cone of curves?
 
@@ -64,21 +78,17 @@ def is_extremal(fan, wall):
     rays of cone 0 are a basis of N, so its numbers on them are fixed by
     the others: the projection is injective on N_1.  Equal classes,
     positive multiples and nonnegative-span membership are therefore the
-    same after it; only the LP shrinks to #rays - dim rows.
+    same after it; only the LP shrinks to #rays - dim rows.  The projected
+    classes are computed once per fan.  Raises ValueError when the wall is
+    not a wall of the fan.
     """
-    fan_walls = walls(fan)  # raises unless the fan is smooth and complete
-    anchor = set(fan.max_cones[0])
-    outside = [i for i in range(len(fan.rays)) if i not in anchor]
-
-    def picard(w):
-        dots = curve_class(fan, w).dots
-        return tuple(dots[i] for i in outside)
-
-    target = picard(wall)
+    classes = _picard_classes(fan)
+    target = classes.get(wall)
+    if target is None:
+        raise ValueError("wall does not belong to the fan")
     candidates = []
     seen = set()
-    for w in fan_walls:
-        dots = picard(w)
+    for dots in classes.values():
         if dots in seen or is_positive_multiple(target, dots):
             continue
         seen.add(dots)

@@ -6,8 +6,8 @@ from itertools import permutations
 import pytest
 
 from toricfano import Fan, catalog, projective_space_fan, random_corpus, star_subdivide
-from toricfano import lattice
-from toricfano.fan import ensure_smooth_complete
+from toricfano import lattice, walls
+from toricfano.fan import _analyze, ensure_smooth_complete
 
 
 @pytest.fixture
@@ -86,6 +86,99 @@ def permutation_det(rows):
             prod *= row[j]
         total += prod
     return total
+
+
+def witness_is_valid(witness, source, target):
+    """Independent check of an isomorphism witness: determinant +-1, a
+    bijection of the rays, and every cone of ``source`` sent onto a cone of
+    ``target``."""
+    if permutation_det(witness) not in (1, -1):
+        return False
+    index = {ray: i for i, ray in enumerate(target.rays)}
+    mapped = [index.get(lattice.matrix_apply(witness, r)) for r in source.rays]
+    if None in mapped or sorted(mapped) != list(range(len(target.rays))):
+        return False
+    cones = set(target.max_cones)
+    return len(source.max_cones) == len(cones) and all(
+        tuple(sorted(mapped[i] for i in cone)) in cones for cone in source.max_cones
+    )
+
+
+def relabel_fan(fan, rng):
+    """An isomorphic copy: a signed permutation of the coordinates, then the
+    rays and the cones in shuffled order."""
+    axes = list(range(fan.dim))
+    rng.shuffle(axes)
+    signs = [rng.choice((1, -1)) for _ in axes]
+    order = list(range(len(fan.rays)))
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    rays = tuple(
+        tuple(s * fan.rays[old][a] for a, s in zip(axes, signs)) for old in order
+    )
+    cones = [tuple(new_index[i] for i in cone) for cone in fan.max_cones]
+    rng.shuffle(cones)
+    return Fan(fan.dim, rays, tuple(cones))
+
+
+def brute_fans_isomorphic(f, g):
+    """The anchored brute force that wall propagation replaced, the oracle
+    for ``fans_isomorphic``: for every maximal cone of ``g`` and every
+    ordering of its rays, form the matrix sending the generators of f's
+    cone 0 to them and test whether it maps the ray set and the cone family
+    bijectively.  The first such matrix is the witness."""
+    ensure_smooth_complete(f)
+    ensure_smooth_complete(g)
+    if (
+        f.dim != g.dim
+        or len(f.rays) != len(g.rays)
+        or len(f.max_cones) != len(g.max_cones)
+    ):
+        return None
+    if _brute_signature(f) != _brute_signature(g):
+        return None
+    n = f.dim
+    adj, det = _analyze(f)[3][0]
+    anchor_inv = tuple(tuple(det * x for x in col) for col in zip(*adj))
+    g_ray_index = {ray: i for i, ray in enumerate(g.rays)}
+    g_cone_set = set(g.max_cones)
+    for target in g.max_cones:
+        for perm in permutations(target):
+            image_matrix = tuple(
+                tuple(g.rays[j][i] for j in perm) for i in range(n)
+            )
+            m = tuple(
+                tuple(
+                    sum(image_matrix[i][k] * anchor_inv[k][j] for k in range(n))
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+            mapped = []
+            for ray in f.rays:
+                gi = g_ray_index.get(lattice.matrix_apply(m, ray))
+                if gi is None:
+                    break
+                mapped.append(gi)
+            else:
+                if len(set(mapped)) == len(mapped) and all(
+                    tuple(sorted(mapped[i] for i in cone)) in g_cone_set
+                    for cone in f.max_cones
+                ):
+                    return m
+    return None
+
+
+def _brute_signature(fan):
+    """Cheap isomorphism invariants: wall coefficient and valence multisets."""
+    coeff_multiset = tuple(sorted(tuple(sorted(w.coeffs)) for w in walls(fan)))
+    valence = tuple(
+        sorted(
+            sum(1 for cone in fan.max_cones if i in cone)
+            for i in range(len(fan.rays))
+        )
+    )
+    return coeff_multiset, valence
 
 
 def divisor_star_fan(fan, ray_index):

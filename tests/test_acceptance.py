@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from conftest import permutation_det
+from conftest import witness_is_valid
 
 from toricfano import (
     analyze_divisor,
@@ -34,7 +34,6 @@ from toricfano import (
     theorem1_check,
     walls,
 )
-from toricfano import lattice
 from toricfano.fan import wall_relation_holds
 
 
@@ -46,13 +45,6 @@ def criterion(number, label):
         print(f"criterion {number} FAIL: {label}")
         raise
     print(f"criterion {number} PASS: {label}")
-
-
-def witness_is_valid(witness, source, target):
-    if permutation_det(witness) not in (1, -1):
-        return False
-    image = {lattice.matrix_apply(witness, r) for r in source.rays}
-    return image == set(target.rays)
 
 
 def test_criterion_1_catalog_correctness():

@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from conftest import permutation_det
+from conftest import (
+    brute_fans_isomorphic,
+    clear_caches,
+    permutation_det,
+    relabel_fan,
+    witness_is_valid,
+)
 
 from toricfano import (
     Fan,
@@ -24,7 +30,6 @@ from toricfano import (
     validate,
     walls,
 )
-from toricfano import lattice
 from toricfano.fan import Wall, _overlaps, wall_relation_holds
 
 
@@ -477,11 +482,6 @@ class TestContract:
             contract_codim2(fan, w)
 
 
-def apply_witness(matrix, fan, target):
-    mapped = {lattice.matrix_apply(matrix, r) for r in fan.rays}
-    return mapped == set(target.rays)
-
-
 class TestIsomorphism:
     def test_permuted_p3(self, p3):
         order = [3, 1, 0, 2]
@@ -493,7 +493,7 @@ class TestIsomorphism:
         )
         m = fans_isomorphic(p3, permuted)
         assert m is not None
-        assert apply_witness(m, p3, permuted)
+        assert witness_is_valid(m, p3, permuted)
 
     def test_distinct_ray_counts(self, p3, blowup_p3_point):
         assert fans_isomorphic(p3, blowup_p3_point) is None
@@ -501,14 +501,14 @@ class TestIsomorphism:
     def test_reflexive_and_symmetric(self, blowup_p3_line, p1xp2):
         assert fans_isomorphic(blowup_p3_line, blowup_p3_line) is not None
         m = fans_isomorphic(blowup_p3_line, blowup_p3_line)
-        assert apply_witness(m, blowup_p3_line, blowup_p3_line)
+        assert witness_is_valid(m, blowup_p3_line, blowup_p3_line)
         blown = star_subdivide(p1xp2, (0, 2))
         other = star_subdivide(p1xp2, (1, 3))
         forward = fans_isomorphic(blown, other)
         backward = fans_isomorphic(other, blown)
         assert forward is not None and backward is not None
-        assert apply_witness(forward, blown, other)
-        assert apply_witness(backward, other, blown)
+        assert witness_is_valid(forward, blown, other)
+        assert witness_is_valid(backward, other, blown)
 
     def test_same_counts_different_fans(self, blowup_p3_line):
         from toricfano import p1_bundle_fan
@@ -527,7 +527,82 @@ class TestIsomorphism:
         )
         m = fans_isomorphic(blown, entry.fan)
         assert m is not None
-        assert apply_witness(m, blown, entry.fan)
+        assert witness_is_valid(m, blown, entry.fan)
+
+    def test_witness_check_rejects_a_flop(self):
+        # a wall with coefficients (-1, -1): v_a + v_b = v_i + v_j, so the
+        # cones <i, j, a> and <i, j, b> can be swapped for <a, b, i> and
+        # <a, b, j>; the rays stay, the cones change
+        for fan in random_corpus(3, 200, 3, 42):
+            w = next((w for w in walls(fan) if w.coeffs == (-1, -1)), None)
+            if w is not None:
+                break
+        i, j = w.wall_rays
+        a, b = w.apex_a, w.apex_b
+        swapped = {tuple(sorted((i, j, a))), tuple(sorted((i, j, b)))}
+        flopped = Fan(
+            3,
+            fan.rays,
+            tuple(c for c in fan.max_cones if c not in swapped)
+            + ((a, b, i), (a, b, j)),
+        )
+        assert is_smooth(flopped) and is_complete(flopped)
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert witness_is_valid(identity, fan, fan)
+        assert not witness_is_valid(identity, fan, flopped)
+        assert fans_isomorphic(fan, flopped) == brute_fans_isomorphic(fan, flopped)
+
+    def test_matches_brute_force_on_relabelled_copies(self, differential_fans):
+        rng = random.Random(8)
+        for fan in differential_fans:
+            copy = relabel_fan(fan, rng)
+            witness = fans_isomorphic(fan, copy)
+            assert witness == brute_fans_isomorphic(fan, copy)
+            assert witness_is_valid(witness, fan, copy)
+
+    def test_matches_brute_force_on_itself(self, differential_fans):
+        for fan in differential_fans:
+            identity = tuple(
+                tuple(int(i == j) for j in range(fan.dim)) for i in range(fan.dim)
+            )
+            assert fans_isomorphic(fan, fan) == brute_fans_isomorphic(fan, fan)
+            assert fans_isomorphic(fan, fan) == identity
+
+    def test_matches_brute_force_on_equal_shapes(self, differential_fans):
+        groups = {}
+        for fan in differential_fans:
+            key = (fan.dim, len(fan.rays), len(fan.max_cones))
+            groups.setdefault(key, []).append(fan)
+        seen = {True: 0, False: 0}
+        for group in groups.values():
+            for f in group[:12]:
+                for g in group[:12]:
+                    witness = fans_isomorphic(f, g)
+                    assert witness == brute_fans_isomorphic(f, g)
+                    if f != g:
+                        seen[witness is not None] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
+    def test_builds_a_witness_only_for_a_passing_candidate(self, monkeypatch):
+        """Operation budget of the theorem-1 sweep over the dim-4 corpus from
+        cold caches: at most 18 candidates survive the invariant pruning, and
+        each one propagates, so one witness matrix is built per success.  The
+        brute force built 1,241 matrices there."""
+        import toricfano.fan
+
+        clear_caches()
+        outcomes = []
+        propagates = toricfano.fan._propagates
+
+        def recording_propagates(*args):
+            outcomes.append(propagates(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(toricfano.fan, "_propagates", recording_propagates)
+        for fan in random_corpus(4, 50, 4, 7):
+            theorem1_check(fan)
+        assert 0 < len(outcomes) <= 18
+        assert all(outcomes)
 
 
 def test_random_corpus_contract():

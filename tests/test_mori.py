@@ -193,15 +193,23 @@ def test_picard_lp_matches_full_fraction_lp(differential_fans):
 def test_extremality_lp_budget(monkeypatch):
     """Operation budget of verify-theorem2 for dimensions 3 to 6 from cold
     caches: one LP per is_extremal miss, each with one row per ray outside
-    cone 0 (the Picard rank), and a pinned number of pivots."""
+    cone 0 (the Picard rank), a pinned number of pivots, and one class
+    projected per wall of each fan asked about."""
     clear_caches()
     lps = []
-    asked = {}
-    fan_walls = toricfano.mori.walls
+    asked = {"fans": set()}
+    projected = {"calls": 0}
+    classes = toricfano.mori._picard_classes
+    curve = toricfano.mori.curve_class
 
-    def recording_walls(fan):
+    def recording_classes(fan):
         asked["fan"] = fan
-        return fan_walls(fan)
+        asked["fans"].add(fan)
+        return classes(fan)
+
+    def counting_curve_class(fan, wall):
+        projected["calls"] += 1
+        return curve(fan, wall)
 
     def recording_lp(columns, target):
         feasible, pivots = toricfano._simplex._phase_one(columns, target)
@@ -209,7 +217,8 @@ def test_extremality_lp_budget(monkeypatch):
         lps.append((len(target), len(fan.rays) - fan.dim, pivots))
         return feasible
 
-    monkeypatch.setattr(toricfano.mori, "walls", recording_walls)
+    monkeypatch.setattr(toricfano.mori, "_picard_classes", recording_classes)
+    monkeypatch.setattr(toricfano.mori, "curve_class", counting_curve_class)
     monkeypatch.setattr(toricfano.mori, "in_nonneg_span", recording_lp)
     for n in range(3, 7):
         with redirect_stdout(io.StringIO()):
@@ -218,3 +227,10 @@ def test_extremality_lp_budget(monkeypatch):
     assert len(lps) == is_extremal.cache_info().misses == 126
     assert sum(rows for rows, _, _ in lps) == 296
     assert sum(pivots for _, _, pivots in lps) == 262
+    assert classes.cache_info().misses == len(asked["fans"])
+    assert projected["calls"] == sum(len(walls(fan)) for fan in asked["fans"])
+
+
+def test_extremality_rejects_a_foreign_wall(p3, p1xp2, get_wall):
+    with pytest.raises(ValueError, match="does not belong"):
+        is_extremal(p3, get_wall(walls(p1xp2), (2, 3)))
