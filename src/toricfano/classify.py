@@ -168,10 +168,7 @@ def simplify_pair(fan, ray_index):
     """
     if not is_fano(fan):
         raise ValueError("simplification is defined on Fano fans")
-    analysis = analyze_divisor(fan, ray_index)
-    if not analysis.is_proj_space:
-        raise ValueError("divisor is not a projective space")
-    w = find_transverse_extremal(fan, ray_index)
+    w = find_transverse_extremal(fan, ray_index)  # raises unless V(ray) is P^(n-1)
     if w is None:
         return None
     if not any(w.coeffs):
@@ -188,7 +185,7 @@ def simplify_pair(fan, ray_index):
             "blow-down along a transverse extremal wall left the Fano locus"
         )
     after = analyze_divisor(result, new_ray)
-    if not after.is_proj_space or after.d != analysis.d + 1:
+    if not after.is_proj_space or after.d != analyze_divisor(fan, ray_index).d + 1:
         raise ClassificationViolation(
             "blow-down must raise the divisor degree by exactly one"
         )
@@ -285,17 +282,14 @@ def catalog(n):
             )
         )
     for nu in range(n - 1):
-        down = p1_bundle_fan(n, nu + 1)
-        plus_side = next(
-            i for i in (0, 1) if analyze_divisor(down, i).d == nu + 1
-        )
-        fan4 = star_subdivide(down, tuple(sorted((plus_side, 2))))
+        # blow up a linear P^(n-2) inside V(ray 1), the divisor of degree nu+1
+        fan4 = star_subdivide(p1_bundle_fan(n, nu + 1), (1, 2))
         entries.append(
             _entry(
                 "iv",
                 nu,
                 fan4,
-                {plus_side: nu, 1 - plus_side: -nu - 1},
+                {1: nu, 0: -nu - 1},
                 f"B(P(O+O({nu + 1})) over P^{n - 1}, linear P^{n - 2})",
             )
         )
@@ -366,9 +360,7 @@ def _classify(fan, ray_index, allow_simplify):
         return _match(fan, {("iii", nu)}, "bundle-fibration", ())
     if not allow_simplify:
         raise ClassificationViolation("pair would blow down twice in a row")
-    step = simplify_pair(fan, ray_index)
-    if step is None:
-        raise ClassificationViolation("no blow-down along a transverse extremal wall")
+    step = simplify_pair(fan, ray_index)  # finds w again, so it is not None
     inner = _classify(step.result_fan, step.result_divisor_ray, allow_simplify=False)
     if inner.case_tag == "i":
         expect = {("ii", None)}
@@ -415,6 +407,13 @@ class Theorem1Report:
         return tuple(p.cone_index for p in self.probes if p.blowup_fano)
 
 
+# the class of a Fano point blow-up -> (conclusion, catalog case of the fan)
+_BLOWUP_ORIGINS = {
+    ("iii", 1): ("projective-space", "i"),
+    ("iv", 0): ("blown-projective-space", "ii"),
+}
+
+
 def theorem1_check(fan):
     """Blow up every fixed point, test for Fano, identify the input fan.
 
@@ -454,25 +453,22 @@ def theorem1_check(fan):
                     " projective space of degree -1"
                 )
             result = classify_fano_with_divisor(blown, exceptional)
-            key = (result.case_tag, result.nu)
-            if key == ("iii", 1):
-                conclusion = "projective-space"
-                witness = fans_isomorphic(fan, projective_space_fan(n))
-                if witness is None:
-                    raise ClassificationViolation(
-                        "blow-up identified as the point blow-up of projective"
-                        " space, but the fan is not projective space"
-                    )
-            elif key == ("iv", 0):
-                conclusion = "blown-projective-space"
-                entry = next(e for e in catalog(n) if e.case_tag == "ii")
-                witness = fans_isomorphic(fan, entry.fan)
-                if witness is None:
-                    raise ClassificationViolation(
-                        "blow-up identified as case iv with parameter 0, but"
-                        " the fan is not the codimension-two blow-up of"
-                        " projective space"
-                    )
+            origin = _BLOWUP_ORIGINS.get((result.case_tag, result.nu))
+            if origin is None:
+                raise ClassificationViolation(
+                    f"point blow-up classified as case {result.case_tag} with"
+                    f" parameter {result.nu}; only the point blow-up of"
+                    " projective space or the fiber-type blow-up can occur"
+                )
+            conclusion, case = origin
+            entry = next(e for e in catalog(n) if e.case_tag == case)
+            witness = fans_isomorphic(fan, entry.fan)
+            if witness is None:
+                raise ClassificationViolation(
+                    f"point blow-up classified as case {result.case_tag} with"
+                    f" parameter {result.nu}, but the fan is not {entry.name}"
+                )
+            if case == "ii":
                 # the entry's exceptional ray is the one appended by its
                 # construction; pull it back through the witness
                 target_exc = entry.fan.rays[-1]
@@ -486,12 +482,6 @@ def theorem1_check(fan):
                         "fixed point lies on the exceptional divisor yet its"
                         " blow-up is Fano"
                     )
-            else:
-                raise ClassificationViolation(
-                    f"point blow-up classified as case {result.case_tag} with"
-                    f" parameter {result.nu}; only the point blow-up of"
-                    " projective space or the fiber-type blow-up can occur"
-                )
         except ClassificationViolation as err:
             violation = str(err)
         probes.append(

@@ -57,7 +57,10 @@ def principal_divisor(fan, m):
 
 
 def divisor_dot_curve(fan, divisor, wall):
-    """D . C for the invariant curve of ``wall``, via the wall relation."""
+    """D . C for the invariant curve of ``wall``, via the wall relation.
+
+    Reads only the wall and trusts that it is one of ``walls(fan)``.
+    """
     c = divisor.coeffs
     if len(c) != len(fan.rays):
         raise ValueError(
@@ -71,7 +74,10 @@ def divisor_dot_curve(fan, divisor, wall):
 
 
 def anticanonical_degree(fan, wall):
-    """-K . C = 2 + sum of the wall coefficients."""
+    """-K . C = 2 + sum of the wall coefficients.
+
+    Reads only the wall and trusts that it is one of ``walls(fan)``.
+    """
     return 2 + sum(wall.coeffs)
 
 

@@ -25,7 +25,10 @@ class CurveClass:
 
 
 def curve_class(fan, wall):
-    """Class of the wall curve: 1 on the apexes, the coefficients on the wall."""
+    """Class of the wall curve: 1 on the apexes, the coefficients on the wall.
+
+    Reads only the wall and trusts that it is one of ``walls(fan)``.
+    """
     dots = [0] * len(fan.rays)
     dots[wall.apex_a] = 1
     dots[wall.apex_b] = 1
@@ -97,8 +100,12 @@ def is_extremal(fan, wall):
 
 
 def is_mori_extremal(fan, wall):
-    """Extremal with strictly positive anticanonical degree."""
-    return anticanonical_degree(fan, wall) > 0 and is_extremal(fan, wall)
+    """Extremal with strictly positive anticanonical degree.
+
+    Extremality is asked first, so a wall of another fan raises ValueError
+    whatever its degree.
+    """
+    return is_extremal(fan, wall) and anticanonical_degree(fan, wall) > 0
 
 
 @dataclass(frozen=True)

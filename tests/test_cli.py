@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import toricfano
+import toricfano.classify
 from toricfano.cli import FanFormatError, parse_fan, run, write_fan
-from toricfano import projective_space_fan
+from toricfano import Fan, projective_space_fan, validate
 
 
 @pytest.fixture
@@ -24,7 +25,74 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+P3_PAYLOAD = {
+    "dim": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+}
+
+
+def malformed(key, index, value):
+    """P^3's fan file with one entry replaced (``index`` None: the whole key)."""
+    payload = json.loads(json.dumps(P3_PAYLOAD))
+    if index is None:
+        payload[key] = value
+    else:
+        payload[key][index] = value
+    return payload
+
+
+def model_message(payload):
+    """What the model itself says about the data: Fan's TypeError, or the
+    problems ``validate`` reports."""
+    try:
+        fan = Fan(
+            payload["dim"],
+            tuple(map(tuple, payload["rays"])),
+            tuple(map(tuple, payload["max_cones"])),
+        )
+    except TypeError as err:
+        return str(err)
+    return "; ".join(validate(fan).problems)
+
+
+MALFORMED_FANS = {
+    "float-coordinate": (
+        malformed("rays", 0, [1.5, 0, 0]),
+        "ray 0 coordinate must be an integer, got 1.5",
+    ),
+    "bool-coordinate": (
+        malformed("rays", 1, [0, True, 0]),
+        "ray 1 coordinate must be an integer, got True",
+    ),
+    "float-cone-entry": (
+        malformed("max_cones", 2, [0, 2.0, 3]),
+        "cone 2 entry must be an integer, got 2.0",
+    ),
+    "non-int-dim": (malformed("dim", None, "3"), "dim must be an integer, got '3'"),
+    "two-entry-cone": (
+        malformed("max_cones", 0, [0, 1]),
+        "cone 0 has size 2, expected 3",
+    ),
+    "wrong-length-ray": (
+        malformed("rays", 2, [0, 1]),
+        "ray 2 has dimension 2, expected 3",
+    ),
+    "dim-below-2": (malformed("dim", None, 1), "dimension must be at least 2"),
+}
+
+
 class TestParseFan:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FANS))
+    def test_malformed_file_gets_the_models_message(self, case, tmp_path, capsys):
+        payload, expected = MALFORMED_FANS[case]
+        path = write_json(tmp_path, "bad.json", payload)
+        with pytest.raises(FanFormatError) as caught:
+            parse_fan(path)
+        assert str(caught.value) == model_message(payload)
+        assert str(caught.value).startswith(expected)
+        assert run(["check", path]) == 2
+
     def test_p3(self, p3_file):
         fan = parse_fan(p3_file)
         assert len(fan.rays) == 4 and len(fan.max_cones) == 4
@@ -157,6 +225,23 @@ class TestReports:
         assert run(["verify-theorem2", "--dim", "3", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "pass"
+
+    def test_verify_theorem2_fails_on_a_wrong_catalog(self, monkeypatch, capsys):
+        # case iii with nu = 0 built from the nu = 1 bundle: its divisors
+        # are not the listed ones, which only catalog() itself checks
+        real = toricfano.classify.p1_bundle_fan
+        monkeypatch.setattr(
+            toricfano.classify, "p1_bundle_fan", lambda n, nu: real(n, nu or 1)
+        )
+        toricfano.classify.catalog.cache_clear()
+        try:
+            assert run(["verify-theorem2", "--dim", "3", "--json"]) == 1
+        finally:
+            monkeypatch.undo()
+            toricfano.classify.catalog.cache_clear()
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        assert "divisors" in report["findings"][0]["error"]
 
     def test_verify_theorem1_input(self, p3_file, capsys):
         assert run(["verify-theorem1", "--input", p3_file, "--json"]) == 0

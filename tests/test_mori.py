@@ -232,5 +232,11 @@ def test_extremality_lp_budget(monkeypatch):
 
 
 def test_extremality_rejects_a_foreign_wall(p3, p1xp2, get_wall):
-    with pytest.raises(ValueError, match="does not belong"):
-        is_extremal(p3, get_wall(walls(p1xp2), (2, 3)))
+    bundle = p1_bundle_fan(3, 3)
+    degree_zero = get_wall(walls(bundle), (0, 2))
+    assert anticanonical_degree(bundle, degree_zero) == 0
+    # whatever its degree, a wall of another fan is an error, not an answer
+    for wall in (get_wall(walls(p1xp2), (2, 3)), degree_zero):
+        for decide in (is_extremal, is_mori_extremal, contraction_info):
+            with pytest.raises(ValueError, match="^wall does not belong to the fan$"):
+                decide(p3, wall)
