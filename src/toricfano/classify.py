@@ -13,7 +13,11 @@ fan is identified with a catalog member, an explicit unimodular matrix
 witness is produced.  An invariant divisor is recognised as projective
 (n-1)-space by counting its ray's neighbours in the maximal cones, and
 its degree and line are read off the walls through the ray; no quotient
-fan is built.
+fan is built.  The blow-up verifier builds no blow-up either: each fixed
+point is decided from the fan's own walls, and the fan is identified
+once, against projective space or its blow-up along a linear
+codimension-two subspace.  Dimensions outside a statement's range raise
+:class:`UnsupportedDimension`.
 """
 
 import random
@@ -40,6 +44,14 @@ from .mori import (
     is_mori_extremal,
     is_positive_multiple,
 )
+
+
+class UnsupportedDimension(ValueError):
+    """The statement or construction asked for is not made in this dimension.
+
+    Divisors, the classification and the blow-up criterion need n >= 3;
+    the catalog is built for 3 <= n <= 6.
+    """
 
 
 class ClassificationViolation(RuntimeError):
@@ -117,7 +129,7 @@ def analyze_divisor(fan, ray_index):
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
-        raise ValueError("divisor fans need ambient dimension at least 3")
+        raise UnsupportedDimension("divisor fans need ambient dimension at least 3")
     if not 0 <= ray_index < len(fan.rays):
         raise ValueError("ray index out of range")
     star = {i for cone in fan.max_cones if ray_index in cone for i in cone}
@@ -254,7 +266,7 @@ def catalog(n):
     Every entry records all its projective-space divisors with degrees.
     """
     if not 3 <= n <= 6:
-        raise ValueError("catalog is built for dimensions 3 through 6")
+        raise UnsupportedDimension("catalog is built for dimensions 3 through 6")
     entries = []
     pn = projective_space_fan(n)
     entries.append(
@@ -322,7 +334,7 @@ def classify_fano_with_divisor(fan, ray_index):
     after which the smaller pair must identify without contracting again.
     """
     if fan.dim < 3:
-        raise ValueError("classification is stated for dimension at least 3")
+        raise UnsupportedDimension("classification is stated for dimension at least 3")
     if not is_fano(fan):
         raise ValueError("classification needs a Fano fan")
     return _classify(fan, ray_index, allow_simplify=True)
@@ -407,28 +419,49 @@ class Theorem1Report:
         return tuple(p.cone_index for p in self.probes if p.blowup_fano)
 
 
-# the class of a Fano point blow-up -> (conclusion, catalog case of the fan)
-_BLOWUP_ORIGINS = {
-    ("iii", 1): ("projective-space", "i"),
-    ("iv", 0): ("blown-projective-space", "ii"),
-}
+def _identify_blowup_base(fan):
+    """X as P^n or B(P^n, linear P^(n-2)): (conclusion, witness, exceptional ray).
+
+    The targets are the fans of catalog entries i and ii.  Projective space
+    has no exceptional ray; the blown-up space's is the preimage of the ray
+    that the target's star subdivision appends.  All three are None when
+    the fan is neither.
+    """
+    n = fan.dim
+    if len(fan.rays) == n + 1:
+        witness = fans_isomorphic(fan, projective_space_fan(n))
+        if witness is not None:
+            return "projective-space", witness, None
+    elif len(fan.rays) == n + 2:
+        target = star_subdivide(projective_space_fan(n), (0, 1))
+        witness = fans_isomorphic(fan, target)
+        if witness is not None:
+            images = [lattice.matrix_apply(witness, r) for r in fan.rays]
+            return "blown-projective-space", witness, images.index(target.rays[-1])
+    return None, None, None
 
 
 def theorem1_check(fan):
-    """Blow up every fixed point, test for Fano, identify the input fan.
+    """Test every fixed point's blow-up for Fano, identify the input fan.
 
-    Each fixed point is first decided by :func:`point_blowup_is_fano` from
-    the input's walls; only the blow-ups it passes are built, and their own
-    walls must confirm them.  For each maximal cone whose star subdivision
-    is Fano, the input fan must be projective space (then every fixed point
-    works) or the blow-up of projective space along a linear codimension-two
-    subspace (then the fixed point avoids the exceptional divisor); both
-    identifications come with explicit witnesses.  Contradictions are
-    recorded per fixed point, not raised.
+    Each fixed point is decided exactly by :func:`point_blowup_is_fano`
+    from the input's walls; no blow-up is built.  At the first fixed point
+    whose blow-up is Fano, the input fan is identified once, with an
+    explicit witness, as projective space (then every fixed point works) or
+    as the blow-up of projective space along a linear codimension-two
+    subspace (then the fixed point must avoid the exceptional divisor), and
+    every such fixed point reads that result.  So a wrong "Fano" from the
+    local test is still recorded: every point blow-up of projective space
+    is Fano, on the blown-up space only a fixed point on the exceptional
+    divisor could be wrong and it is flagged, and any other fan fails the
+    identification.  Contradictions are recorded per fixed point, not
+    raised.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
-        raise ValueError("the blow-up criterion is stated for dimension at least 3")
+        raise UnsupportedDimension(
+            "the blow-up criterion is stated for dimension at least 3"
+        )
     n = fan.dim
     probes = []
     any_fano = False
@@ -436,54 +469,20 @@ def theorem1_check(fan):
         if not point_blowup_is_fano(fan, cone):
             probes.append(FixedPointProbe(ci, cone, False))
             continue
-        any_fano = True
-        blown = star_subdivide(fan, cone)
-        exceptional = len(blown.rays) - 1
-        conclusion = witness = violation = None
-        try:
-            if not is_fano(blown):
-                raise ClassificationViolation(
-                    "the local Fano test passed the point blow-up, but a wall"
-                    " of the blown-up fan has non-positive anticanonical degree"
-                )
-            analysis = analyze_divisor(blown, exceptional)
-            if not analysis.is_proj_space or analysis.d != -1:
-                raise ClassificationViolation(
-                    "exceptional divisor of a point blow-up must be a"
-                    " projective space of degree -1"
-                )
-            result = classify_fano_with_divisor(blown, exceptional)
-            origin = _BLOWUP_ORIGINS.get((result.case_tag, result.nu))
-            if origin is None:
-                raise ClassificationViolation(
-                    f"point blow-up classified as case {result.case_tag} with"
-                    f" parameter {result.nu}; only the point blow-up of"
-                    " projective space or the fiber-type blow-up can occur"
-                )
-            conclusion, case = origin
-            entry = next(e for e in catalog(n) if e.case_tag == case)
-            witness = fans_isomorphic(fan, entry.fan)
-            if witness is None:
-                raise ClassificationViolation(
-                    f"point blow-up classified as case {result.case_tag} with"
-                    f" parameter {result.nu}, but the fan is not {entry.name}"
-                )
-            if case == "ii":
-                # the entry's exceptional ray is the one appended by its
-                # construction; pull it back through the witness
-                target_exc = entry.fan.rays[-1]
-                own_exc = next(
-                    i
-                    for i, r in enumerate(fan.rays)
-                    if lattice.matrix_apply(witness, r) == target_exc
-                )
-                if own_exc in cone:
-                    raise ClassificationViolation(
-                        "fixed point lies on the exceptional divisor yet its"
-                        " blow-up is Fano"
-                    )
-        except ClassificationViolation as err:
-            violation = str(err)
+        if not any_fano:
+            any_fano = True
+            conclusion, witness, exceptional = _identify_blowup_base(fan)
+        violation = None
+        if witness is None:
+            violation = (
+                f"a point blow-up is Fano, but the fan is neither P^{n}"
+                f" nor B(P^{n}, linear P^{n - 2})"
+            )
+        elif exceptional in cone:
+            violation = (
+                "fixed point lies on the exceptional divisor yet its blow-up"
+                " is Fano"
+            )
         probes.append(
             FixedPointProbe(ci, cone, True, conclusion, witness, violation)
         )

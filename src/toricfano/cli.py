@@ -7,7 +7,8 @@ cones sorted ascending.  The parser checks only this JSON shape; the
 other problem, and their messages are the ones shown.  Reports are plain
 text or, with --json, a single JSON document with deterministic
 (byte-identical) output.  Exit codes: 0 all assertions hold, 1 assertion
-failure, 2 malformed input; a reader that closes stdout early does not
+failure, 2 malformed input or a dimension outside the command's range
+(``UnsupportedDimension``); a reader that closes stdout early does not
 change them.
 """
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .classify import (
     ClassificationViolation,
+    UnsupportedDimension,
     analyze_divisor,
     catalog,
     classify_fano_with_divisor,
@@ -282,13 +284,7 @@ def _entry_label(entry):
     return f"case_{entry.case_tag}_nu{entry.nu}"
 
 
-def _check_dim(dim):
-    if not 3 <= dim <= 6:
-        raise FanFormatError("--dim must be between 3 and 6")
-
-
 def cmd_catalog(args):
-    _check_dim(args.dim)
     report = Report("catalog")
     entries = catalog(args.dim)
     for entry in entries:
@@ -315,7 +311,6 @@ def cmd_catalog(args):
 
 
 def cmd_verify_theorem2(args):
-    _check_dim(args.dim)
     report = Report("verify-theorem2")
     n = args.dim
     entries = catalog(n)
@@ -496,7 +491,7 @@ def run(argv=None):
         return err.code if isinstance(err.code, int) else 2
     try:
         report = args.handler(args)
-    except (FanFormatError, InvalidFanError, OSError) as err:
+    except (FanFormatError, InvalidFanError, UnsupportedDimension, OSError) as err:
         report = Report(args.command, status="invalid-input")
         report.findings.append({"error": str(err)})
     except (ClassificationViolation, ValueError) as err:

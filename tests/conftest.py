@@ -5,7 +5,19 @@ from itertools import permutations
 
 import pytest
 
-from toricfano import Fan, catalog, projective_space_fan, random_corpus, star_subdivide
+from toricfano import (
+    ClassificationViolation,
+    Fan,
+    FixedPointProbe,
+    analyze_divisor,
+    catalog,
+    classify_fano_with_divisor,
+    fans_isomorphic,
+    is_fano,
+    projective_space_fan,
+    random_corpus,
+    star_subdivide,
+)
 from toricfano import lattice, walls
 from toricfano.fan import _analyze, ensure_smooth_complete
 
@@ -275,3 +287,67 @@ def fraction_in_nonneg_span(columns, target):
                 T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
                 b[i] -= f * b[leave]
         basis[leave] = entering
+
+
+# the class of a Fano point blow-up -> (conclusion, catalog case of the fan)
+_BLOWUP_ORIGINS = {
+    ("iii", 1): ("projective-space", "i"),
+    ("iv", 0): ("blown-projective-space", "ii"),
+}
+
+
+def blowup_route_probe(fan, ci, cone):
+    """The route by which ``theorem1_check`` once decided a Fano probe, the
+    oracle for identifying the fan directly: build the blow-up, require it
+    to be Fano by its own walls and its exceptional divisor to be a
+    projective space of degree -1, classify it, and map case (iii, 1) or
+    (iv, 0) to the conclusion and the catalog entry the fan must be."""
+    n = fan.dim
+    blown = star_subdivide(fan, cone)
+    exceptional = len(blown.rays) - 1
+    conclusion = witness = violation = None
+    try:
+        if not is_fano(blown):
+            raise ClassificationViolation(
+                "the local Fano test passed the point blow-up, but a wall"
+                " of the blown-up fan has non-positive anticanonical degree"
+            )
+        analysis = analyze_divisor(blown, exceptional)
+        if not analysis.is_proj_space or analysis.d != -1:
+            raise ClassificationViolation(
+                "exceptional divisor of a point blow-up must be a"
+                " projective space of degree -1"
+            )
+        result = classify_fano_with_divisor(blown, exceptional)
+        origin = _BLOWUP_ORIGINS.get((result.case_tag, result.nu))
+        if origin is None:
+            raise ClassificationViolation(
+                f"point blow-up classified as case {result.case_tag} with"
+                f" parameter {result.nu}; only the point blow-up of"
+                " projective space or the fiber-type blow-up can occur"
+            )
+        conclusion, case = origin
+        entry = next(e for e in catalog(n) if e.case_tag == case)
+        witness = fans_isomorphic(fan, entry.fan)
+        if witness is None:
+            raise ClassificationViolation(
+                f"point blow-up classified as case {result.case_tag} with"
+                f" parameter {result.nu}, but the fan is not {entry.name}"
+            )
+        if case == "ii":
+            # the entry's exceptional ray is the one appended by its
+            # construction; pull it back through the witness
+            target_exc = entry.fan.rays[-1]
+            own_exc = next(
+                i
+                for i, r in enumerate(fan.rays)
+                if lattice.matrix_apply(witness, r) == target_exc
+            )
+            if own_exc in cone:
+                raise ClassificationViolation(
+                    "fixed point lies on the exceptional divisor yet its"
+                    " blow-up is Fano"
+                )
+    except ClassificationViolation as err:
+        violation = str(err)
+    return FixedPointProbe(ci, cone, True, conclusion, witness, violation)

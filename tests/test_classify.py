@@ -1,7 +1,7 @@
 from functools import lru_cache
 
 import pytest
-from conftest import clear_caches, divisor_star_fan
+from conftest import blowup_route_probe, clear_caches, divisor_star_fan
 
 from toricfano import (
     ClassificationViolation,
@@ -299,42 +299,112 @@ def test_adjunction_bound_on_catalog():
 
 
 def test_local_fano_test_is_double_checked(monkeypatch):
-    # a wrong "Fano" from the local test must be caught by the blow-up's own
-    # walls and recorded on its probe, not crash the classification
+    # a wrong "Fano" from the local test must still be recorded on its probe:
+    # a fan that is neither target fails the identification, and on the
+    # blown-up space a fixed point on the exceptional divisor is flagged
     import toricfano.classify
 
     monkeypatch.setattr(toricfano.classify, "point_blowup_is_fano", lambda f, c: True)
     report = theorem1_check(p1_bundle_fan(3, 2))
     assert all(p.blowup_fano for p in report.probes)
-    assert all("local Fano test" in p.violation for p in report.probes)
+    assert all(
+        p.violation == "a point blow-up is Fano, but the fan is neither P^3"
+        " nor B(P^3, linear P^1)"
+        for p in report.probes
+    )
+    assert not report.global_violations
+    report = theorem1_check(p1_bundle_fan(3, 3))  # not Fano
+    assert report.global_violations == (
+        "some point blow-up is Fano but the fan itself is not",
+    )
+    blown = star_subdivide(projective_space_fan(3), (0, 1))
+    report = theorem1_check(blown)
+    assert all(p.blowup_fano for p in report.probes)
+    flagged = [p.cone_index for p in report.probes if p.violation]
+    assert flagged == [ci for ci, cone in enumerate(blown.max_cones) if 4 in cone]
+    assert flagged
+    assert all(
+        p.violation
+        == "fixed point lies on the exceptional divisor yet its blow-up is Fano"
+        for p in report.probes
+        if p.violation
+    )
 
 
-def test_theorem1_builds_only_the_fano_blowups(monkeypatch):
+def test_theorem1_matches_the_blowup_route():
+    """Differential test: on every Fano probe, identifying the fan once gives
+    the probe that building, checking and classifying its blow-up gives."""
+    fans = list(random_corpus(3, 200, 3, 42))
+    fans.extend(entry.fan for entry in catalog(3))
+    for n in range(3, 7):
+        pn = projective_space_fan(n)
+        fans.extend((pn, star_subdivide(pn, (0, 1))))
+    conclusions = []
+    for fan in fans:
+        for probe in theorem1_check(fan).probes:
+            if probe.blowup_fano:
+                assert probe == blowup_route_probe(fan, probe.cone_index, probe.cone)
+                conclusions.append(probe.conclusion)
+    assert conclusions.count("projective-space") >= 4 + 5 + 6 + 7
+    assert conclusions.count("blown-projective-space") >= 2 + 3 + 4 + 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_theorem1_targets_are_catalog_entries_i_and_ii(n, monkeypatch):
     import toricfano.classify
-    import toricfano.fan
+
+    targets = []
+
+    def recording(f, g):
+        targets.append(g)
+        return fans_isomorphic(f, g)
+
+    monkeypatch.setattr(toricfano.classify, "fans_isomorphic", recording)
+    pn = projective_space_fan(n)
+    for fan in (pn, star_subdivide(pn, (0, 1))):
+        assert not theorem1_check(fan).violations
+    assert targets == [entry_for(n, "i").fan, entry_for(n, "ii").fan]
+
+
+def test_theorem1_identifies_each_fan_once(monkeypatch):
+    """Operation budget: the sweep builds no blow-up, runs no classifier,
+    LP or catalog, and calls fans_isomorphic once for each fan with a Fano
+    probe and never for another."""
+    import toricfano.classify
+    import toricfano.mori
 
     clear_caches()
     corpus = random_corpus(3, 60, 3, 2024)
-    catalog(3)  # built once per process, and with star_subdivide of its own
-    counts = {"star_subdivide": 0, "fans": 0}
+    calls = {"fans_isomorphic": 0}
+    subdivided = []
 
-    def counting_subdivide(fan, center):
-        counts["star_subdivide"] += 1
+    def counting_isomorphic(f, g):
+        calls["fans_isomorphic"] += 1
+        return fans_isomorphic(f, g)
+
+    def recording_subdivide(fan, center):
+        subdivided.append(fan)
         return star_subdivide(fan, center)
 
-    post_init = toricfano.fan.Fan.__post_init__
+    def refuse(*args):
+        raise AssertionError("theorem1_check must not classify or run an LP")
 
-    def counting_post_init(fan):
-        counts["fans"] += 1
-        post_init(fan)
-
-    monkeypatch.setattr(toricfano.classify, "star_subdivide", counting_subdivide)
-    monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
+    monkeypatch.setattr(toricfano.classify, "fans_isomorphic", counting_isomorphic)
+    monkeypatch.setattr(toricfano.classify, "star_subdivide", recording_subdivide)
+    for name in ("classify_fano_with_divisor", "analyze_divisor", "catalog"):
+        monkeypatch.setattr(toricfano.classify, name, refuse)
+    monkeypatch.setattr(toricfano.mori, "in_nonneg_span", refuse)
     before = walls.cache_info().misses
-    fano_probes = sum(len(theorem1_check(fan).fano_cone_indices) for fan in corpus)
-    assert fano_probes > 0
-    assert counts["star_subdivide"] == fano_probes
-    assert walls.cache_info().misses - before <= len(corpus) + counts["fans"]
+    identified = 0
+    for fan in corpus:
+        start = calls["fans_isomorphic"]
+        report = theorem1_check(fan)
+        assert calls["fans_isomorphic"] - start == bool(report.fano_cone_indices)
+        identified += bool(report.fano_cone_indices)
+    assert identified == calls["fans_isomorphic"] == 11
+    # the only star subdivision is the blown-up target, built from P^3
+    assert subdivided and set(subdivided) == {projective_space_fan(3)}
+    assert walls.cache_info().misses - before <= len(corpus) + 2
 
 
 def test_analyze_divisor_builds_no_fan(monkeypatch):
@@ -363,7 +433,8 @@ def test_analyze_divisor_builds_no_fan(monkeypatch):
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):
     """Operation budget: the validity pass inverts each maximal cone of each
-    fan once, and walls and fans_isomorphic read its inverses."""
+    fan once, and walls and fans_isomorphic read its inverses.  No blow-up
+    is built, so past the corpus itself only the two targets are inverted."""
     import toricfano.fan
     import toricfano.kernel
 
@@ -388,4 +459,4 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     for fan in random_corpus(3, 60, 3, 2024):
         theorem1_check(fan)
     assert inverses["calls"] == sum(len(fan.max_cones) for fan in missed)
-    assert inverses["calls"] <= 760
+    assert inverses["calls"] <= 610

@@ -165,6 +165,25 @@ class TestExitCodes:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    def test_unsupported_dimension_exits_2(self, tmp_path, capsys):
+        # the catalog stops at dimension 6, so classifying a P^7 divisor is
+        # unsupported, not failed; theorem 1 needs no catalog
+        path = str(tmp_path / "p7.json")
+        write_fan(projective_space_fan(7), path)
+        for argv in (["classify", path, "--ray", "0"], ["catalog", "--dim", "7"]):
+            assert run(argv + ["--json"]) == 2
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "invalid-input"
+            assert report["findings"] == [
+                {"error": "catalog is built for dimensions 3 through 6"}
+            ]
+        assert run(["verify-theorem1", "--input", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        identity = [[int(i == j) for j in range(7)] for i in range(7)]
+        assert [(f["conclusion"], f["witness"]) for f in report["findings"]] == [
+            ("projective-space", identity)
+        ] * 8
+
     def test_iso_pass_and_fail(self, tmp_path, p3_file, capsys):
         p3 = projective_space_fan(3)
         order = [2, 0, 3, 1]

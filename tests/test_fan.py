@@ -12,6 +12,7 @@ from conftest import (
 from toricfano import (
     Fan,
     InvalidFanError,
+    UnsupportedDimension,
     analyze_divisor,
     anticanonical_divisor,
     catalog,
@@ -142,18 +143,23 @@ def test_validity_errors_are_typed_and_exact(fan, message, call):
 
 
 @pytest.mark.parametrize(
-    "fan, ray, message",
+    "fan, ray, error, message",
     [
-        (projective_space_fan(2), 0, "divisor fans need ambient dimension at least 3"),
-        (projective_space_fan(3), 4, "ray index out of range"),
-        (projective_space_fan(3), -1, "ray index out of range"),
+        (
+            projective_space_fan(2),
+            0,
+            UnsupportedDimension,
+            "divisor fans need ambient dimension at least 3",
+        ),
+        (projective_space_fan(3), 4, ValueError, "ray index out of range"),
+        (projective_space_fan(3), -1, ValueError, "ray index out of range"),
     ],
     ids=["dim-2", "ray-past-end", "ray-negative"],
 )
-def test_divisor_argument_errors_are_exact(fan, ray, message):
+def test_divisor_argument_errors_are_exact(fan, ray, error, message):
     with pytest.raises(ValueError) as err:
         analyze_divisor(fan, ray)
-    assert type(err.value) is ValueError and str(err.value) == message
+    assert type(err.value) is error and str(err.value) == message
 
 
 P2_CONES = ((0, 1), (0, 2), (1, 2))
