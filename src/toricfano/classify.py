@@ -21,11 +21,11 @@ codimension-two subspace.  Dimensions outside a statement's range raise
 """
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from . import lattice
+from ._record import record
 from .fan import (
     Fan,
     contract_codim2,
@@ -63,7 +63,7 @@ class ClassificationViolation(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class DivisorAnalysis:
     """Outcome of testing V(ray) for being a projective space.
 
@@ -81,7 +81,7 @@ class DivisorAnalysis:
     line_wall: object = None
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     case_tag: str  # "i" | "ii" | "iii" | "iv"
     nu: int | None
@@ -90,7 +90,7 @@ class CatalogEntry:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class SimplificationStep:
     """One executed blow-down replacing (X, D, d) by (X', D', d+1).
 
@@ -105,7 +105,7 @@ class SimplificationStep:
     center_cone: tuple
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationResult:
     case_tag: str
     nu: int | None
@@ -335,6 +335,7 @@ def classify_fano_with_divisor(fan, ray_index):
     """
     if fan.dim < 3:
         raise UnsupportedDimension("classification is stated for dimension at least 3")
+    catalog(fan.dim)  # fail fast where the catalog is not built, before any LP
     if not is_fano(fan):
         raise ValueError("classification needs a Fano fan")
     return _classify(fan, ray_index, allow_simplify=True)
@@ -386,19 +387,29 @@ def _classify(fan, ray_index, allow_simplify):
     return _match(fan, expect, "simplified", (step,))
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointProbe:
     """Result of blowing up one fixed point (maximal cone)."""
 
     cone_index: int
     cone: tuple
     blowup_fano: bool
-    conclusion: str | None = None  # projective-space | blown-projective-space
-    witness: tuple | None = None
-    violation: str | None = None
+    conclusion: str | None  # projective-space | blown-projective-space
+    witness: tuple | None
+    violation: str | None
+
+    def __init__(
+        self, cone_index, cone, blowup_fano, conclusion=None, witness=None, violation=None
+    ):
+        object.__setattr__(self, "cone_index", cone_index)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "blowup_fano", blowup_fano)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "violation", violation)
 
 
-@dataclass(frozen=True)
+@record
 class Theorem1Report:
     dim: int
     input_fano: bool

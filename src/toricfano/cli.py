@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .classify import (
     ClassificationViolation,
@@ -118,12 +117,12 @@ def write_fan(fan, path):
         handle.write("\n")
 
 
-@dataclass
 class Report:
-    command: str
-    status: str = "pass"
-    findings: list = field(default_factory=list)
-    witness: list | None = None
+    """One command's verdict: status, findings, and an optional witness."""
+
+    def __init__(self, command, status="pass"):
+        self.command, self.status = command, status
+        self.findings, self.witness = [], None
 
     def flag_failure(self):
         self.status = "fail"

@@ -17,11 +17,11 @@ Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot, so fans can be shared freely between workers.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from . import kernel, lattice
+from ._record import record
 from ._simplex import in_nonneg_span
 
 
@@ -38,13 +38,19 @@ def require_int(value, what):
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """dim, primitive ray generators, and maximal cones of size dim."""
 
     dim: int
     rays: tuple
     max_cones: tuple
+
+    def __init__(self, dim, rays, max_cones):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        self.__post_init__()
 
     def __post_init__(self):
         require_int(self.dim, "dim")
@@ -66,7 +72,7 @@ class Fan:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     problems: tuple
 
@@ -75,7 +81,7 @@ class ValidationReport:
         return not self.problems
 
 
-@dataclass(frozen=True)
+@record
 class Wall:
     """Facet shared by two maximal cones; the fan side of an invariant curve.
 
@@ -91,6 +97,12 @@ class Wall:
     apex_a: int
     apex_b: int
     coeffs: tuple
+
+    def __init__(self, wall_rays, apex_a, apex_b, coeffs):
+        object.__setattr__(self, "wall_rays", wall_rays)
+        object.__setattr__(self, "apex_a", apex_a)
+        object.__setattr__(self, "apex_b", apex_b)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def _facet_map(fan):

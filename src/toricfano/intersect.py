@@ -5,13 +5,13 @@ exactly when it meets every invariant curve strictly positively, so both
 the ample and the Fano test reduce to one exact scan over the walls.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .fan import require_int, walls
 
 
-@dataclass(frozen=True)
+@record
 class TDivisor:
     """Invariant divisor sum(coeffs[i] * V(ray_i)), one integer per ray."""
 
@@ -91,7 +91,7 @@ def is_nef(fan, divisor):
     return all(divisor_dot_curve(fan, divisor, w) >= 0 for w in walls(fan))
 
 
-@dataclass(frozen=True)
+@record
 class DivisorPositivity:
     """One-pass wall scan: ampleness, nefness, and the minimising wall."""
 

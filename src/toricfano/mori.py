@@ -9,19 +9,22 @@ Contraction types follow the count of negative and nonpositive wall
 coefficients.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from ._simplex import in_nonneg_span
 from .fan import walls
 from .intersect import anticanonical_degree
 
 
-@dataclass(frozen=True)
+@record
 class CurveClass:
     """Intersection numbers of a curve with every prime divisor, in ray order."""
 
     dots: tuple
+
+    def __init__(self, dots):
+        object.__setattr__(self, "dots", dots)
 
 
 def curve_class(fan, wall):
@@ -108,7 +111,7 @@ def is_mori_extremal(fan, wall):
     return is_extremal(fan, wall) and anticanonical_degree(fan, wall) > 0
 
 
-@dataclass(frozen=True)
+@record
 class ContractionInfo:
     """Type data of the extremal contraction of a wall class.
 

@@ -5,6 +5,7 @@ from conftest import blowup_route_probe, clear_caches, divisor_star_fan
 
 from toricfano import (
     ClassificationViolation,
+    UnsupportedDimension,
     analyze_divisor,
     catalog,
     classify_fano_with_divisor,
@@ -222,6 +223,25 @@ class TestClassify:
         fan = p1_bundle_fan(3, 3)
         with pytest.raises(ValueError, match="Fano"):
             classify_fano_with_divisor(fan, 0)
+
+    def test_unsupported_dimension_runs_no_lp(self, monkeypatch):
+        """Above the catalog's range the classifier stops before any work:
+        no Mori extremality LP is solved."""
+        import toricfano.mori
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return in_nonneg_span(*args)
+
+        in_nonneg_span = toricfano.mori.in_nonneg_span
+        monkeypatch.setattr(toricfano.mori, "in_nonneg_span", counting)
+        clear_caches()
+        with pytest.raises(UnsupportedDimension) as err:
+            classify_fano_with_divisor(projective_space_fan(7), 0)
+        assert str(err.value) == "catalog is built for dimensions 3 through 6"
+        assert calls == []
 
     def test_every_fano_corpus_divisor_classifies(self):
         matched = 0

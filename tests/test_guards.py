@@ -41,3 +41,29 @@ def test_start_up_imports_no_rational_arithmetic():
         timeout=60,
     ).stdout
     assert out == "[]\n"
+
+
+def test_start_up_imports_no_code_generation():
+    """The records are built without ``dataclasses``: importing the CLI
+    loads none of the modules that generating code at import time needs.
+    The modules are compared before and after the import, so whatever the
+    interpreter preloads does not count."""
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; before = set(sys.modules); import toricfano.cli; "
+        "new = set(sys.modules) - before; "
+        "print(sorted(new & {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'})); "
+        "print(sorted(m for m in new if m.startswith('toricfano')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        text=True,
+        timeout=60,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    # the import did happen in this process, from the package under test
+    assert "'toricfano.cli'" in out[1] and "'toricfano.fan'" in out[1]
