@@ -12,7 +12,10 @@ package relies on and nothing more:
   ``__dict__`` wholesale would slow every later attribute read;
 * equality only between instances of the exact same class with equal
   fields, so a record never equals the tuple of its values;
-* ``hash`` of the tuple of field values;
+* ``hash`` of the tuple of field values.  A class that writes its own
+  ``__hash__`` keeps it, and it must return that same value: ``Fan``
+  computes it once, at construction, since its nested tuples are hashed
+  on every cache lookup keyed by a fan;
 * the ``Name(f=v, ...)`` repr;
 * ``AttributeError`` on assigning or deleting any attribute.
 
@@ -69,6 +72,8 @@ def record(cls):
 
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
-    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    if "__hash__" not in cls.__dict__:
+        cls.__hash__ = __hash__
+    cls.__eq__, cls.__repr__ = __eq__, __repr__
     cls.__setattr__ = cls.__delattr__ = _read_only
     return cls

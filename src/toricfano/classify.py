@@ -16,8 +16,9 @@ its degree and line are read off the walls through the ray; no quotient
 fan is built.  The blow-up verifier builds no blow-up either: each fixed
 point is decided from the fan's own walls, and the fan is identified
 once, against projective space or its blow-up along a linear
-codimension-two subspace.  Dimensions outside a statement's range raise
-:class:`UnsupportedDimension`.
+codimension-two subspace.  Input outside a statement's hypotheses (a
+divisor that is not projective space, a fan that is not Fano, a dimension
+outside the range) raises :class:`OutsideStatement`, never a failed check.
 """
 
 import random
@@ -46,7 +47,16 @@ from .mori import (
 )
 
 
-class UnsupportedDimension(ValueError):
+class OutsideStatement(ValueError):
+    """The input does not meet the hypotheses of the statement asked for.
+
+    Classifying a divisor that is not projective (n-1)-space, or a fan that
+    is not Fano, checks nothing that could fail: the input is outside the
+    statement, as malformed input is, and the CLI reports it the same way.
+    """
+
+
+class UnsupportedDimension(OutsideStatement):
     """The statement or construction asked for is not made in this dimension.
 
     Divisors, the classification and the blow-up criterion need n >= 3;
@@ -158,7 +168,7 @@ def find_transverse_extremal(fan, ray_index):
     """
     analysis = analyze_divisor(fan, ray_index)
     if not analysis.is_proj_space:
-        raise ValueError("divisor is not a projective space")
+        raise OutsideStatement("divisor is not a projective space")
     line = analysis.line_class.dots
     for w in walls(fan):
         if ray_index in w.wall_rays or ray_index not in (w.apex_a, w.apex_b):
@@ -179,7 +189,7 @@ def simplify_pair(fan, ray_index):
     than all-zero / single -1 is impossible on Fano input and raises.
     """
     if not is_fano(fan):
-        raise ValueError("simplification is defined on Fano fans")
+        raise OutsideStatement("simplification is defined on Fano fans")
     w = find_transverse_extremal(fan, ray_index)  # raises unless V(ray) is P^(n-1)
     if w is None:
         return None
@@ -337,14 +347,14 @@ def classify_fano_with_divisor(fan, ray_index):
         raise UnsupportedDimension("classification is stated for dimension at least 3")
     catalog(fan.dim)  # fail fast where the catalog is not built, before any LP
     if not is_fano(fan):
-        raise ValueError("classification needs a Fano fan")
+        raise OutsideStatement("classification needs a Fano fan")
     return _classify(fan, ray_index, allow_simplify=True)
 
 
 def _classify(fan, ray_index, allow_simplify):
     analysis = analyze_divisor(fan, ray_index)
     if not analysis.is_proj_space:
-        raise ValueError("divisor is not a projective space")
+        raise OutsideStatement("divisor is not a projective space")
     d = analysis.d
     line_wall = analysis.line_wall
     if d >= 0 and is_extremal(fan, line_wall):

@@ -7,19 +7,23 @@ cones sorted ascending.  The parser checks only this JSON shape; the
 other problem, and their messages are the ones shown.  Reports are plain
 text or, with --json, a single JSON document with deterministic
 (byte-identical) output.  Exit codes: 0 all assertions hold, 1 assertion
-failure, 2 malformed input or a dimension outside the command's range
-(``UnsupportedDimension``); a reader that closes stdout early does not
-change them.
+failure, 2 malformed input or input outside the statement checked
+(``OutsideStatement``: a divisor that is not projective space, a fan that
+is not Fano, or a dimension outside the command's range,
+``UnsupportedDimension``); a reader that closes stdout early does not
+change them.  The argument parser is built once per process, by the first
+:func:`run`, and reused by later calls.
 """
 
 import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .classify import (
     ClassificationViolation,
-    UnsupportedDimension,
+    OutsideStatement,
     analyze_divisor,
     catalog,
     classify_fano_with_divisor,
@@ -247,12 +251,7 @@ def cmd_simplify(args):
     _check_ray(fan, args.ray)
     report = Report("simplify")
     before = analyze_divisor(fan, args.ray)
-    if not before.is_proj_space:
-        report.flag_failure()
-        report.findings.append(
-            {"ray": args.ray, "error": "divisor is not a projective space"}
-        )
-        return report
+    # raises OutsideStatement unless the fan is Fano and V(ray) is P^(n-1)
     step = simplify_pair(fan, args.ray)
     if step is None:
         wall = find_transverse_extremal(fan, args.ray)
@@ -414,7 +413,16 @@ def _corpus_arg(text):
         raise argparse.ArgumentTypeError("corpus entries must be integers")
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Building the subcommand tree takes over a millisecond, as long as a
+    small command, so one process builds it once; it is not built at
+    import, which would slow every start-up, including those that never
+    parse.  Parsing leaves no state in it: each ``parse_args`` fills a
+    fresh namespace.  Callers must not add arguments to the shared parser.
+    """
     parser = argparse.ArgumentParser(
         prog="toricfano",
         description=(
@@ -490,7 +498,7 @@ def run(argv=None):
         return err.code if isinstance(err.code, int) else 2
     try:
         report = args.handler(args)
-    except (FanFormatError, InvalidFanError, UnsupportedDimension, OSError) as err:
+    except (FanFormatError, InvalidFanError, OutsideStatement, OSError) as err:
         report = Report(args.command, status="invalid-input")
         report.findings.append({"error": str(err)})
     except (ClassificationViolation, ValueError) as err:

@@ -70,6 +70,11 @@ class Fan:
                 for ci, c in enumerate(self.max_cones)
             ),
         )
+        # the record's hash, the hash of the field tuple, computed once
+        object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @record
@@ -154,8 +159,10 @@ def _covered_once(fan, inverses):
 def _analyze(fan):
     """The validity pass behind validate, is_smooth, is_complete and walls.
 
-    Each maximal cone is inverted once with :func:`kernel.inverse`, its rays
-    as the rows of A, and every later change of basis reads that inverse.
+    Each maximal cone is inverted with :func:`kernel.inverse`, its rays as
+    the rows of A, and every later change of basis reads that inverse.  The
+    kernel is memoised by the row tuple, so a cone shared with a fan seen
+    before (the unchanged cones of a star subdivision) is not inverted again.
     Returns (ValidationReport, smooth, complete, inverses), where
     ``inverses[ci]`` is the ``(adj, det)`` of cone ci when the report is
     valid.  Overlaps are excluded by the covering-degree certificate of
@@ -190,7 +197,7 @@ def _analyze(fan):
         ):
             problems.append(f"cone {ci} has repeated or out-of-range ray indices")
             continue
-        rows = [fan.rays[i] for i in cone]
+        rows = tuple(fan.rays[i] for i in cone)
         if any(len(row) != fan.dim for row in rows):
             continue  # the ray's dimension is already reported
         try:

@@ -5,7 +5,16 @@ routine: the adjugate and determinant of a square matrix by fraction-free
 (Bareiss) Gauss-Jordan elimination, whose divisions are exact and whose
 entries stay minors of the input.  The validity pass in ``fan`` calls it
 once per maximal cone; every other change of basis reads that result.
+
+The routine is pure, so it is memoised for the life of the process and
+keyed by its rows: a star subdivision keeps every cone outside the star,
+so a blown-up fan asks again for the inverses its parent already has, and
+those come back as the same immutable ``(adj, det)``.  The rows must
+therefore be hashable, a tuple of tuples of ints.  A singular matrix
+raises every time it is asked for, since an exception is not cached.
 """
+
+from functools import lru_cache
 
 
 def backend_name():
@@ -16,8 +25,9 @@ def available_backends():
     return ("pure",)
 
 
+@lru_cache(maxsize=None)
 def inverse(rows):
-    """Adjugate and determinant of a square integer matrix.
+    """Adjugate and determinant of a square integer matrix, memoised.
 
     One fraction-free Gauss-Jordan pass on [A | I]: pivoting on column k
     clears it above and below the pivot, and every entry is updated as
@@ -26,8 +36,8 @@ def inverse(rows):
     After the last column the right block T satisfies T A = D I, where the
     last pivot D is the determinant of A with its rows swapped; the sign of
     the swaps turns (T, D) into the adjugate and det of A.
-    Returns (adj, det) with A adj = det I.  Raises ValueError when A is
-    singular.
+    ``rows`` is a tuple of row tuples, the cache key.  Returns (adj, det)
+    with A adj = det I.  Raises ValueError when A is singular.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):

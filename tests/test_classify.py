@@ -5,6 +5,7 @@ from conftest import blowup_route_probe, clear_caches, divisor_star_fan
 
 from toricfano import (
     ClassificationViolation,
+    OutsideStatement,
     UnsupportedDimension,
     analyze_divisor,
     catalog,
@@ -223,6 +224,29 @@ class TestClassify:
         fan = p1_bundle_fan(3, 3)
         with pytest.raises(ValueError, match="Fano"):
             classify_fano_with_divisor(fan, 0)
+
+    def test_input_outside_the_statement_is_typed(self, blowup_p3_line):
+        """A divisor that is not P^(n-1), or a fan that is not Fano, is
+        outside the statement: OutsideStatement, as an unsupported dimension
+        is, and not the ClassificationViolation of a failed check."""
+        not_fano = p1_bundle_fan(3, 3)  # V(ray 1) is a P^2, but nu > n - 1
+        not_pn = "divisor is not a projective space"
+        cases = [
+            (classify_fano_with_divisor, not_fano, 1, "classification needs a Fano fan"),
+            (simplify_pair, not_fano, 1, "simplification is defined on Fano fans"),
+            # V(ray 2) of the blown-up P^3 is a P^1-bundle over P^1
+            (classify_fano_with_divisor, blowup_p3_line, 2, not_pn),
+            (simplify_pair, blowup_p3_line, 2, not_pn),
+            (find_transverse_extremal, blowup_p3_line, 2, not_pn),
+        ]
+        for function, fan, ray, message in cases:
+            with pytest.raises(OutsideStatement) as err:
+                function(fan, ray)
+            assert type(err.value) is OutsideStatement
+            assert str(err.value) == message
+        assert issubclass(UnsupportedDimension, OutsideStatement)
+        assert issubclass(OutsideStatement, ValueError)
+        assert not issubclass(ClassificationViolation, ValueError)
 
     def test_unsupported_dimension_runs_no_lp(self, monkeypatch):
         """Above the catalog's range the classifier stops before any work:
@@ -452,31 +476,39 @@ def test_analyze_divisor_builds_no_fan(monkeypatch):
 
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):
-    """Operation budget: the validity pass inverts each maximal cone of each
-    fan once, and walls and fans_isomorphic read its inverses.  No blow-up
-    is built, so past the corpus itself only the two targets are inverted."""
+    """Operation budget: the validity pass asks the kernel for the inverse
+    of each maximal cone of each fan it checks, and the kernel computes one
+    inverse per distinct row tuple; a star subdivision keeps the cones
+    outside its star, so most are asked for again and computed once.  No
+    blow-up is built, so past the corpus itself only the two targets are
+    checked.  Both sweeps run cold."""
     import toricfano.fan
     import toricfano.kernel
 
-    clear_caches()
-    missed = []
-    inverses = {"calls": 0}
-    analyze = toricfano.fan._analyze.__wrapped__
     inverse = toricfano.kernel.inverse
+    analyze = toricfano.fan._analyze.__wrapped__
+    for corpus, computed in (((3, 60, 3, 2024), 161), ((4, 50, 4, 7), 459)):
+        clear_caches()
+        inverse.cache_clear()  # patched out of the module after the first sweep
+        missed = []
+        asked = {"calls": 0}
 
-    def counting_analyze(fan):
-        missed.append(fan)
-        return analyze(fan)
+        def counting_analyze(fan):
+            missed.append(fan)
+            return analyze(fan)
 
-    def counting_inverse(rows):
-        inverses["calls"] += 1
-        return inverse(rows)
+        def counting_inverse(rows):
+            asked["calls"] += 1
+            return inverse(rows)
 
-    monkeypatch.setattr(
-        toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
-    )
-    monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
-    for fan in random_corpus(3, 60, 3, 2024):
-        theorem1_check(fan)
-    assert inverses["calls"] == sum(len(fan.max_cones) for fan in missed)
-    assert inverses["calls"] <= 610
+        monkeypatch.setattr(
+            toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
+        )
+        monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
+        for fan in random_corpus(*corpus):
+            theorem1_check(fan)
+        rows = {
+            tuple(fan.rays[i] for i in cone) for fan in missed for cone in fan.max_cones
+        }
+        assert asked["calls"] == sum(len(fan.max_cones) for fan in missed)
+        assert inverse.cache_info().misses == len(rows) == computed, corpus

@@ -184,6 +184,57 @@ class TestExitCodes:
             ("projective-space", identity)
         ] * 8
 
+    def test_input_outside_the_statement_exits_2(self, tmp_path, capsys):
+        """On every emitted catalog fan of dimensions 3 to 6, classify and
+        simplify pass on each listed P^(n-1) divisor and exit 2 on every
+        other ray: nothing was checked and failed, the input is outside the
+        statement.  So does a fan that is not Fano."""
+        from toricfano import catalog, p1_bundle_fan
+        from toricfano.cli import _entry_label
+
+        def report(argv):
+            code = run(argv + ["--json"])
+            return code, json.loads(capsys.readouterr().out)
+
+        def outside(command, message):
+            return 2, {
+                "command": command,
+                "status": "invalid-input",
+                "findings": [{"error": message}],
+                "witness": None,
+            }
+
+        not_pn = "divisor is not a projective space"
+        for n in range(3, 7):
+            emitted = tmp_path / f"dim{n}"
+            assert run(["catalog", "--dim", str(n), "--emit", str(emitted)]) == 0
+            capsys.readouterr()
+            for entry in catalog(n):
+                path = str(emitted / f"{_entry_label(entry)}.json")
+                divisors = dict(entry.divisor_rays)
+                for ray in range(len(entry.fan.rays)):
+                    for command in ("classify", "simplify"):
+                        code, got = report([command, path, "--ray", str(ray)])
+                        if ray in divisors:
+                            assert (code, got["status"]) == (0, "pass")
+                        else:
+                            assert (code, got) == outside(command, not_pn)
+        path = str(tmp_path / "not_fano.json")
+        write_fan(p1_bundle_fan(3, 3), path)  # V(ray 1) is a P^2
+        assert report(["classify", path, "--ray", "1"]) == outside(
+            "classify", "classification needs a Fano fan"
+        )
+        assert report(["simplify", path, "--ray", "1"]) == outside(
+            "simplify", "simplification is defined on Fano fans"
+        )
+        # V(ray 2) is no P^2 either; both commands ask for a Fano fan first
+        assert report(["classify", path, "--ray", "2"]) == outside(
+            "classify", "classification needs a Fano fan"
+        )
+        assert report(["simplify", path, "--ray", "2"]) == outside(
+            "simplify", "simplification is defined on Fano fans"
+        )
+
     def test_iso_pass_and_fail(self, tmp_path, p3_file, capsys):
         p3 = projective_space_fan(3)
         order = [2, 0, 3, 1]
@@ -436,6 +487,38 @@ def test_closed_stdout_keeps_the_verdict(flags):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(
+    tmp_path, p3_file, capsys, monkeypatch
+):
+    """The parser is built once per process and parsing leaves nothing in
+    it: a rejected argument list, then check with and without a divisor,
+    then a corpus sweep, each print in one process, byte for byte, what
+    each prints alone in a fresh interpreter."""
+    from toricfano.cli import build_parser
+
+    # argparse wraps its usage text at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    divisor = write_json(tmp_path, "anticanonical.json", {"coeffs": [1, 1, 1, 1]})
+    sequence = [
+        ["classify", p3_file, "--json"],  # --ray is required: exit 2
+        ["check", p3_file, "--divisor", divisor],
+        ["check", p3_file],
+        ["verify-theorem1", "--corpus", "3,10,2,5"],
+    ]
+    build_parser.cache_clear()
+    reused = []
+    for argv in sequence:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        reused.append((code, out.encode("utf-8"), err.encode("utf-8")))
+    assert build_parser.cache_info()[:2] == (3, 1)  # hits, misses
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+    assert b"--ray" in reused[0][2] and b"ample=True" in reused[1][1]
+    for argv, expected in zip(sequence, reused):
+        proc = child_process([], argv, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
 
 
 @pytest.mark.parametrize(

@@ -67,3 +67,25 @@ def test_start_up_imports_no_code_generation():
     assert out[0] == "[]"
     # the import did happen in this process, from the package under test
     assert "'toricfano.cli'" in out[1] and "'toricfano.fan'" in out[1]
+
+
+def test_start_up_builds_no_parser_and_inverts_nothing():
+    """The argument parser is built by the first ``cli.run`` and the kernel
+    inverts on demand: importing the CLI fills neither cache, so start-up
+    pays for neither."""
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import toricfano.cli, toricfano.kernel; "
+        "print(toricfano.cli.build_parser.cache_info().currsize, "
+        "toricfano.kernel.inverse.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        text=True,
+        timeout=60,
+    ).stdout
+    assert out == "0 0\n"

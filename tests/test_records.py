@@ -20,7 +20,7 @@ from toricfano.classify import (
     Theorem1Report,
 )
 from toricfano.cli import Report
-from toricfano.fan import Fan, ValidationReport, Wall
+from toricfano.fan import Fan, ValidationReport, Wall, star_subdivide
 from toricfano.intersect import DivisorPositivity, TDivisor
 from toricfano.mori import ContractionInfo, CurveClass
 
@@ -159,6 +159,23 @@ def test_fan_normalises_and_checks_its_entries():
         Fan(2, P2_RAYS, ((0, 1), (0, 2.0), (1, 2)))
     with pytest.raises(TypeError, match="divisor coefficient 1"):
         TDivisor((1, 1.5, 1))
+
+
+def test_fan_hash_is_kept_from_construction():
+    """A fan is hashed on every cache lookup keyed by it, so its hash, the
+    record's hash of the field tuple, is computed once and stored; the value
+    a fan built from lists, after a pickle round trip or by star subdivision
+    has is the same."""
+    fan = Fan(2, list(map(list, P2_RAYS)), [[1, 0], [0, 2], [2, 1]])
+    values = (fan.dim, fan.rays, fan.max_cones)
+    assert vars(fan)["_hash"] == hash(fan) == hash(values) == hash(P2)
+    assert hash(pickle.loads(pickle.dumps(fan))) == hash(values)
+    blown = star_subdivide(P2, (0, 1))
+    assert hash(blown) == hash((2, blown.rays, blown.max_cones))
+    assert hash(blown) == hash(Fan(2, blown.rays, blown.max_cones))
+    # hash() reads the stored value and does not walk the tuples again
+    object.__setattr__(fan, "_hash", 12345)
+    assert hash(fan) == 12345
 
 
 def test_reports_do_not_share_findings():
