@@ -54,22 +54,20 @@ class Fan:
 
     def __post_init__(self):
         require_int(self.dim, "dim")
-        object.__setattr__(
-            self,
-            "rays",
-            tuple(
-                tuple(require_int(c, f"ray {i} coordinate") for c in r)
-                for i, r in enumerate(self.rays)
-            ),
-        )
-        object.__setattr__(
-            self,
-            "max_cones",
-            tuple(
-                tuple(sorted(require_int(i, f"cone {ci} entry") for i in c))
-                for ci, c in enumerate(self.max_cones)
-            ),
-        )
+        # one type pass; only on failure does require_int name the entry
+        # (or accept it: an int subclass passes)
+        rays = tuple(map(tuple, self.rays))
+        if not all(type(c) is int for r in rays for c in r):
+            for i, r in enumerate(rays):
+                for c in r:
+                    require_int(c, f"ray {i} coordinate")
+        cones = tuple(map(tuple, self.max_cones))
+        if not all(type(i) is int for c in cones for i in c):
+            for ci, c in enumerate(cones):
+                for i in c:
+                    require_int(i, f"cone {ci} entry")
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", tuple(map(tuple, map(sorted, cones))))
         # the record's hash, the hash of the field tuple, computed once
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
 
@@ -147,7 +145,9 @@ def _covered_once(fan, inverses):
         # p's k-th coordinate is (p . column k of adj) / det: the Cramer
         # numerator over det; a negative one usually sits at a ray outside
         # cone 0, so try those first
-        for k in sorted(range(len(cone)), key=lambda k: cone[k] in first):
+        order = [k for k, i in enumerate(cone) if i not in first]
+        order += [k for k, i in enumerate(cone) if i in first]
+        for k in order:
             if sum(a * row[k] for a, row in zip(p, adj)) * det < 0:
                 break
         else:
@@ -218,11 +218,12 @@ def _analyze(fan):
     dets = [det for _, det in inverses]
     facets = _facet_map(fan)
     paired = all(len(cones) == 2 for cones in facets.values())
-    # the apex at position k is on the side sign(det * (-1)^k) of its facet
+    # the apex at position k is on the side sign(det * (-1)^k) of its facet:
+    # opposite sides when the dets agree in sign exactly if ka + kb is odd
     if not (
         paired
         and all(
-            dets[ca] * dets[cb] * (-1) ** (ka + kb) < 0
+            (dets[ca] * dets[cb] > 0) == (ka + kb) % 2
             for (ca, ka), (cb, kb) in facets.values()
         )
         and _covered_once(fan, inverses)
@@ -274,29 +275,36 @@ def walls(fan):
     """All walls with their exact integral relations, sorted by wall rays.
 
     The cone holding the lower apex of a wall has its rays as the rows of
-    A, inverted once by the validity pass: the coordinates of a vector u in
-    the ray basis are u A^-1, one dot product with each column of the
-    inverse.  Raises InvalidFanError unless the fan is smooth and complete.
+    A, inverted once by the validity pass.  The coordinates of the other
+    apex u in that ray basis are u A^-1, the combination of the inverse's
+    rows weighted by u's entries, so only the rows at u's nonzero entries
+    are read.  Raises InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
     inverses = _analyze(fan)[3]
-    columns = {}
+    cones, rays = fan.max_cones, fan.rays
     out = []
-    for facet, cones in sorted(_facet_map(fan).items()):
-        (host, k), (other, j) = sorted(cones, key=lambda c: fan.max_cones[c[0]][c[1]])
-        apex_a, apex_b = fan.max_cones[host][k], fan.max_cones[other][j]
-        if host not in columns:
-            adj, det = inverses[host]
-            # the fan is smooth, so det is +-1 and A^-1 = det * adj
-            columns[host] = [tuple(det * x for x in col) for col in zip(*adj)]
-        # write apex_b in the basis of the cone holding apex_a; the apex_a
-        # coordinate must be -1 exactly, the rest give the relation
-        u = fan.rays[apex_b]
-        coords = [sum(a * b for a, b in zip(u, col)) for col in columns[host]]
-        if coords[k] != -1:
+    for facet, ((host, k), (other, j)) in sorted(_facet_map(fan).items()):
+        apex_a, apex_b = cones[host][k], cones[other][j]
+        if apex_a > apex_b:
+            host, k, apex_a, apex_b = other, j, apex_b, apex_a
+        # write apex_b in the basis of the cone holding apex_a; the fan is
+        # smooth, so det is +-1 and -A^-1 = -det * adj.  The negated
+        # coordinates give the relation: the apex_a one must be 1 exactly,
+        # the rest are the coefficients
+        adj, det = inverses[host]
+        coeffs = None
+        for x, row in zip(rays[apex_b], adj):
+            if x:
+                x *= -det
+                coeffs = (
+                    [x * r for r in row]
+                    if coeffs is None
+                    else [c + x * r for c, r in zip(coeffs, row)]
+                )
+        if coeffs.pop(k) != 1:
             raise InvalidFanError("fan not smooth along wall")
-        coeffs = tuple(-c for c in coords[:k] + coords[k + 1 :])
-        out.append(Wall(facet, apex_a, apex_b, coeffs))
+        out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
     return tuple(out)
 
 

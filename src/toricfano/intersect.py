@@ -5,10 +5,14 @@ exactly when it meets every invariant curve strictly positively, so both
 the ample and the Fano test reduce to one exact scan over the walls.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
+from operator import attrgetter
 
 from ._record import record
 from .fan import require_int, walls
+
+_wall_rays = attrgetter("wall_rays")
 
 
 @record
@@ -133,16 +137,28 @@ def point_blowup_is_fano(fan, cone):
       {w} + cone - {v_j}, have relation v_i + v_j - w + sum of the other
       n - 2 rays = 0 and degree n - 1 > 0.
 
-    So the blow-up is Fano exactly when every other wall has degree > 0
-    and every facet wall of the cone has degree > n - 1.
+    So the blow-up is Fano exactly when the fan is Fano (the cached
+    :func:`is_fano`) and each of the cone's n facet walls has degree
+    > n - 1.  Each facet wall is found by bisection in ``walls(fan)``,
+    which is sorted by wall rays, so a call reads n walls, not all of them,
+    and a sweep over every fixed point is linear in the cones.  ``cone``
+    is a maximal cone exactly when each facet left by dropping one of its
+    n entries is a wall with the dropped entry as an apex; a repeated
+    index never is, so it raises ValueError.
     """
-    parent_walls = walls(fan)  # raises unless the fan is smooth and complete
-    center = set(cone)
-    if tuple(sorted(center)) not in fan.max_cones:
+    fan_walls = walls(fan)  # raises unless the fan is smooth and complete
+    cone = tuple(sorted(cone))
+    if len(cone) != fan.dim:
         raise ValueError("center is not a maximal cone of the fan")
+    facet_walls = []
+    for k, apex in enumerate(cone):
+        facet = cone[:k] + cone[k + 1 :]
+        at = bisect_left(fan_walls, facet, key=_wall_rays)
+        w = fan_walls[at] if at < len(fan_walls) else None
+        if w is None or w.wall_rays != facet or apex not in (w.apex_a, w.apex_b):
+            raise ValueError("center is not a maximal cone of the fan")
+        facet_walls.append(w)
     drop = fan.dim - 1
-    return all(
-        anticanonical_degree(fan, w)
-        > (drop if all(i in center for i in w.wall_rays) else 0)
-        for w in parent_walls
+    return is_fano(fan) and all(
+        anticanonical_degree(fan, w) > drop for w in facet_walls
     )

@@ -21,8 +21,7 @@ def primitivize(v):
 
 
 def is_primitive(v):
-    v = tuple(v)
-    return any(v) and primitivize(v) == v
+    return gcd(*v) == 1
 
 
 def xgcd(a, b):

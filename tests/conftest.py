@@ -18,6 +18,7 @@ from toricfano import (
     random_corpus,
     star_subdivide,
 )
+import toricfano.cli  # noqa: F401  (its parser cache is one of PACKAGE_CACHES)
 from toricfano import lattice, walls
 from toricfano.fan import _analyze, ensure_smooth_complete
 
@@ -68,13 +69,22 @@ def differential_fans():
     return fans + tuple(entry.fan for n in range(3, 7) for entry in catalog(n))
 
 
+# Every ``lru_cache`` of the package, collected once, before any test runs:
+# a test that monkeypatches a cached function out of its module still has
+# the real function's cache cleared.
+PACKAGE_CACHES = {
+    value
+    for name, module in list(sys.modules.items())
+    if name.partition(".")[0] == "toricfano"
+    for value in vars(module).values()
+    if callable(getattr(value, "cache_clear", None))
+}
+
+
 def clear_caches():
     """Empty every ``lru_cache`` of the package, so a budget counts cold."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("toricfano"):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    for cache in PACKAGE_CACHES:
+        cache.cache_clear()
 
 
 @lru_cache(maxsize=None)

@@ -489,7 +489,6 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     analyze = toricfano.fan._analyze.__wrapped__
     for corpus, computed in (((3, 60, 3, 2024), 161), ((4, 50, 4, 7), 459)):
         clear_caches()
-        inverse.cache_clear()  # patched out of the module after the first sweep
         missed = []
         asked = {"calls": 0}
 
@@ -512,3 +511,26 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
         }
         assert asked["calls"] == sum(len(fan.max_cones) for fan in missed)
         assert inverse.cache_info().misses == len(rows) == computed, corpus
+
+
+def test_theorem1_reads_only_each_fixed_points_facets(monkeypatch):
+    """Operation budget: the cold sweep reads the anticanonical degree of
+    each wall at most once per fan, in the cached is_fano pass, and then
+    only the n facet walls of each fixed point, so it is linear in cones."""
+    import toricfano.intersect
+
+    corpus = random_corpus(4, 50, 4, 7)
+    clear_caches()
+    degree = toricfano.intersect.anticanonical_degree
+    calls = {"degree": 0}
+
+    def counting_degree(fan, wall):
+        calls["degree"] += 1
+        return degree(fan, wall)
+
+    monkeypatch.setattr(toricfano.intersect, "anticanonical_degree", counting_degree)
+    for fan in corpus:
+        theorem1_check(fan)
+    bound = sum(len(walls(fan)) + fan.dim * len(fan.max_cones) for fan in corpus)
+    assert calls["degree"] <= bound
+    assert calls["degree"] == 911

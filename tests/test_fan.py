@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 from conftest import (
@@ -174,13 +175,33 @@ P2_CONES = ((0, 1), (0, 2), (1, 2))
         (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2.0), (1, 2)), "cone 1 entry must be an integer, got 2.0"),
         (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (True, 2)), "cone 2 entry must be an integer, got True"),
         (2.0, ((1, 0), (0, 1), (-1, -1)), P2_CONES, "dim must be an integer, got 2.0"),
+        (2, ((1, 0), (0, 1), (-1, -1.0)), P2_CONES, "ray 2 coordinate must be an integer, got -1.0"),
+        (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, True)), "cone 2 entry must be an integer, got True"),
     ],
-    ids=["float-ray", "bool-ray", "str-ray", "float-cone", "bool-cone", "float-dim"],
+    ids=[
+        "float-ray",
+        "bool-ray",
+        "str-ray",
+        "float-cone",
+        "bool-cone",
+        "float-dim",
+        "float-last-ray-entry",
+        "bool-last-cone-entry",
+    ],
 )
 def test_non_integers_are_rejected_not_truncated(dim, rays, cones, message):
     with pytest.raises(TypeError) as err:
         Fan(dim, rays, cones)
     assert str(err.value) == message
+
+
+def test_int_subclasses_are_accepted():
+    # an int subclass is an integer: the fan keeps it, as require_int does
+    index = IntEnum("Index", [("ZERO", 0), ("ONE", 1), ("TWO", 2)])
+    fan = Fan(2, ((1, 0), (0, index.ONE), (-1, -1)), ((index.ZERO, 1), (0, 2), (1, 2)))
+    assert fan == Fan(2, ((1, 0), (0, 1), (-1, -1)), P2_CONES)
+    assert fan.rays[1][1] is index.ONE and fan.max_cones[0][0] is index.ZERO
+    assert validate(fan).valid
 
 
 def test_integer_sequences_become_tuples():

@@ -133,6 +133,18 @@ def test_point_blowup_is_fano_matches_the_built_blowup(differential_fans):
     assert 0 < fano < sum(len(f.max_cones) for f in differential_fans)
 
 
+def test_point_blowup_is_fano_rejects_what_is_not_a_maximal_cone(p3, p1xp2):
+    assert point_blowup_is_fano(p3, (2, 0, 1))  # any order of a cone's rays
+    # a repeated index names the rays of a cone, but is not one
+    for cone in ((0, 1, 2, 2), (0, 1, 1), (3, 3, 3), ()):
+        with pytest.raises(ValueError, match="not a maximal cone"):
+            point_blowup_is_fano(p3, cone)
+    # every facet of (2, 3, 4) is a wall, but (2, 3) joins the cones through
+    # rays 0 and 1, not through 4
+    with pytest.raises(ValueError, match="not a maximal cone"):
+        point_blowup_is_fano(p1xp2, (2, 3, 4))
+
+
 def test_point_blowup_is_fano_examples(p3, blowup_p3_line):
     assert all(point_blowup_is_fano(p3, cone) for cone in p3.max_cones)
     # only the two fixed points off the exceptional ray blow up to a Fano
