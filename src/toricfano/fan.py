@@ -165,54 +165,71 @@ def _analyze(fan):
     before (the unchanged cones of a star subdivision) is not inverted again.
     Returns (ValidationReport, smooth, complete, inverses), where
     ``inverses[ci]`` is the ``(adj, det)`` of cone ci when the report is
-    valid.  Overlaps are excluded by the covering-degree certificate of
+    valid.
+
+    The entry checks run in bulk: one ``all`` or set test each for the
+    rays' dimensions and primitivity, equal rays, unused rays and duplicate
+    cones, and per cone a size test and, the cone being sorted, a range
+    test on its first and last index.  Only a test that fails runs its
+    per-entry loop, to name every offending ray or cone in index order.
+    Overlaps are excluded by the covering-degree certificate of
     :func:`is_complete`; only when it fails does the O(C^2) overlap LP run,
     to name the overlapping pairs.
     """
-    if fan.dim < 2:
+    dim, rays, cones = fan.dim, fan.rays, fan.max_cones
+    if dim < 2:
         return ValidationReport(("dimension must be at least 2",)), False, False, ()
     problems = []
-    if not fan.rays:
+    if not rays:
         problems.append("fan has no rays")
-    if not fan.max_cones:
+    if not cones:
         problems.append("fan has no maximal cones")
-    for i, ray in enumerate(fan.rays):
-        if len(ray) != fan.dim:
-            problems.append(f"ray {i} has dimension {len(ray)}, expected {fan.dim}")
-        elif not any(ray):
-            problems.append(f"ray {i} is zero")
-        elif not lattice.is_primitive(ray):
-            problems.append(f"ray {i} not primitive")
-    seen = {}
-    for i, ray in enumerate(fan.rays):
-        if seen.setdefault(ray, i) != i:
-            problems.append(f"rays {seen[ray]} and {i} are equal")
+    n_rays = len(rays)
+    dims_ok = all(len(ray) == dim for ray in rays)
+    if not (dims_ok and all(map(lattice.is_primitive, rays))):
+        for i, ray in enumerate(rays):
+            if len(ray) != dim:
+                problems.append(f"ray {i} has dimension {len(ray)}, expected {dim}")
+            elif not any(ray):
+                problems.append(f"ray {i} is zero")
+            elif not lattice.is_primitive(ray):
+                problems.append(f"ray {i} not primitive")
+    if len(set(rays)) != n_rays:
+        seen = {}
+        for i, ray in enumerate(rays):
+            if seen.setdefault(ray, i) != i:
+                problems.append(f"rays {seen[ray]} and {i} are equal")
+    # every cone of size dim with distinct in-range indices: then a cone's
+    # sorted tuple is its ray set, and a set of cones finds duplicates
+    well_formed = True
     inverses = []
-    for ci, cone in enumerate(fan.max_cones):
-        if len(cone) != fan.dim:
-            problems.append(f"cone {ci} has size {len(cone)}, expected {fan.dim}")
+    for ci, cone in enumerate(cones):
+        if len(cone) != dim:
+            problems.append(f"cone {ci} has size {len(cone)}, expected {dim}")
+            well_formed = False
             continue
-        if len(set(cone)) != len(cone) or not all(
-            0 <= i < len(fan.rays) for i in cone
-        ):
+        if not (cone[0] >= 0 and cone[-1] < n_rays and len(set(cone)) == dim):
             problems.append(f"cone {ci} has repeated or out-of-range ray indices")
+            well_formed = False
             continue
-        rows = tuple(fan.rays[i] for i in cone)
-        if any(len(row) != fan.dim for row in rows):
+        rows = tuple(map(rays.__getitem__, cone))
+        if not dims_ok and any(len(row) != dim for row in rows):
             continue  # the ray's dimension is already reported
         try:
             inverses.append(kernel.inverse(rows))
         except ValueError:
             problems.append(f"cone {ci} is not simplicial")
-    used = {i for cone in fan.max_cones for i in cone}
-    for i in range(len(fan.rays)):
-        if i not in used:
-            problems.append(f"ray {i} not used by any maximal cone")
-    cone_sets = {}
-    for ci, cone in enumerate(fan.max_cones):
-        key = tuple(sorted(set(cone)))
-        if cone_sets.setdefault(key, ci) != ci:
-            problems.append(f"cones {cone_sets[key]} and {ci} have the same rays")
+    used = set().union(*cones)
+    if not used.issuperset(range(n_rays)):
+        for i in range(n_rays):
+            if i not in used:
+                problems.append(f"ray {i} not used by any maximal cone")
+    if not well_formed or len(set(cones)) != len(cones):
+        cone_sets = {}
+        for ci, cone in enumerate(cones):
+            key = tuple(sorted(set(cone)))
+            if cone_sets.setdefault(key, ci) != ci:
+                problems.append(f"cones {cone_sets[key]} and {ci} have the same rays")
     if problems:
         return ValidationReport(tuple(problems)), False, False, ()
     dets = [det for _, det in inverses]
@@ -308,17 +325,6 @@ def walls(fan):
     return tuple(out)
 
 
-def wall_relation_holds(fan, wall):
-    """Exact check of the defining relation of a wall."""
-    total = list(fan.rays[wall.apex_a])
-    for k in range(fan.dim):
-        total[k] += fan.rays[wall.apex_b][k]
-        total[k] += sum(
-            c * fan.rays[i][k] for i, c in zip(wall.wall_rays, wall.coeffs)
-        )
-    return not any(total)
-
-
 def star_subdivide(fan, center):
     """Insert the ray sum of ``center`` and re-triangulate its star.
 
@@ -337,7 +343,8 @@ def star_subdivide(fan, center):
         raise ValueError("center must have dimension at least 2")
     if not all(0 <= i < len(fan.rays) for i in center):
         raise ValueError("center has out-of-range ray indices")
-    if not any(set(center) <= set(cone) for cone in fan.max_cones):
+    center_set = set(center)
+    if not any(map(center_set.issubset, fan.max_cones)):
         raise ValueError("center is not a face of any maximal cone")
     w = tuple(
         sum(fan.rays[i][k] for i in center) for k in range(fan.dim)
@@ -347,7 +354,7 @@ def star_subdivide(fan, center):
     new_index = len(fan.rays)
     cones = []
     for cone in fan.max_cones:
-        if set(center) <= set(cone):
+        if center_set.issubset(cone):
             for drop in center:
                 cones.append(
                     tuple(sorted(new_index if i == drop else i for i in cone))

@@ -6,6 +6,13 @@ routine: the adjugate and determinant of a square matrix by fraction-free
 entries stay minors of the input.  The validity pass in ``fan`` calls it
 once per maximal cone; every other change of basis reads that result.
 
+Cone matrices of smooth fans are mostly 0 and +-1, so the elimination
+pivots on a unit entry of the column when there is one, and while the
+pivot and the previous pivot are both 1 a Bareiss step is plain integer
+elimination.  The pivot rule does not change the result: for a
+nonsingular matrix the adjugate and determinant are unique, and every
+route of the elimination ends at them.
+
 The routine is pure, so it is memoised for the life of the process and
 keyed by its rows: a star subdivision keeps every cone outside the star,
 so a blown-up fan asks again for the inverses its parent already has, and
@@ -29,15 +36,23 @@ def available_backends():
 def inverse(rows):
     """Adjugate and determinant of a square integer matrix, memoised.
 
-    One fraction-free Gauss-Jordan pass on [A | I]: pivoting on column k
-    clears it above and below the pivot, and every entry is updated as
-    (entry * pivot - factor * pivot_row_entry) // previous pivot, a Bareiss
-    step whose division is exact because each entry is a minor of [A | I].
-    After the last column the right block T satisfies T A = D I, where the
-    last pivot D is the determinant of A with its rows swapped; the sign of
-    the swaps turns (T, D) into the adjugate and det of A.
-    ``rows`` is a tuple of row tuples, the cache key.  Returns (adj, det)
-    with A adj = det I.  Raises ValueError when A is singular.
+    One fraction-free Gauss-Jordan pass on [A | I], eliminating column k above
+    and below the pivot row.  The pivot is a +-1 entry of column k at or
+    below row k when there is one, else the first nonzero entry there; the
+    pivot row is swapped into place, and a -1 pivot row is negated.  Each
+    swap and negation flips ``sign`` and applies to the whole row, so the
+    block [A | I] only has its rows permuted and signed.  The general step
+    updates every entry as (entry * pivot - factor * pivot_row_entry) //
+    previous pivot, a Bareiss step whose division is exact because each
+    entry is a minor of the signed, permuted [A | I].  When the pivot and
+    the previous pivot are both 1 that step is entry - factor *
+    pivot_row_entry, so a row whose factor is 0 is left alone.  After the
+    last column the right block T satisfies T A = D I, where the last pivot
+    D is the determinant of the signed, permuted A; ``sign`` turns (T, D)
+    into the adjugate and det of A.  These are unique, so the pivot choice
+    cannot change the result.  ``rows`` is a tuple of row tuples, the cache
+    key.  Returns (adj, det) with A adj = det I.  Raises ValueError when A
+    is singular.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -47,26 +62,41 @@ def inverse(rows):
     sign = 1
     prev = 1
     for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
+        for p in range(k, n):
+            if m[p][k] in (1, -1):
+                break
+        else:
+            for p in range(k, n):
+                if m[p][k]:
                     break
             else:
                 raise ValueError("singular matrix")
-        top = m[k]
+        top = m[p]
+        if p != k:
+            m[k], m[p] = top, m[k]
+            sign = -sign
+        if top[k] == -1:
+            top[:] = [-x for x in top]
+            sign = -sign
         pivot = top[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = m[i]
-            factor = row[k]
-            # left columns before k are zero off the diagonal and stay so,
-            # and the left diagonal is never read again: skip them
-            for j in range(k + 1, width):
-                row[j] = (row[j] * pivot - factor * top[j]) // prev
-            row[k] = 0
+        # no step reads the left block at or before column k again, so
+        # neither step updates it
+        if pivot == 1 and prev == 1:
+            for i in range(n):
+                row = m[i]
+                factor = row[k]
+                if factor and i != k:
+                    for j in range(k + 1, width):
+                        row[j] -= factor * top[j]
+        else:
+            for i in range(n):
+                if i == k:
+                    continue
+                row = m[i]
+                factor = row[k]
+                for j in range(k + 1, width):
+                    row[j] = (row[j] * pivot - factor * top[j]) // prev
         prev = pivot
-    adj = tuple(tuple(sign * x for x in row[n:]) for row in m)
-    return adj, sign * prev
+    if sign == 1:
+        return tuple(tuple(row[n:]) for row in m), prev
+    return tuple(tuple([-x for x in row[n:]]) for row in m), -prev

@@ -40,11 +40,6 @@ def curve_class(fan, wall):
     return CurveClass(tuple(dots))
 
 
-def pair(divisor, cclass):
-    """D . C from a divisor's coefficients and a curve class."""
-    return sum(c * d for c, d in zip(divisor.coeffs, cclass.dots))
-
-
 def is_positive_multiple(base, other):
     """True when other = q * base for some rational q > 0 (exact, integral)."""
     n = len(base)

@@ -20,7 +20,13 @@ from toricfano import (
 )
 import toricfano.cli  # noqa: F401  (its parser cache is one of PACKAGE_CACHES)
 from toricfano import lattice, walls
-from toricfano.fan import _analyze, ensure_smooth_complete
+from toricfano.fan import (
+    _analyze,
+    _covered_once,
+    _facet_map,
+    _overlaps,
+    ensure_smooth_complete,
+)
 
 
 @pytest.fixture
@@ -108,6 +114,124 @@ def permutation_det(rows):
             prod *= row[j]
         total += prod
     return total
+
+
+def bareiss_inverse(rows):
+    """The oracle for ``kernel.inverse``: fraction-free Gauss-Jordan on
+    [A | I] with the first nonzero pivot of each column and a full Bareiss
+    step on every row, (entry * pivot - factor * pivot_row_entry) //
+    previous pivot.  Returns (adj, det); raises ValueError when singular."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and non-empty")
+    width = 2 * n
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix")
+        top = m[k]
+        pivot = top[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            factor = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
+            row[k] = 0
+        prev = pivot
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in m)
+    return adj, sign * prev
+
+
+def per_entry_analysis(fan):
+    """The oracle for the bulk entry checks of ``fan._analyze``: every ray
+    and cone entry tested one by one, each cone inverted by
+    ``bareiss_inverse``.  Returns (problems, smooth, complete)."""
+    if fan.dim < 2:
+        return ("dimension must be at least 2",), False, False
+    problems = []
+    if not fan.rays:
+        problems.append("fan has no rays")
+    if not fan.max_cones:
+        problems.append("fan has no maximal cones")
+    for i, ray in enumerate(fan.rays):
+        if len(ray) != fan.dim:
+            problems.append(f"ray {i} has dimension {len(ray)}, expected {fan.dim}")
+        elif not any(ray):
+            problems.append(f"ray {i} is zero")
+        elif not lattice.is_primitive(ray):
+            problems.append(f"ray {i} not primitive")
+    seen = {}
+    for i, ray in enumerate(fan.rays):
+        if seen.setdefault(ray, i) != i:
+            problems.append(f"rays {seen[ray]} and {i} are equal")
+    inverses = []
+    for ci, cone in enumerate(fan.max_cones):
+        if len(cone) != fan.dim:
+            problems.append(f"cone {ci} has size {len(cone)}, expected {fan.dim}")
+            continue
+        if len(set(cone)) != len(cone) or not all(
+            0 <= i < len(fan.rays) for i in cone
+        ):
+            problems.append(f"cone {ci} has repeated or out-of-range ray indices")
+            continue
+        rows = tuple(fan.rays[i] for i in cone)
+        if any(len(row) != fan.dim for row in rows):
+            continue  # the ray's dimension is already reported
+        try:
+            inverses.append(bareiss_inverse(rows))
+        except ValueError:
+            problems.append(f"cone {ci} is not simplicial")
+    used = {i for cone in fan.max_cones for i in cone}
+    for i in range(len(fan.rays)):
+        if i not in used:
+            problems.append(f"ray {i} not used by any maximal cone")
+    cone_sets = {}
+    for ci, cone in enumerate(fan.max_cones):
+        key = tuple(sorted(set(cone)))
+        if cone_sets.setdefault(key, ci) != ci:
+            problems.append(f"cones {cone_sets[key]} and {ci} have the same rays")
+    if problems:
+        return tuple(problems), False, False
+    dets = [det for _, det in inverses]
+    facets = _facet_map(fan)
+    paired = all(len(cones) == 2 for cones in facets.values())
+    if not (
+        paired
+        and all(
+            (dets[ca] * dets[cb] > 0) == (ka + kb) % 2
+            for (ca, ka), (cb, kb) in facets.values()
+        )
+        and _covered_once(fan, inverses)
+    ):
+        problems = _overlaps(fan)
+    smooth = all(d in (1, -1) for d in dets)
+    return tuple(problems), smooth, paired
+
+
+def wall_relation_holds(fan, wall):
+    """Exact check of the defining relation of a wall."""
+    total = list(fan.rays[wall.apex_a])
+    for k in range(fan.dim):
+        total[k] += fan.rays[wall.apex_b][k]
+        total[k] += sum(
+            c * fan.rays[i][k] for i, c in zip(wall.wall_rays, wall.coeffs)
+        )
+    return not any(total)
+
+
+def pair(divisor, cclass):
+    """D . C from a divisor's coefficients and a curve class."""
+    return sum(c * d for c, d in zip(divisor.coeffs, cclass.dots))
 
 
 def witness_is_valid(witness, source, target):

@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from conftest import witness_is_valid
+from conftest import wall_relation_holds, witness_is_valid
 
 from toricfano import (
     analyze_divisor,
@@ -34,7 +34,6 @@ from toricfano import (
     theorem1_check,
     walls,
 )
-from toricfano.fan import wall_relation_holds
 
 
 @contextmanager

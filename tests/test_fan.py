@@ -1,4 +1,5 @@
 import random
+import re
 from enum import IntEnum
 
 import pytest
@@ -6,7 +7,9 @@ from conftest import (
     brute_fans_isomorphic,
     clear_caches,
     permutation_det,
+    per_entry_analysis,
     relabel_fan,
+    wall_relation_holds,
     witness_is_valid,
 )
 
@@ -32,7 +35,7 @@ from toricfano import (
     validate,
     walls,
 )
-from toricfano.fan import Wall, _overlaps, wall_relation_holds
+from toricfano.fan import Wall, _analyze, _overlaps
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -339,6 +342,128 @@ class TestCertificateAgainstOverlapLP:
         for fan in random_corpus(4, 10, 4, 7):
             flipped = Fan(fan.dim, [[-x for x in r] for r in fan.rays], fan.max_cones)
             assert validate(flipped).valid and is_complete(flipped)
+
+
+def corrupt(fan, rng):
+    """A copy of ``fan`` with one seeded entry fault, and its kind."""
+    rays, cones = list(fan.rays), [list(c) for c in fan.max_cones]
+    n, dim = len(rays), fan.dim
+    ri = rng.randrange(n)
+    # a cone an earlier fault left whole, so that its entries can be read
+    cone = rng.choice(
+        [c for c in cones if len(c) == dim and all(0 <= i < n for i in c)]
+    )
+    k = rng.randrange(dim)
+    kind = rng.choice(
+        (
+            "repeated index",
+            "out-of-range index",
+            "negative index",
+            "duplicate cone",
+            "short cone",
+            "equal rays",
+            "wrong dimension",
+            "zero ray",
+            "non-primitive ray",
+            "unused ray",
+            "singular cone",
+        )
+    )
+    if kind == "repeated index":
+        cone[k] = cone[(k + 1) % dim]
+    elif kind == "out-of-range index":
+        cone[k] = n + rng.randrange(3)
+    elif kind == "negative index":
+        cone[k] = -1 - rng.randrange(3)
+    elif kind == "duplicate cone":
+        cones.insert(rng.randrange(len(cones) + 1), list(cone))
+    elif kind == "short cone":
+        del cone[k]
+    elif kind == "equal rays":
+        rays[ri] = rays[rng.randrange(n)]
+    elif kind == "wrong dimension":
+        rays[ri] = rays[ri][:-1] if rng.random() < 0.5 else rays[ri] + (1,)
+    elif kind == "zero ray":
+        rays[ri] = (0,) * dim
+    elif kind == "non-primitive ray":
+        rays[ri] = tuple(rng.choice((2, 3, -2)) * x for x in rays[ri])
+    elif kind == "unused ray":
+        at = rng.randrange(n + 1)
+        rays.insert(at, tuple(rng.randint(-5, 5) for _ in range(dim)))
+        cones = [[i + (i >= at) for i in c] for c in cones]
+    else:
+        # the cone's first ray becomes the sum of its next two
+        rays[cone[0]] = tuple(a + b for a, b in zip(rays[cone[1]], rays[cone[2]]))
+    return Fan(dim, rays, cones), kind
+
+
+class TestBulkEntryChecks:
+    def test_match_per_entry_checks_on_corrupted_fans(self, differential_fans):
+        """Bulk entry checks name the same problems, in the same order, as
+        the per-entry loops; smoothness and completeness agree too."""
+        rng = random.Random(1414)
+        kinds, messages = set(), set()
+        for fan in differential_fans[::3]:
+            for _ in range(3):
+                bad = fan
+                for _ in range(rng.choice((1, 1, 2))):
+                    bad, kind = corrupt(bad, rng)
+                    kinds.add(kind)
+                problems, smooth, complete = per_entry_analysis(bad)
+                messages.update(re.sub(r"\d+", "#", p) for p in problems)
+                assert validate(bad).problems == problems, bad
+                assert _analyze(bad)[1:3] == (smooth, complete), bad
+                if problems:
+                    with pytest.raises(InvalidFanError):
+                        is_smooth(bad)
+                    with pytest.raises(InvalidFanError):
+                        is_complete(bad)
+                else:
+                    assert (is_smooth(bad), is_complete(bad)) == (smooth, complete)
+        assert len(kinds) == 11
+        # every entry problem is named at least once, and overlaps too
+        assert len(messages) == 10, messages
+
+    @pytest.mark.parametrize(
+        "cones, expected",
+        [
+            # two cones of the wrong size whose ray sets are equal
+            (
+                ((0, 0), (0,), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+                (
+                    "cone 0 has size 2, expected 3",
+                    "cone 1 has size 1, expected 3",
+                    "cones 0 and 1 have the same rays",
+                ),
+            ),
+            # two cones with repeated indices whose ray sets are equal
+            (
+                ((0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+                (
+                    "cone 0 has repeated or out-of-range ray indices",
+                    "cone 1 has repeated or out-of-range ray indices",
+                    "cones 0 and 1 have the same rays",
+                ),
+            ),
+            # a negative index and an index one past the last ray
+            (
+                ((-1, 0, 1), (0, 1, 4), (0, 2, 3), (1, 2, 3)),
+                (
+                    "cone 0 has repeated or out-of-range ray indices",
+                    "cone 1 has repeated or out-of-range ray indices",
+                ),
+            ),
+        ],
+    )
+    def test_match_per_entry_checks_on_chosen_cones(self, p3, cones, expected):
+        fan = Fan(3, p3.rays, cones)
+        assert per_entry_analysis(fan) == (expected, False, False)
+        assert validate(fan).problems == expected
+        assert _analyze(fan)[1:3] == (False, False)
+
+    def test_match_per_entry_checks_on_valid_fans(self, differential_fans):
+        for fan in differential_fans:
+            assert per_entry_analysis(fan) == (validate(fan).problems, True, True)
 
 
 def cramer_walls(fan):

@@ -1,9 +1,10 @@
-"""The exact integer kernel against a brute-force determinant oracle."""
+"""The exact integer kernel against a brute-force determinant oracle and
+against the Bareiss elimination without unit pivots."""
 
 import random
 
 import pytest
-from conftest import permutation_det
+from conftest import bareiss_inverse, permutation_det
 
 from toricfano import kernel
 
@@ -82,6 +83,71 @@ def test_wrappers_fall_back_on_huge_entries():
     assert adj == ((big, -1), (-1, big)) and d == permutation_det(m)
     assert_adjugate(m, adj, d)
 
+
+def outcome(rows):
+    """(kernel result, oracle result), each a ValueError's message when it
+    raises."""
+    results = []
+    for fn in (kernel.inverse, bareiss_inverse):
+        try:
+            results.append(fn(rows))
+        except ValueError as err:
+            results.append(str(err))
+    return tuple(results)
+
+
+def test_matches_the_bareiss_oracle_on_random_matrices():
+    rng = random.Random(1414)
+    singular = 0
+    for n in range(1, 7):
+        for _ in range(250):
+            m = random_matrix(rng, n, rng.choice((1, 1, 2, 5)))
+            got, expected = outcome(m)
+            assert got == expected, m
+            singular += expected == "singular matrix"
+    assert singular > 50
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # a -1 pivot, at the diagonal and below it
+        ((-1, 2), (3, 4)),
+        ((2, 3, 1), (-1, 0, 4), (5, 1, 1)),
+        ((0, -1, 0), (0, 0, -1), (-1, 0, 0)),
+        # a zero leading entry
+        ((0, 1), (1, 0)),
+        ((0, 2, 1), (3, 0, 1), (1, 1, 0)),
+        # unimodular, with a column holding no unit entry: the general step
+        ((2, 3), (3, 5)),
+        ((5, 2), (7, 3)),
+        ((2, 3, 0), (3, 5, 0), (4, 6, 1)),
+        ((1, 0, 0), (0, 2, 3), (0, 3, 5)),
+        # no unit entry at all, and not unimodular
+        ((2, 0), (0, 2)),
+        ((3, 2, 2), (2, 3, 2), (2, 2, 3)),
+        # huge entries; the second is unimodular with no unit entry
+        ((10**30, 1), (1, 10**30)),
+        ((10**30, 10**30 + 1), (10**30 - 1, 10**30)),
+        ((10**30, 0, 1), (-1, 10**30, 0), (0, 1, -(10**30))),
+        # singular, at the first column and at a later one
+        ((0, 1), (0, 2)),
+        ((2, 4), (3, 6)),
+        ((1, 2, 3), (4, 5, 6), (5, 7, 9)),
+    ],
+)
+def test_matches_the_bareiss_oracle_on_chosen_matrices(m):
+    got, expected = outcome(m)
+    assert got == expected
+    if expected != "singular matrix":
+        assert_adjugate(m, *got)
+
+
+def test_matches_the_bareiss_oracle_on_every_cone(differential_fans):
+    for fan in differential_fans:
+        for cone in fan.max_cones:
+            rows = tuple(fan.rays[i] for i in cone)
+            assert kernel.inverse(rows) == bareiss_inverse(rows), rows
 
 
 def test_memoised_inverse_matches_the_computation(differential_fans):

@@ -2,7 +2,7 @@ import io
 from contextlib import redirect_stdout
 
 import pytest
-from conftest import clear_caches, fraction_in_nonneg_span
+from conftest import clear_caches, fraction_in_nonneg_span, pair
 
 import toricfano._simplex
 import toricfano.cli
@@ -19,7 +19,7 @@ from toricfano import (
     projective_space_fan,
     walls,
 )
-from toricfano.mori import is_positive_multiple, pair
+from toricfano.mori import is_positive_multiple
 from toricfano._simplex import in_nonneg_span
 
 
