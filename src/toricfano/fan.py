@@ -8,8 +8,11 @@ enumeration with exact wall relations, star-subdivision blow-ups,
 codimension-two blow-downs, and fan isomorphism by wall propagation,
 which checks each anchor candidate on the cached walls and forms a matrix
 only for the one that succeeds.  Every change of basis reads one exact
-integer inverse per maximal cone, computed once by the validity pass: the
-covering certificate, the wall relations and the isomorphism witness.
+integer inverse per maximal cone, found once by the validity pass: the
+covering certificate, the wall relations and the isomorphism witness.  A
+fan with no parent has each cone inverted by ``kernel.inverse``; a star
+subdivision reads its cones' inverses off its parent's, by a column
+operation, and is then checked like any other fan.
 Whether a point blow-up is Fano is decided from the parent's walls, in
 ``intersect``, without building it.
 
@@ -19,6 +22,7 @@ where they are hot, so fans can be shared freely between workers.
 
 from functools import lru_cache
 from itertools import combinations
+from operator import neg
 
 from . import kernel, lattice
 from ._record import record
@@ -45,6 +49,11 @@ class Fan:
     dim: int
     rays: tuple
     max_cones: tuple
+
+    # (parent, center) of a fan made by star_subdivide, else None; private
+    # state outside the fields, like _hash, so equality, hash and repr
+    # ignore it
+    _origin = None
 
     def __init__(self, dim, rays, max_cones):
         object.__setattr__(self, "dim", dim)
@@ -155,15 +164,72 @@ def _covered_once(fan, inverses):
     return True
 
 
+def _moved_inverse(adj, det, k, center_at):
+    """(adj, det) of a cone's matrix A after its row k, a center ray, is
+    replaced by w, the center's ray sum, and moved last.
+
+    ``center_at`` holds the positions of the center's rays in the cone, k
+    among them.  Replacing row k by w in place is A -> E A, where E adds
+    the other center rows into row k; E has det 1 and E^-1 subtracts them,
+    so the adjugate has column k subtracted from each other center column.
+    Moving row k last takes n - 1 - k transpositions: column k of the
+    adjugate moves last, and adj and det are multiplied by (-1)^(n-1-k).
+    """
+    others = [j for j in center_at if j != k]
+    odd = (len(adj) - 1 - k) % 2
+    out = []
+    for row in adj:
+        moved = list(row)
+        x = moved[k]
+        for j in others:
+            moved[j] -= x
+        moved.append(moved.pop(k))
+        out.append(tuple(map(neg, moved)) if odd else tuple(moved))
+    return tuple(out), -det if odd else det
+
+
+def _inherited_inverses(fan):
+    """Cone -> (adj, det) for each maximal cone of a star subdivision, read
+    off the parent's validity pass: a cone outside the center's star keeps
+    its parent's inverse, and each new cone gets :func:`_moved_inverse` of
+    the parent cone it came from.  Empty when the parent is not valid.
+
+    The ancestors are analysed root first, each a cache hit once analysed,
+    so a long chain whose analyses were dropped does not recurse once per
+    generation.
+    """
+    parent, center = fan._origin
+    lineage = [parent]
+    while lineage[-1]._origin:
+        lineage.append(lineage[-1]._origin[0])
+    for ancestor in reversed(lineage):
+        _analyze(ancestor)
+    center_set = set(center)
+    new_index = len(parent.rays)
+    out = {}
+    for cone, inverse in zip(parent.max_cones, _analyze(parent)[3]):
+        if not center_set.issubset(cone):
+            out[cone] = inverse
+            continue
+        at = [k for k, i in enumerate(cone) if i in center_set]
+        for k in at:
+            out[cone[:k] + cone[k + 1 :] + (new_index,)] = _moved_inverse(
+                *inverse, k, at
+            )
+    return out
+
+
 @lru_cache(maxsize=None)
 def _analyze(fan):
     """The validity pass behind validate, is_smooth, is_complete and walls.
 
-    Each maximal cone is inverted with :func:`kernel.inverse`, its rays as
-    the rows of A, and every later change of basis reads that inverse.  The
-    kernel is memoised by the row tuple, so a cone shared with a fan seen
-    before (the unchanged cones of a star subdivision) is not inverted again.
-    Returns (ValidationReport, smooth, complete, inverses), where
+    Each maximal cone has its rays as the rows of A, and every later change
+    of basis reads the inverse of A found here.  A fan with no parent has
+    each cone inverted by :func:`kernel.inverse`.  A star subdivision reads
+    its cones' inverses off its parent's (:func:`_inherited_inverses`),
+    analysed first, with no elimination; the adjugate and determinant are
+    unique, so the result is the kernel's.  Every other check runs as for
+    any fan.  Returns (ValidationReport, smooth, complete, inverses), where
     ``inverses[ci]`` is the ``(adj, det)`` of cone ci when the report is
     valid.
 
@@ -202,6 +268,7 @@ def _analyze(fan):
     # every cone of size dim with distinct in-range indices: then a cone's
     # sorted tuple is its ray set, and a set of cones finds duplicates
     well_formed = True
+    inherited = _inherited_inverses(fan) if fan._origin else {}
     inverses = []
     for ci, cone in enumerate(cones):
         if len(cone) != dim:
@@ -212,13 +279,17 @@ def _analyze(fan):
             problems.append(f"cone {ci} has repeated or out-of-range ray indices")
             well_formed = False
             continue
-        rows = tuple(map(rays.__getitem__, cone))
-        if not dims_ok and any(len(row) != dim for row in rows):
-            continue  # the ray's dimension is already reported
-        try:
-            inverses.append(kernel.inverse(rows))
-        except ValueError:
-            problems.append(f"cone {ci} is not simplicial")
+        inverse = inherited.get(cone)
+        if inverse is None:
+            rows = tuple(map(rays.__getitem__, cone))
+            if not dims_ok and any(len(row) != dim for row in rows):
+                continue  # the ray's dimension is already reported
+            try:
+                inverse = kernel.inverse(rows)
+            except ValueError:
+                problems.append(f"cone {ci} is not simplicial")
+                continue
+        inverses.append(inverse)
     used = set().union(*cones)
     if not used.issuperset(range(n_rays)):
         for i in range(n_rays):
@@ -332,7 +403,8 @@ def star_subdivide(fan, center):
     of ``center``: every maximal cone containing the center is replaced by
     the cones swapping one center ray for the new one.  Smoothness and
     completeness carry over.  A center of size ``dim`` blows up the fixed
-    point of that cone.
+    point of that cone.  The result remembers its parent and center, so its
+    validity pass reads its cones' inverses off the parent's.
     """
     center = tuple(
         sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
@@ -361,7 +433,9 @@ def star_subdivide(fan, center):
                 )
         else:
             cones.append(cone)
-    return Fan(fan.dim, fan.rays + (w,), tuple(cones))
+    child = Fan(fan.dim, fan.rays + (w,), tuple(cones))
+    object.__setattr__(child, "_origin", (fan, center))
+    return child
 
 
 def contract_codim2(fan, wall):

@@ -4,7 +4,9 @@ Every decision in the package is an exact sign test, so the kernel has one
 routine: the adjugate and determinant of a square matrix by fraction-free
 (Bareiss) Gauss-Jordan elimination, whose divisions are exact and whose
 entries stay minors of the input.  The validity pass in ``fan`` calls it
-once per maximal cone; every other change of basis reads that result.
+once per maximal cone of a fan with no parent (a star subdivision reads
+its inverses off its parent's instead); every other change of basis reads
+that result.
 
 Cone matrices of smooth fans are mostly 0 and +-1, so the elimination
 pivots on a unit entry of the column when there is one, and while the
@@ -14,11 +16,10 @@ nonsingular matrix the adjugate and determinant are unique, and every
 route of the elimination ends at them.
 
 The routine is pure, so it is memoised for the life of the process and
-keyed by its rows: a star subdivision keeps every cone outside the star,
-so a blown-up fan asks again for the inverses its parent already has, and
-those come back as the same immutable ``(adj, det)``.  The rows must
-therefore be hashable, a tuple of tuples of ints.  A singular matrix
-raises every time it is asked for, since an exception is not cached.
+keyed by its rows, a tuple of tuples of ints: a blow-down, or a catalog
+fan, that shares cones with a fan checked before gets the same immutable
+``(adj, det)`` back.  A singular matrix raises every time it is asked for,
+since an exception is not cached.
 """
 
 from functools import lru_cache

@@ -476,41 +476,50 @@ def test_analyze_divisor_builds_no_fan(monkeypatch):
 
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):
-    """Operation budget: the validity pass asks the kernel for the inverse
-    of each maximal cone of each fan it checks, and the kernel computes one
-    inverse per distinct row tuple; a star subdivision keeps the cones
-    outside its star, so most are asked for again and computed once.  No
-    blow-up is built, so past the corpus itself only the two targets are
-    checked.  Both sweeps run cold."""
+    """Operation budget: the validity pass asks the kernel only for the
+    cones of a fan with no parent, here P^n, the root of the corpus; every
+    star subdivision reads its inverses off its parent's, keeping the
+    parent's ``(adj, det)`` for a cone outside the star and deriving one
+    for each new cone.  No blow-up is built, so past the corpus itself only
+    the two targets are checked.  Both sweeps run cold."""
     import toricfano.fan
     import toricfano.kernel
 
     inverse = toricfano.kernel.inverse
+    moved = toricfano.fan._moved_inverse
     analyze = toricfano.fan._analyze.__wrapped__
-    for corpus, computed in (((3, 60, 3, 2024), 161), ((4, 50, 4, 7), 459)):
+    for corpus, computed, derived in (
+        ((3, 60, 3, 2024), 4, 253),
+        ((4, 50, 4, 7), 5, 574),
+    ):
         clear_caches()
         missed = []
-        asked = {"calls": 0}
+        calls = {"asked": 0, "derived": 0}
 
         def counting_analyze(fan):
             missed.append(fan)
             return analyze(fan)
 
         def counting_inverse(rows):
-            asked["calls"] += 1
+            calls["asked"] += 1
             return inverse(rows)
+
+        def counting_moved(*args):
+            calls["derived"] += 1
+            return moved(*args)
 
         monkeypatch.setattr(
             toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
         )
         monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
+        monkeypatch.setattr(toricfano.fan, "_moved_inverse", counting_moved)
         for fan in random_corpus(*corpus):
             theorem1_check(fan)
-        rows = {
-            tuple(fan.rays[i] for i in cone) for fan in missed for cone in fan.max_cones
-        }
-        assert asked["calls"] == sum(len(fan.max_cones) for fan in missed)
-        assert inverse.cache_info().misses == len(rows) == computed, corpus
+        roots = [fan for fan in missed if fan._origin is None]
+        # the kernel is asked once per cone of a parentless fan, and no more
+        assert calls["asked"] == sum(len(fan.max_cones) for fan in roots)
+        assert inverse.cache_info().misses == computed, corpus
+        assert calls["derived"] == derived, corpus
 
 
 def test_theorem1_reads_only_each_fixed_points_facets(monkeypatch):

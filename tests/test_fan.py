@@ -1,9 +1,12 @@
 import random
 import re
+import sys
+from itertools import combinations
 from enum import IntEnum
 
 import pytest
 from conftest import (
+    bareiss_inverse,
     brute_fans_isomorphic,
     clear_caches,
     permutation_det,
@@ -564,6 +567,92 @@ class TestStarSubdivide:
             fan = star_subdivide(fan, tuple(rng.sample(cone, size)))
             assert is_smooth(fan)
             assert is_complete(fan)
+
+
+def check_inherited_inverses(child):
+    """A star subdivision's validity pass, which reads its inverses off its
+    parent's, against the kernel's pass on the parentless rebuild, and each
+    derived inverse, that of a cone through the new ray, against the
+    Bareiss oracle."""
+    rebuild = Fan(child.dim, child.rays, child.max_cones)
+    assert child._origin is not None and rebuild._origin is None
+    assert rebuild == child
+    assert hash(rebuild) == hash(child)
+    assert repr(rebuild) == repr(child)
+    result = _analyze(child)
+    assert result == _analyze.__wrapped__(rebuild), child
+    new_index = len(child.rays) - 1
+    for cone, inverse in zip(child.max_cones, result[3]):
+        if cone[-1] == new_index:
+            rows = tuple(child.rays[i] for i in cone)
+            assert inverse == bareiss_inverse(rows), (child, cone)
+
+
+def faces(fan):
+    """Every face of size at least 2 of a maximal cone, each once."""
+    return sorted(
+        {
+            face
+            for cone in fan.max_cones
+            for size in range(2, fan.dim + 1)
+            for face in combinations(cone, size)
+        }
+    )
+
+
+class TestInheritedInverses:
+    def test_every_center_of_every_fan(self, differential_fans):
+        """Every face of size at least 2 is a center, on each fan."""
+        subdivided = 0
+        for fan in differential_fans:
+            for center in faces(fan):
+                check_inherited_inverses(star_subdivide(fan, center))
+                subdivided += 1
+            clear_caches()
+        assert subdivided == 11_235
+
+    def test_non_complete_fan(self, p3):
+        # P^3 without the cone (1, 2, 3): smooth, every ray used, not complete
+        fan = Fan(3, p3.rays, p3.max_cones[:-1])
+        assert is_smooth(fan) and not is_complete(fan)
+        for center in faces(fan):
+            child = star_subdivide(fan, center)
+            assert not is_complete(child)
+            check_inherited_inverses(child)
+
+    def test_depth_three_chains_analysed_cold(self, differential_fans):
+        """Caches are emptied between building a chain and analysing it, so
+        each fan's pass first re-runs its parent's."""
+        rng = random.Random(1515)
+        for fan in differential_fans[::5]:
+            chain = [fan]
+            for _ in range(3):
+                cone = rng.choice(chain[-1].max_cones)
+                center = rng.sample(cone, rng.randint(2, fan.dim))
+                chain.append(star_subdivide(chain[-1], center))
+            clear_caches()
+            check_inherited_inverses(chain[-1])
+            for child in chain[1:-1]:
+                check_inherited_inverses(child)
+
+    def test_long_chain_analysed_cold_does_not_recurse(self, p3):
+        """Each pass analyses its ancestors root first, so a chain of 60
+        blow-ups analysed cold stays well within 100 frames of the test."""
+        rng = random.Random(1516)
+        fan = p3
+        for _ in range(60):
+            fan = star_subdivide(fan, rng.sample(rng.choice(fan.max_cones), 3))
+        clear_caches()
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert is_smooth(fan) and is_complete(fan)
+        finally:
+            sys.setrecursionlimit(limit)
+        check_inherited_inverses(fan)
 
 
 class TestContract:
