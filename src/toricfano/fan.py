@@ -9,15 +9,19 @@ codimension-two blow-downs, and fan isomorphism by wall propagation,
 which checks each anchor candidate on the cached walls and forms a matrix
 only for the one that succeeds.  Every change of basis reads one exact
 integer inverse per maximal cone, found once by the validity pass: the
-covering certificate, the wall relations and the isomorphism witness.  A
-fan with no parent has each cone inverted by ``kernel.inverse``; a star
-subdivision reads its cones' inverses off its parent's, by a column
-operation, and is then checked like any other fan.
-Whether a point blow-up is Fano is decided from the parent's walls, in
-``intersect``, without building it.
+covering certificate, the wall relations and the isomorphism witness.
+
+Only a fan with no parent gets the full validity pass, with each cone
+inverted by ``kernel.inverse``.  The two surgeries, ``star_subdivide``
+and ``contract_codim2``, turn a valid smooth fan into a valid smooth fan
+with the same support, so their output records its parent and inherits
+the parent's verdict; its cones' inverses are read off the parent's by
+column operations.  Whether a point blow-up is Fano is decided from the
+parent's walls, in ``intersect``, without building it.
 
 Fans are immutable and hashable; all operations are pure functions, cached
-where they are hot, so fans can be shared freely between workers.
+where they are hot.  A pickled fan carries its three fields only, not its
+parent, so fans can be shared freely between workers.
 """
 
 from functools import lru_cache
@@ -50,9 +54,10 @@ class Fan:
     rays: tuple
     max_cones: tuple
 
-    # (parent, center) of a fan made by star_subdivide, else None; private
-    # state outside the fields, like _hash, so equality, hash and repr
-    # ignore it
+    # (parent, derive, data) of a fan made by a surgery, else None, where
+    # derive(parent, inverses, data) reads the fan's cone inverses off the
+    # parent's; private state outside the fields, like _hash, so equality,
+    # hash, repr and pickling ignore it
     _origin = None
 
     def __init__(self, dim, rays, max_cones):
@@ -82,6 +87,10 @@ class Fan:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # the fields only: a fan's parent, and its parent's, stay behind
+        return Fan, (self.dim, self.rays, self.max_cones)
 
 
 @record
@@ -164,59 +173,68 @@ def _covered_once(fan, inverses):
     return True
 
 
-def _moved_inverse(adj, det, k, center_at):
-    """(adj, det) of a cone's matrix A after its row k, a center ray, is
-    replaced by w, the center's ray sum, and moved last.
+def _moved_inverse(adj, det, k, added, to):
+    """(adj, det) of a cone's matrix A after its row k gains c times row j
+    for each (j, c) in ``added`` and then moves to position ``to``.
 
-    ``center_at`` holds the positions of the center's rays in the cone, k
-    among them.  Replacing row k by w in place is A -> E A, where E adds
-    the other center rows into row k; E has det 1 and E^-1 subtracts them,
-    so the adjugate has column k subtracted from each other center column.
-    Moving row k last takes n - 1 - k transpositions: column k of the
-    adjugate moves last, and adj and det are multiplied by (-1)^(n-1-k).
+    The row operation is A -> E A with det E = 1, and E^-1 subtracts what E
+    adds, so the adjugate has c times column k subtracted from each column
+    j.  Moving row k to position ``to`` permutes the rows by a cycle of
+    |to - k| transpositions: column k of the adjugate moves to ``to``, and
+    adj and det are multiplied by (-1)^|to - k|.
     """
-    others = [j for j in center_at if j != k]
-    odd = (len(adj) - 1 - k) % 2
+    odd = (to - k) % 2
     out = []
     for row in adj:
         moved = list(row)
         x = moved[k]
-        for j in others:
-            moved[j] -= x
-        moved.append(moved.pop(k))
+        for j, c in added:
+            moved[j] -= c * x
+        moved.insert(to, moved.pop(k))
         out.append(tuple(map(neg, moved)) if odd else tuple(moved))
     return tuple(out), -det if odd else det
 
 
-def _inherited_inverses(fan):
-    """Cone -> (adj, det) for each maximal cone of a star subdivision, read
-    off the parent's validity pass: a cone outside the center's star keeps
-    its parent's inverse, and each new cone gets :func:`_moved_inverse` of
-    the parent cone it came from.  Empty when the parent is not valid.
-
-    The ancestors are analysed root first, each a cache hit once analysed,
-    so a long chain whose analyses were dropped does not recurse once per
-    generation.
+def _subdivided_inverses(parent, inverses, center):
+    """The cone inverses of ``star_subdivide(parent, center)``, in its cone
+    order, from the parent's.  A cone outside the center's star keeps its
+    parent's ``(adj, det)``.  A new cone swaps the center ray at position k
+    of a parent cone for w, the center's ray sum: row k gains the other
+    center rows, and w, the highest ray index, moves last.
     """
-    parent, center = fan._origin
-    lineage = [parent]
-    while lineage[-1]._origin:
-        lineage.append(lineage[-1]._origin[0])
-    for ancestor in reversed(lineage):
-        _analyze(ancestor)
     center_set = set(center)
-    new_index = len(parent.rays)
-    out = {}
-    for cone, inverse in zip(parent.max_cones, _analyze(parent)[3]):
+    last = parent.dim - 1
+    out = []
+    for cone, inverse in zip(parent.max_cones, inverses):
         if not center_set.issubset(cone):
-            out[cone] = inverse
+            out.append(inverse)
             continue
         at = [k for k, i in enumerate(cone) if i in center_set]
         for k in at:
-            out[cone[:k] + cone[k + 1 :] + (new_index,)] = _moved_inverse(
-                *inverse, k, at
-            )
-    return out
+            added = [(j, 1) for j in at if j != k]
+            out.append(_moved_inverse(*inverse, k, added, last))
+    return tuple(out)
+
+
+def _contracted_inverses(parent, inverses, removed):
+    """The cone inverses of a ``contract_codim2`` result, in its cone
+    order, from the parent's.  ``removed`` is (j, a, b), where ray j =
+    ray a + ray b is removed.  A cone without j keeps its parent's
+    ``(adj, det)``: shifting the indices above j down keeps its row order.
+    The merged cone comes from the parent cone through a and j: row j
+    becomes ray b = ray j - ray a, and moves to b's place in the sorted,
+    shifted cone.
+    """
+    j, a, b = removed
+    out = []
+    for cone, inverse in zip(parent.max_cones, inverses):
+        if j not in cone:
+            out.append(inverse)
+        elif a in cone:
+            k = cone.index(j)
+            to = sum(1 for i in cone if i != j and i < b)
+            out.append(_moved_inverse(*inverse, k, [(cone.index(a), -1)], to))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -224,27 +242,43 @@ def _analyze(fan):
     """The validity pass behind validate, is_smooth, is_complete and walls.
 
     Each maximal cone has its rays as the rows of A, and every later change
-    of basis reads the inverse of A found here.  A fan with no parent has
-    each cone inverted by :func:`kernel.inverse`.  A star subdivision reads
-    its cones' inverses off its parent's (:func:`_inherited_inverses`),
-    analysed first, with no elimination; the adjugate and determinant are
-    unique, so the result is the kernel's.  Every other check runs as for
-    any fan.  Returns (ValidationReport, smooth, complete, inverses), where
-    ``inverses[ci]`` is the ``(adj, det)`` of cone ci when the report is
-    valid.
+    of basis reads the inverse of A found here.  Returns (ValidationReport,
+    smooth, complete, inverses), where ``inverses[ci]`` is the ``(adj,
+    det)`` of cone ci when the report is valid.
 
-    The entry checks run in bulk: one ``all`` or set test each for the
-    rays' dimensions and primitivity, equal rays, unused rays and duplicate
-    cones, and per cone a size test and, the cone being sorted, a range
-    test on its first and last index.  Only a test that fails runs its
-    per-entry loop, to name every offending ray or cone in index order.
-    Overlaps are excluded by the covering-degree certificate of
-    :func:`is_complete`; only when it fails does the O(C^2) overlap LP run,
-    to name the overlapping pairs.
+    A fan made by a surgery whose parent is valid and smooth inherits the
+    parent's verdict, by the lemma each surgery's docstring states: the
+    result is a valid smooth fan with the parent's support, so it is
+    complete exactly when the parent is.  Its inverses are read off the
+    parent's by the surgery's column operations, with no elimination; the
+    adjugate and determinant are unique, so they are the kernel's.  The
+    ancestors are analysed root first, each a cache hit once analysed, so
+    a long chain whose analyses were dropped does not recurse once per
+    generation.
+
+    Any other fan gets the full pass, each cone inverted by
+    :func:`kernel.inverse`.  The entry checks run in bulk: one ``all`` or
+    set test each for the rays' dimensions and primitivity, equal rays,
+    unused rays and duplicate cones, and per cone a size test and, the cone
+    being sorted, a range test on its first and last index.  Only a test
+    that fails runs its per-entry loop, to name every offending ray or cone
+    in index order.  Overlaps are excluded by the covering-degree
+    certificate of :func:`is_complete`; only when it fails does the O(C^2)
+    overlap LP run, to name the overlapping pairs.
     """
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
         return ValidationReport(("dimension must be at least 2",)), False, False, ()
+    if fan._origin:
+        lineage = [fan._origin[0]]
+        while lineage[-1]._origin:
+            lineage.append(lineage[-1]._origin[0])
+        for ancestor in reversed(lineage):
+            _analyze(ancestor)
+        parent, derive, data = fan._origin
+        report, smooth, complete, inverses = _analyze(parent)
+        if report.valid and smooth:
+            return report, True, complete, derive(parent, inverses, data)
     problems = []
     if not rays:
         problems.append("fan has no rays")
@@ -268,7 +302,6 @@ def _analyze(fan):
     # every cone of size dim with distinct in-range indices: then a cone's
     # sorted tuple is its ray set, and a set of cones finds duplicates
     well_formed = True
-    inherited = _inherited_inverses(fan) if fan._origin else {}
     inverses = []
     for ci, cone in enumerate(cones):
         if len(cone) != dim:
@@ -279,17 +312,13 @@ def _analyze(fan):
             problems.append(f"cone {ci} has repeated or out-of-range ray indices")
             well_formed = False
             continue
-        inverse = inherited.get(cone)
-        if inverse is None:
-            rows = tuple(map(rays.__getitem__, cone))
-            if not dims_ok and any(len(row) != dim for row in rows):
-                continue  # the ray's dimension is already reported
-            try:
-                inverse = kernel.inverse(rows)
-            except ValueError:
-                problems.append(f"cone {ci} is not simplicial")
-                continue
-        inverses.append(inverse)
+        rows = tuple(map(rays.__getitem__, cone))
+        if not dims_ok and any(len(row) != dim for row in rows):
+            continue  # the ray's dimension is already reported
+        try:
+            inverses.append(kernel.inverse(rows))
+        except ValueError:
+            problems.append(f"cone {ci} is not simplicial")
     used = set().union(*cones)
     if not used.issuperset(range(n_rays)):
         for i in range(n_rays):
@@ -401,10 +430,19 @@ def star_subdivide(fan, center):
 
     This is the fan surgery of blowing up along the invariant subvariety
     of ``center``: every maximal cone containing the center is replaced by
-    the cones swapping one center ray for the new one.  Smoothness and
-    completeness carry over.  A center of size ``dim`` blows up the fixed
-    point of that cone.  The result remembers its parent and center, so its
-    validity pass reads its cones' inverses off the parent's.
+    the cones swapping one center ray for the new one.  A center of size
+    ``dim`` blows up the fixed point of that cone.
+
+    The lemma the result's validity pass relies on: the star subdivision
+    of a valid smooth fan along a face of size at least 2 whose ray sum w
+    is not already a ray is a valid smooth fan with the same support.  The
+    rays of the face are part of a lattice basis, so w is primitive; each
+    cone through the face is cut by w into the new cones, which are smooth,
+    since swapping a center ray for w is a unimodular row operation; every
+    old ray stays in some cone, since the face has a second ray to drop.
+    This function checks each premise, so the result records its parent and
+    center, and inherits the parent's verdict and, by a column operation,
+    its cones' inverses.
     """
     center = tuple(
         sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
@@ -434,7 +472,7 @@ def star_subdivide(fan, center):
         else:
             cones.append(cone)
     child = Fan(fan.dim, fan.rays + (w,), tuple(cones))
-    object.__setattr__(child, "_origin", (fan, center))
+    object.__setattr__(child, "_origin", (fan, _subdivided_inverses, center))
     return child
 
 
@@ -445,6 +483,18 @@ def contract_codim2(fan, wall):
     ray carrying the -1 is the sum of the two apexes.  That ray is removed
     and the paired cones across it are merged; ray indices above it shift
     down by one.  Returns (new_fan, removed_ray_index).
+
+    The lemma the result's validity pass relies on: in a valid smooth
+    complete fan, let ray j = ray a + ray b, and let every cone through j
+    hold exactly one of a and b, paired with a cone of the same other rays
+    holding the other.  Then the cones through j are the star subdivision
+    of the merged cones along {a, b}, and the result is a valid smooth
+    complete fan with the same support: each merged cone is the union of
+    its pair, and its determinant is theirs, since ray j - ray a = ray b
+    is a unimodular row operation.  The parent is smooth and complete
+    (``walls`` requires it) and the pairing is checked here, so the result
+    records its parent and inherits its verdict; the merged cone's inverse
+    is read off that of the parent cone through a and j.
     """
     if wall not in walls(fan):
         raise ValueError("wall does not belong to the fan")
@@ -482,7 +532,7 @@ def contract_codim2(fan, wall):
         # the partner cone through b is dropped; the merged cone covers both
     rays = tuple(r for i, r in enumerate(fan.rays) if i != j)
     result = Fan(fan.dim, rays, tuple(cones))
-    ensure_smooth_complete(result)
+    object.__setattr__(result, "_origin", (fan, _contracted_inverses, (j, a, b)))
     return result, j
 
 

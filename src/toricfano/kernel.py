@@ -3,10 +3,11 @@
 Every decision in the package is an exact sign test, so the kernel has one
 routine: the adjugate and determinant of a square matrix by fraction-free
 (Bareiss) Gauss-Jordan elimination, whose divisions are exact and whose
-entries stay minors of the input.  The validity pass in ``fan`` calls it
-once per maximal cone of a fan with no parent (a star subdivision reads
-its inverses off its parent's instead); every other change of basis reads
-that result.
+entries stay minors of the input.  The validity pass in ``fan``, its only
+caller, calls it once per maximal cone of a fan with no parent: a parsed
+fan file, projective space or a P^1-bundle.  The output of a surgery, a
+star subdivision or a blow-down, reads its inverses off its parent's
+instead, and every other change of basis reads the validity pass's result.
 
 Cone matrices of smooth fans are mostly 0 and +-1, so the elimination
 pivots on a unit entry of the column when there is one, and while the
@@ -14,15 +15,7 @@ pivot and the previous pivot are both 1 a Bareiss step is plain integer
 elimination.  The pivot rule does not change the result: for a
 nonsingular matrix the adjugate and determinant are unique, and every
 route of the elimination ends at them.
-
-The routine is pure, so it is memoised for the life of the process and
-keyed by its rows, a tuple of tuples of ints: a blow-down, or a catalog
-fan, that shares cones with a fan checked before gets the same immutable
-``(adj, det)`` back.  A singular matrix raises every time it is asked for,
-since an exception is not cached.
 """
-
-from functools import lru_cache
 
 
 def backend_name():
@@ -33,9 +26,8 @@ def available_backends():
     return ("pure",)
 
 
-@lru_cache(maxsize=None)
 def inverse(rows):
-    """Adjugate and determinant of a square integer matrix, memoised.
+    """Adjugate and determinant of a square integer matrix.
 
     One fraction-free Gauss-Jordan pass on [A | I], eliminating column k above
     and below the pivot row.  The pivot is a +-1 entry of column k at or
@@ -51,8 +43,8 @@ def inverse(rows):
     last column the right block T satisfies T A = D I, where the last pivot
     D is the determinant of the signed, permuted A; ``sign`` turns (T, D)
     into the adjugate and det of A.  These are unique, so the pivot choice
-    cannot change the result.  ``rows`` is a tuple of row tuples, the cache
-    key.  Returns (adj, det) with A adj = det I.  Raises ValueError when A
+    cannot change the result.  ``rows`` is a sequence of integer rows.
+    Returns (adj, det) with A adj = det I.  Raises ValueError when A
     is singular.
     """
     n = len(rows)

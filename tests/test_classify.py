@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stdout
 from functools import lru_cache
 
 import pytest
@@ -480,8 +482,10 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     cones of a fan with no parent, here P^n, the root of the corpus; every
     star subdivision reads its inverses off its parent's, keeping the
     parent's ``(adj, det)`` for a cone outside the star and deriving one
-    for each new cone.  No blow-up is built, so past the corpus itself only
-    the two targets are checked.  Both sweeps run cold."""
+    for each new cone.  The kernel keeps no memo, so each call counted
+    through its wrapper is one elimination.  No blow-up is built, so past
+    the corpus itself only the two targets are checked.  Both sweeps run
+    cold."""
     import toricfano.fan
     import toricfano.kernel
 
@@ -518,8 +522,69 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
         roots = [fan for fan in missed if fan._origin is None]
         # the kernel is asked once per cone of a parentless fan, and no more
         assert calls["asked"] == sum(len(fan.max_cones) for fan in roots)
-        assert inverse.cache_info().misses == computed, corpus
+        assert calls["asked"] == computed, corpus
         assert calls["derived"] == derived, corpus
+
+
+def count_full_passes(monkeypatch, run):
+    """(full validity passes, facet maps built) by ``run()`` from cold
+    caches.  A full pass is an ``_analyze`` miss on a fan with no parent;
+    a surgery's output inherits its parent's verdict instead."""
+    import toricfano.fan
+
+    analyze = toricfano.fan._analyze.__wrapped__
+    facet_map = toricfano.fan._facet_map
+    clear_caches()
+    counts = {"passes": 0, "facet maps": 0}
+
+    def counting_analyze(fan):
+        counts["passes"] += fan._origin is None
+        return analyze(fan)
+
+    def counting_facet_map(fan):
+        counts["facet maps"] += 1
+        return facet_map(fan)
+
+    monkeypatch.setattr(
+        toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
+    )
+    monkeypatch.setattr(toricfano.fan, "_facet_map", counting_facet_map)
+    run()
+    return counts["passes"], counts["facet maps"]
+
+
+@pytest.mark.parametrize(
+    "corpus, facet_maps", [((3, 60, 3, 2024), 49), ((4, 50, 4, 7), 50)]
+)
+def test_theorem1_runs_one_full_validity_pass(monkeypatch, corpus, facet_maps):
+    """Operation budget: building the corpus and sweeping it runs the full
+    validity pass once, on P^n, the root every corpus fan descends from.
+    Facet maps are built only by ``walls``, once per distinct fan whose
+    walls are read."""
+
+    def sweep():
+        for fan in random_corpus(*corpus):
+            theorem1_check(fan)
+
+    assert count_full_passes(monkeypatch, sweep) == (1, facet_maps)
+
+
+def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
+    """Operation budget: verify-theorem2 for dimensions 3 to 6 runs the full
+    validity pass once on each distinct catalog fan with no parent, P^n and
+    the n P^1-bundles, 22 in all; the blow-ups and every blow-down that
+    classification performs inherit their parents' verdicts.  Facet maps
+    are built only by ``walls``, once per distinct fan whose walls are
+    read."""
+    import toricfano.cli
+
+    def verify():
+        for n in range(3, 7):
+            with redirect_stdout(io.StringIO()):
+                assert toricfano.cli.run(["verify-theorem2", "--dim", str(n), "--json"]) == 0
+
+    assert sum(1 + n for n in range(3, 7)) == 22
+    assert count_full_passes(monkeypatch, verify) == (22, 76)
 
 
 def test_theorem1_reads_only_each_fixed_points_facets(monkeypatch):

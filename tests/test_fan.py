@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import sys
@@ -653,6 +654,119 @@ class TestInheritedInverses:
         finally:
             sys.setrecursionlimit(limit)
         check_inherited_inverses(fan)
+
+
+def blow_downs(fan):
+    """(wall, result, removed ray) for every wall of the blow-down shape,
+    one -1 and the rest 0, whose star pairs up, so that ``contract_codim2``
+    accepts it."""
+    out = []
+    for wall in walls(fan):
+        if sorted(wall.coeffs) != [-1] + [0] * (len(wall.coeffs) - 1):
+            continue
+        try:
+            result, removed = contract_codim2(fan, wall)
+        except ValueError as err:
+            assert str(err) == "fan is not a star subdivision along this wall"
+            continue
+        out.append((wall, result, removed))
+    return out
+
+
+def check_contracted_inverses(parent, wall, result, removed):
+    """A blow-down's validity pass, which inherits its parent's verdict and
+    reads its inverses off the parent's, against the kernel's pass on the
+    parentless rebuild, and each merged cone's inverse against the Bareiss
+    oracle."""
+    rebuild = Fan(result.dim, result.rays, result.max_cones)
+    assert result._origin[0] is parent and rebuild._origin is None
+    assert rebuild == result
+    assert hash(rebuild) == hash(result)
+    assert repr(rebuild) == repr(result)
+    got = _analyze(result)
+    assert got == _analyze.__wrapped__(rebuild), result
+    a, b = (i if i < removed else i - 1 for i in (wall.apex_a, wall.apex_b))
+    merged = 0
+    for cone, inverse in zip(result.max_cones, got[3]):
+        if a in cone and b in cone:
+            rows = tuple(result.rays[i] for i in cone)
+            assert inverse == bareiss_inverse(rows), (result, cone)
+            merged += 1
+    # each merge drops one cone of the parent
+    assert merged == len(parent.max_cones) - len(result.max_cones) > 0
+
+
+class TestContractedInverses:
+    def test_every_blow_down_of_every_catalog_fan(self):
+        contracted = 0
+        for n in range(3, 7):
+            for entry in catalog(n):
+                for found in blow_downs(entry.fan):
+                    check_contracted_inverses(entry.fan, *found)
+                    contracted += 1
+        assert contracted == 122
+
+    def test_every_blow_down_of_every_fan(self, differential_fans):
+        contracted = 0
+        for fan in differential_fans:
+            for found in blow_downs(fan):
+                check_contracted_inverses(fan, *found)
+                contracted += 1
+            clear_caches()
+        assert contracted == 663
+
+    def test_blow_downs_of_blow_ups_analysed_cold(self, differential_fans):
+        """Each fan is blown up at a random face and blown down along each
+        blow-down wall; caches are emptied before the results are
+        analysed, so each pass first re-runs both surgeries' ancestors."""
+        rng = random.Random(1616)
+        contracted = 0
+        for fan in differential_fans[::5]:
+            blown = star_subdivide(fan, rng.choice(faces(fan)))
+            results = blow_downs(blown)
+            clear_caches()
+            for found in results:
+                check_contracted_inverses(blown, *found)
+                contracted += 1
+        assert contracted > 0
+
+    def test_long_chain_of_both_surgeries_analysed_cold(self, p3):
+        """A chain of 40 alternating blow-ups and blow-downs analysed cold
+        stays well within 100 frames of the test."""
+        rng = random.Random(1617)
+        fan = p3
+        for _ in range(20):
+            fan = star_subdivide(fan, rng.sample(rng.choice(fan.max_cones), 2))
+            _, fan, _ = rng.choice(blow_downs(fan))
+        clear_caches()
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert is_smooth(fan) and is_complete(fan)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert _analyze(fan) == _analyze.__wrapped__(Fan(fan.dim, fan.rays, fan.max_cones))
+
+
+class TestPickle:
+    def test_pickled_corpus_is_the_rebuilds_size(self):
+        """A pickled fan carries its fields, not its lineage."""
+        corpus = random_corpus(4, 50, 4, 7)
+        rebuilds = tuple(Fan(f.dim, f.rays, f.max_cones) for f in corpus)
+        assert all(f._origin is not None for f in corpus)
+        assert len(pickle.dumps(corpus)) == len(pickle.dumps(rebuilds))
+
+    def test_round_trip(self, differential_fans):
+        for fan in differential_fans[::7] + (Fan(3, ((1, 0, 0),), ()),):
+            loaded = pickle.loads(pickle.dumps(fan))
+            assert loaded == fan and loaded._origin is None
+            assert hash(loaded) == hash(fan)
+            assert repr(loaded) == repr(fan)
+            # the loaded fan has no parent, so this is a full pass
+            assert _analyze.__wrapped__(loaded) == _analyze(fan)
 
 
 class TestContract:

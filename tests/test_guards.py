@@ -70,15 +70,16 @@ def test_start_up_imports_no_code_generation():
 
 
 def test_start_up_builds_no_parser_and_inverts_nothing():
-    """The argument parser is built by the first ``cli.run`` and the kernel
-    inverts on demand: importing the CLI fills neither cache, so start-up
-    pays for neither."""
+    """The argument parser is built by the first ``cli.run`` and cones are
+    inverted on demand: importing the CLI fills neither the parser cache
+    nor that of ``fan._analyze``, the validity pass and the kernel's only
+    caller, so start-up pays for neither."""
     src = str(PACKAGE.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
-        "import toricfano.cli, toricfano.kernel; "
+        "import toricfano.cli, toricfano.fan; "
         "print(toricfano.cli.build_parser.cache_info().currsize, "
-        "toricfano.kernel.inverse.cache_info().currsize)"
+        "toricfano.fan._analyze.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
