@@ -47,17 +47,13 @@ from .intersect import (
     anticanonical_degree,
     anticanonical_divisor,
     divisor_dot_curve,
-    is_ample,
     is_fano,
-    is_nef,
     point_blowup_is_fano,
     positivity,
     prime_divisor,
-    principal_divisor,
 )
 from .mori import (
     ContractionInfo,
-    CurveClass,
     contraction_info,
     curve_class,
     is_extremal,
@@ -71,7 +67,6 @@ __all__ = [
     "ClassificationResult",
     "ClassificationViolation",
     "ContractionInfo",
-    "CurveClass",
     "DivisorAnalysis",
     "DivisorPositivity",
     "Fan",
@@ -95,18 +90,15 @@ __all__ = [
     "divisor_dot_curve",
     "fans_isomorphic",
     "find_transverse_extremal",
-    "is_ample",
     "is_complete",
     "is_extremal",
     "is_fano",
     "is_mori_extremal",
-    "is_nef",
     "is_smooth",
     "p1_bundle_fan",
     "point_blowup_is_fano",
     "positivity",
     "prime_divisor",
-    "principal_divisor",
     "projective_space_fan",
     "random_corpus",
     "simplify_pair",

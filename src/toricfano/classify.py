@@ -79,7 +79,8 @@ class DivisorAnalysis:
 
     ``d`` is the self-intersection degree of the divisor along any of its
     lines (the twist of its normal bundle); ``line_class`` is the curve
-    class of one such line and ``line_wall`` the first wall through the
+    class of one such line, its intersection numbers with the prime
+    divisors in ray order, and ``line_wall`` the first wall through the
     ray, whose curve is that line.  All three are present exactly when
     ``is_proj_space`` holds.
     """
@@ -169,11 +170,11 @@ def find_transverse_extremal(fan, ray_index):
     analysis = analyze_divisor(fan, ray_index)
     if not analysis.is_proj_space:
         raise OutsideStatement("divisor is not a projective space")
-    line = analysis.line_class.dots
+    line = analysis.line_class
     for w in walls(fan):
         if ray_index in w.wall_rays or ray_index not in (w.apex_a, w.apex_b):
             continue
-        if is_positive_multiple(line, curve_class(fan, w).dots):
+        if is_positive_multiple(line, curve_class(fan, w)):
             continue
         if is_mori_extremal(fan, w):
             return w

@@ -111,10 +111,6 @@ def parse_divisor(source, fan):
         raise FanFormatError(str(err)) from None
 
 
-def divisor_to_dict(divisor):
-    return {"coeffs": list(divisor.coeffs)}
-
-
 def write_fan(fan, path):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(fan_to_dict(fan), handle, sort_keys=True)
@@ -203,7 +199,7 @@ def cmd_divisors(args):
         }
         if analysis.is_proj_space:
             record["degree"] = analysis.d
-            record["line_class"] = list(analysis.line_class.dots)
+            record["line_class"] = list(analysis.line_class)
         report.findings.append(record)
     return report
 

@@ -11,17 +11,19 @@ only for the one that succeeds.  Every change of basis reads one exact
 integer inverse per maximal cone, found once by the validity pass: the
 covering certificate, the wall relations and the isomorphism witness.
 
-Only a fan with no parent gets the full validity pass, with each cone
-inverted by ``kernel.inverse``.  The two surgeries, ``star_subdivide``
+Only a fan that no surgery made gets the full validity pass, with each
+cone inverted by ``kernel.inverse``.  The two surgeries, ``star_subdivide``
 and ``contract_codim2``, turn a valid smooth fan into a valid smooth fan
-with the same support, so their output records its parent and inherits
-the parent's verdict; its cones' inverses are read off the parent's by
-column operations.  Whether a point blow-up is Fano is decided from the
-parent's walls, in ``intersect``, without building it.
+with the same support, so their output inherits the parent's verdict.  It
+records what its pass reads of the parent, the cones, their inverses and
+whether the parent is complete, but not the parent itself; its cones'
+inverses are read off the parent's by column operations.  Whether a point
+blow-up is Fano is decided from the parent's walls, in ``intersect``,
+without building it.
 
 Fans are immutable and hashable; all operations are pure functions, cached
-where they are hot.  A pickled fan carries its three fields only, not its
-parent, so fans can be shared freely between workers.
+where they are hot.  A pickled fan carries its three fields only, so fans
+can be shared freely between workers.
 """
 
 from functools import lru_cache
@@ -54,10 +56,11 @@ class Fan:
     rays: tuple
     max_cones: tuple
 
-    # (parent, derive, data) of a fan made by a surgery, else None, where
-    # derive(parent, inverses, data) reads the fan's cone inverses off the
-    # parent's; private state outside the fields, like _hash, so equality,
-    # hash, repr and pickling ignore it
+    # (complete, derive, cones, inverses, data) of a fan made by a surgery,
+    # else None: the parent's completeness, cones and cone inverses, where
+    # derive(cones, inverses, data) reads the fan's inverses off those;
+    # private state outside the fields, like _hash, so equality, hash, repr
+    # and pickling ignore it
     _origin = None
 
     def __init__(self, dim, rays, max_cones):
@@ -89,7 +92,7 @@ class Fan:
         return self._hash
 
     def __reduce__(self):
-        # the fields only: a fan's parent, and its parent's, stay behind
+        # the fields only: what a surgery recorded of the parent stays behind
         return Fan, (self.dim, self.rays, self.max_cones)
 
 
@@ -195,17 +198,18 @@ def _moved_inverse(adj, det, k, added, to):
     return tuple(out), -det if odd else det
 
 
-def _subdivided_inverses(parent, inverses, center):
-    """The cone inverses of ``star_subdivide(parent, center)``, in its cone
-    order, from the parent's.  A cone outside the center's star keeps its
-    parent's ``(adj, det)``.  A new cone swaps the center ray at position k
-    of a parent cone for w, the center's ray sum: row k gains the other
-    center rows, and w, the highest ray index, moves last.
+def _subdivided_inverses(cones, inverses, center):
+    """The cone inverses of a star subdivision along ``center``, in its cone
+    order, from the parent's ``cones`` and their ``inverses``.  A cone
+    outside the center's star keeps its parent's ``(adj, det)``.  A new
+    cone swaps the center ray at position k of a parent cone for w, the
+    center's ray sum: row k gains the other center rows, and w, the highest
+    ray index, moves last.
     """
     center_set = set(center)
-    last = parent.dim - 1
+    last = len(cones[0]) - 1
     out = []
-    for cone, inverse in zip(parent.max_cones, inverses):
+    for cone, inverse in zip(cones, inverses):
         if not center_set.issubset(cone):
             out.append(inverse)
             continue
@@ -216,18 +220,18 @@ def _subdivided_inverses(parent, inverses, center):
     return tuple(out)
 
 
-def _contracted_inverses(parent, inverses, removed):
+def _contracted_inverses(cones, inverses, removed):
     """The cone inverses of a ``contract_codim2`` result, in its cone
-    order, from the parent's.  ``removed`` is (j, a, b), where ray j =
-    ray a + ray b is removed.  A cone without j keeps its parent's
-    ``(adj, det)``: shifting the indices above j down keeps its row order.
-    The merged cone comes from the parent cone through a and j: row j
-    becomes ray b = ray j - ray a, and moves to b's place in the sorted,
-    shifted cone.
+    order, from the parent's ``cones`` and their ``inverses``.  ``removed``
+    is (j, a, b), where ray j = ray a + ray b is removed.  A cone without j
+    keeps its parent's ``(adj, det)``: shifting the indices above j down
+    keeps its row order.  The merged cone comes from the parent cone
+    through a and j: row j becomes ray b = ray j - ray a, and moves to b's
+    place in the sorted, shifted cone.
     """
     j, a, b = removed
     out = []
-    for cone, inverse in zip(parent.max_cones, inverses):
+    for cone, inverse in zip(cones, inverses):
         if j not in cone:
             out.append(inverse)
         elif a in cone:
@@ -246,15 +250,14 @@ def _analyze(fan):
     smooth, complete, inverses), where ``inverses[ci]`` is the ``(adj,
     det)`` of cone ci when the report is valid.
 
-    A fan made by a surgery whose parent is valid and smooth inherits the
-    parent's verdict, by the lemma each surgery's docstring states: the
-    result is a valid smooth fan with the parent's support, so it is
-    complete exactly when the parent is.  Its inverses are read off the
-    parent's by the surgery's column operations, with no elimination; the
-    adjugate and determinant are unique, so they are the kernel's.  The
-    ancestors are analysed root first, each a cache hit once analysed, so
-    a long chain whose analyses were dropped does not recurse once per
-    generation.
+    A fan made by a surgery inherits its parent's verdict, by the lemma
+    each surgery's docstring states: the surgery ran only on a valid smooth
+    parent, and the result is a valid smooth fan with the parent's
+    support, so it is complete exactly when the parent is.  Its inverses
+    are read off the parent's, which the surgery recorded with the
+    parent's cones, by the surgery's column operations, with no
+    elimination; the adjugate and determinant are unique, so they are the
+    kernel's.  No ancestor is analysed or even reachable.
 
     Any other fan gets the full pass, each cone inverted by
     :func:`kernel.inverse`.  The entry checks run in bulk: one ``all`` or
@@ -266,19 +269,12 @@ def _analyze(fan):
     certificate of :func:`is_complete`; only when it fails does the O(C^2)
     overlap LP run, to name the overlapping pairs.
     """
+    if fan._origin:
+        complete, derive, *recorded = fan._origin
+        return ValidationReport(()), True, complete, derive(*recorded)
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
         return ValidationReport(("dimension must be at least 2",)), False, False, ()
-    if fan._origin:
-        lineage = [fan._origin[0]]
-        while lineage[-1]._origin:
-            lineage.append(lineage[-1]._origin[0])
-        for ancestor in reversed(lineage):
-            _analyze(ancestor)
-        parent, derive, data = fan._origin
-        report, smooth, complete, inverses = _analyze(parent)
-        if report.valid and smooth:
-            return report, True, complete, derive(parent, inverses, data)
     problems = []
     if not rays:
         problems.append("fan has no rays")
@@ -440,9 +436,10 @@ def star_subdivide(fan, center):
     cone through the face is cut by w into the new cones, which are smooth,
     since swapping a center ray for w is a unimodular row operation; every
     old ray stays in some cone, since the face has a second ray to drop.
-    This function checks each premise, so the result records its parent and
-    center, and inherits the parent's verdict and, by a column operation,
-    its cones' inverses.
+    This function checks each premise, so the result inherits the parent's
+    verdict and, by a column operation, its cones' inverses; it records the
+    parent's completeness, cones and inverses, and the center, not the
+    parent.
     """
     center = tuple(
         sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
@@ -472,7 +469,9 @@ def star_subdivide(fan, center):
         else:
             cones.append(cone)
     child = Fan(fan.dim, fan.rays + (w,), tuple(cones))
-    object.__setattr__(child, "_origin", (fan, _subdivided_inverses, center))
+    _, _, complete, inverses = _analyze(fan)
+    origin = (complete, _subdivided_inverses, fan.max_cones, inverses, center)
+    object.__setattr__(child, "_origin", origin)
     return child
 
 
@@ -493,8 +492,9 @@ def contract_codim2(fan, wall):
     its pair, and its determinant is theirs, since ray j - ray a = ray b
     is a unimodular row operation.  The parent is smooth and complete
     (``walls`` requires it) and the pairing is checked here, so the result
-    records its parent and inherits its verdict; the merged cone's inverse
-    is read off that of the parent cone through a and j.
+    inherits its verdict; the merged cone's inverse is read off that of the
+    parent cone through a and j, which the result records with the parent's
+    other cones and inverses, not the parent.
     """
     if wall not in walls(fan):
         raise ValueError("wall does not belong to the fan")
@@ -532,7 +532,9 @@ def contract_codim2(fan, wall):
         # the partner cone through b is dropped; the merged cone covers both
     rays = tuple(r for i, r in enumerate(fan.rays) if i != j)
     result = Fan(fan.dim, rays, tuple(cones))
-    object.__setattr__(result, "_origin", (fan, _contracted_inverses, (j, a, b)))
+    _, _, complete, inverses = _analyze(fan)
+    origin = (complete, _contracted_inverses, fan.max_cones, inverses, (j, a, b))
+    object.__setattr__(result, "_origin", origin)
     return result, j
 
 

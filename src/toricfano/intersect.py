@@ -31,17 +31,6 @@ class TDivisor:
             ),
         )
 
-    def __add__(self, other):
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("divisors live on different fans")
-        return TDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return TDivisor(tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k):
-        return TDivisor(tuple(k * a for a in self.coeffs))
-
 
 def prime_divisor(fan, ray_index):
     """The divisor V(ray_index)."""
@@ -51,13 +40,6 @@ def prime_divisor(fan, ray_index):
 def anticanonical_divisor(fan):
     """The anticanonical divisor: coefficient 1 on every ray."""
     return TDivisor((1,) * len(fan.rays))
-
-
-def principal_divisor(fan, m):
-    """div(chi^m): the pairing <m, ray> as the coefficient of each ray."""
-    return TDivisor(
-        tuple(sum(a * b for a, b in zip(m, ray)) for ray in fan.rays)
-    )
 
 
 def divisor_dot_curve(fan, divisor, wall):
@@ -83,16 +65,6 @@ def anticanonical_degree(fan, wall):
     Reads only the wall and trusts that it is one of ``walls(fan)``.
     """
     return 2 + sum(wall.coeffs)
-
-
-def is_ample(fan, divisor):
-    """Strictly positive intersection with every wall."""
-    return all(divisor_dot_curve(fan, divisor, w) > 0 for w in walls(fan))
-
-
-def is_nef(fan, divisor):
-    """Nonnegative intersection with every wall."""
-    return all(divisor_dot_curve(fan, divisor, w) >= 0 for w in walls(fan))
 
 
 @record

@@ -17,18 +17,9 @@ from .fan import walls
 from .intersect import anticanonical_degree
 
 
-@record
-class CurveClass:
-    """Intersection numbers of a curve with every prime divisor, in ray order."""
-
-    dots: tuple
-
-    def __init__(self, dots):
-        object.__setattr__(self, "dots", dots)
-
-
 def curve_class(fan, wall):
-    """Class of the wall curve: 1 on the apexes, the coefficients on the wall.
+    """Class of the wall curve: its intersection numbers with every prime
+    divisor, in ray order; 1 on the apexes, the coefficients on the wall.
 
     Reads only the wall and trusts that it is one of ``walls(fan)``.
     """
@@ -37,7 +28,7 @@ def curve_class(fan, wall):
     dots[wall.apex_b] = 1
     for i, a in zip(wall.wall_rays, wall.coeffs):
         dots[i] = a
-    return CurveClass(tuple(dots))
+    return tuple(dots)
 
 
 def is_positive_multiple(base, other):
@@ -61,7 +52,7 @@ def _picard_classes(fan):
     outside = [i for i in range(len(fan.rays)) if i not in anchor]
     classes = {}
     for w in fan_walls:
-        dots = curve_class(fan, w).dots
+        dots = curve_class(fan, w)
         classes[w] = tuple(dots[i] for i in outside)
     return classes
 
@@ -113,16 +104,11 @@ class ContractionInfo:
     alpha counts negative wall coefficients, beta the nonpositive ones.
     alpha = 0 is a projective-space fibration (nothing is contracted
     birationally); alpha = 1 contracts a divisor; alpha >= 2 is small.
-    The exceptional locus has dimension dim - alpha and its image has
-    dimension beta - alpha in the birational cases.
     """
 
     alpha: int
     beta: int
     kind: str
-    exc_dim: int | None = None
-    image_dim: int | None = None
-    fiber_note: str | None = None
 
 
 def contraction_info(fan, wall):
@@ -130,10 +116,5 @@ def contraction_info(fan, wall):
         raise ValueError("wall class is not Mori extremal")
     alpha = sum(1 for a in wall.coeffs if a < 0)
     beta = sum(1 for a in wall.coeffs if a <= 0)
-    n = fan.dim
-    if alpha == 0:
-        return ContractionInfo(
-            alpha, beta, "fibration", fiber_note=f"P^{n - beta}-fibration"
-        )
-    kind = "divisorial" if alpha == 1 else "small"
-    return ContractionInfo(alpha, beta, kind, exc_dim=n - alpha, image_dim=beta - alpha)
+    kind = "fibration" if alpha == 0 else "divisorial" if alpha == 1 else "small"
+    return ContractionInfo(alpha, beta, kind)

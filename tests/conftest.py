@@ -231,7 +231,7 @@ def wall_relation_holds(fan, wall):
 
 def pair(divisor, cclass):
     """D . C from a divisor's coefficients and a curve class."""
-    return sum(c * d for c, d in zip(divisor.coeffs, cclass.dots))
+    return sum(c * d for c, d in zip(divisor.coeffs, cclass))
 
 
 def witness_is_valid(witness, source, target):

@@ -244,7 +244,7 @@ def test_criterion_7_kernel_invariants():
 
             for w in walls(blown):
                 assert wall_relation_holds(blown, w)
-                dots = curve_class(blown, w).dots
+                dots = curve_class(blown, w)
                 combo = tuple(
                     sum(dots[i] * blown.rays[i][k] for i in range(len(blown.rays)))
                     for k in range(blown.dim)

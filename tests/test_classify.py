@@ -18,6 +18,7 @@ from toricfano import (
     is_fano,
     is_smooth,
     p1_bundle_fan,
+    point_blowup_is_fano,
     projective_space_fan,
     random_corpus,
     simplify_pair,
@@ -315,6 +316,44 @@ class TestTheorem1:
         report = theorem1_check(p1_bundle_fan(3, 2))
         assert not any(p.blowup_fano for p in report.probes)
         assert not report.violations
+
+
+def test_the_bound_n_at_least_3_is_sharp():
+    """In dimension 2 the blow-up criterion admits more than P^2 and its
+    point blow-up F_1: P^1 x P^1 and Bl_2 P^2 have Fano point blow-ups too.
+
+    Up to three point blow-ups of P^2, P^1 x P^1 and F_1..F_3 give 48
+    surfaces up to isomorphism, of which exactly the five smooth toric del
+    Pezzo surfaces are Fano.
+    """
+    p2 = projective_space_fan(2)
+    found = []
+    generation = [p2] + [p1_bundle_fan(2, a) for a in range(4)]
+    for depth in range(4):
+        fresh = []
+        for fan in generation:
+            if all(fans_isomorphic(fan, seen) is None for seen in found):
+                found.append(fan)
+                fresh.append(fan)
+        if depth < 3:
+            generation = [star_subdivide(f, c) for f in fresh for c in f.max_cones]
+    assert len(found) == 48
+    bl1 = star_subdivide(p2, (0, 1))
+    bl2 = star_subdivide(bl1, (0, 2))
+    bl3 = star_subdivide(bl2, (1, 2))
+    del_pezzo = [p2, p1_bundle_fan(2, 0), p1_bundle_fan(2, 1), bl2, bl3]
+    fano = [f for f in found if is_fano(f)]
+    assert len(fano) == 5
+    assert all(
+        sum(fans_isomorphic(f, g) is not None for g in del_pezzo) == 1 for f in fano
+    )
+    counts = [
+        (sum(point_blowup_is_fano(f, c) for c in f.max_cones), len(f.max_cones))
+        for f in del_pezzo
+    ]
+    assert counts == [(3, 3), (4, 4), (2, 4), (1, 5), (0, 6)]
+    with pytest.raises(UnsupportedDimension):
+        theorem1_check(p2)
 
 
 def test_dim4_corpus_sweep():

@@ -421,13 +421,13 @@ class TestReports:
         assert report["status"] == "invalid-input"
 
     def test_divisor_round_trip(self):
-        from toricfano.cli import divisor_to_dict, parse_divisor
+        from toricfano.cli import parse_divisor
         from toricfano import anticanonical_divisor, projective_space_fan
         import io
 
         fan = projective_space_fan(4)
         divisor = anticanonical_divisor(fan)
-        payload = json.dumps(divisor_to_dict(divisor))
+        payload = json.dumps({"coeffs": list(divisor.coeffs)})
         assert parse_divisor(io.StringIO(payload), fan) == divisor
 
     def test_mori_table(self, p3_file, capsys):

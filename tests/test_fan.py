@@ -1,7 +1,9 @@
+import gc
 import pickle
 import random
 import re
 import sys
+import weakref
 from itertools import combinations
 from enum import IntEnum
 
@@ -577,6 +579,7 @@ def check_inherited_inverses(child):
     Bareiss oracle."""
     rebuild = Fan(child.dim, child.rays, child.max_cones)
     assert child._origin is not None and rebuild._origin is None
+    assert not any(isinstance(x, Fan) for x in child._origin)
     assert rebuild == child
     assert hash(rebuild) == hash(child)
     assert repr(rebuild) == repr(child)
@@ -623,7 +626,8 @@ class TestInheritedInverses:
 
     def test_depth_three_chains_analysed_cold(self, differential_fans):
         """Caches are emptied between building a chain and analysing it, so
-        each fan's pass first re-runs its parent's."""
+        each fan's pass reads only what its surgery recorded, with no
+        ancestor analysed again."""
         rng = random.Random(1515)
         for fan in differential_fans[::5]:
             chain = [fan]
@@ -637,8 +641,8 @@ class TestInheritedInverses:
                 check_inherited_inverses(child)
 
     def test_long_chain_analysed_cold_does_not_recurse(self, p3):
-        """Each pass analyses its ancestors root first, so a chain of 60
-        blow-ups analysed cold stays well within 100 frames of the test."""
+        """A cold pass needs no ancestor, so a chain of 60 blow-ups analysed
+        cold stays well within 100 frames of the test."""
         rng = random.Random(1516)
         fan = p3
         for _ in range(60):
@@ -679,7 +683,8 @@ def check_contracted_inverses(parent, wall, result, removed):
     parentless rebuild, and each merged cone's inverse against the Bareiss
     oracle."""
     rebuild = Fan(result.dim, result.rays, result.max_cones)
-    assert result._origin[0] is parent and rebuild._origin is None
+    assert result._origin[2] is parent.max_cones and rebuild._origin is None
+    assert not any(isinstance(x, Fan) for x in result._origin)
     assert rebuild == result
     assert hash(rebuild) == hash(result)
     assert repr(rebuild) == repr(result)
@@ -718,7 +723,8 @@ class TestContractedInverses:
     def test_blow_downs_of_blow_ups_analysed_cold(self, differential_fans):
         """Each fan is blown up at a random face and blown down along each
         blow-down wall; caches are emptied before the results are
-        analysed, so each pass first re-runs both surgeries' ancestors."""
+        analysed, so each pass reads only what its blow-down recorded, with
+        no ancestor analysed again."""
         rng = random.Random(1616)
         contracted = 0
         for fan in differential_fans[::5]:
@@ -731,8 +737,9 @@ class TestContractedInverses:
         assert contracted > 0
 
     def test_long_chain_of_both_surgeries_analysed_cold(self, p3):
-        """A chain of 40 alternating blow-ups and blow-downs analysed cold
-        stays well within 100 frames of the test."""
+        """A cold pass needs no ancestor, so a chain of 40 alternating
+        blow-ups and blow-downs analysed cold stays well within 100 frames
+        of the test."""
         rng = random.Random(1617)
         fan = p3
         for _ in range(20):
@@ -751,9 +758,40 @@ class TestContractedInverses:
         assert _analyze(fan) == _analyze.__wrapped__(Fan(fan.dim, fan.rays, fan.max_cones))
 
 
+class TestParentReleased:
+    """A surgery's output records its parent's cones and inverses, not the
+    parent, so once the caches drop the parent nothing keeps it alive, and
+    the output's pass still equals the full pass on its rebuild."""
+
+    @staticmethod
+    def check_released(make_parent, surgery):
+        parent = make_parent()
+        child = surgery(parent)
+        gone = weakref.ref(parent)
+        del parent
+        clear_caches()
+        gc.collect()
+        assert gone() is None
+        rebuild = Fan(child.dim, child.rays, child.max_cones)
+        assert _analyze(child) == _analyze.__wrapped__(rebuild)
+
+    def test_star_subdivision(self, p3):
+        self.check_released(
+            lambda: Fan(p3.dim, p3.rays, p3.max_cones),
+            lambda parent: star_subdivide(parent, (0, 1, 2)),
+        )
+
+    def test_blow_down(self, blowup_p3_line):
+        blown = blowup_p3_line
+        self.check_released(
+            lambda: Fan(blown.dim, blown.rays, blown.max_cones),
+            lambda parent: blow_downs(parent)[0][1],
+        )
+
+
 class TestPickle:
     def test_pickled_corpus_is_the_rebuilds_size(self):
-        """A pickled fan carries its fields, not its lineage."""
+        """A pickled fan carries its fields, not what its surgery recorded."""
         corpus = random_corpus(4, 50, 4, 7)
         rebuilds = tuple(Fan(f.dim, f.rays, f.max_cones) for f in corpus)
         assert all(f._origin is not None for f in corpus)
@@ -765,7 +803,7 @@ class TestPickle:
             assert loaded == fan and loaded._origin is None
             assert hash(loaded) == hash(fan)
             assert repr(loaded) == repr(fan)
-            # the loaded fan has no parent, so this is a full pass
+            # the loaded fan has no origin, so this is a full pass
             assert _analyze.__wrapped__(loaded) == _analyze(fan)
 
 

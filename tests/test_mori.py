@@ -24,17 +24,17 @@ from toricfano._simplex import in_nonneg_span
 
 
 def test_curve_class_examples(p3, blowup_p3_point, get_wall):
-    assert curve_class(p3, get_wall(walls(p3), (0, 1))).dots == (1, 1, 1, 1)
+    assert curve_class(p3, get_wall(walls(p3), (0, 1))) == (1, 1, 1, 1)
     b = blowup_p3_point
-    assert curve_class(b, get_wall(walls(b), (0, 1))).dots == (0, 0, 0, 1, 1)
-    assert curve_class(b, get_wall(walls(b), (0, 4))).dots == (1, 1, 1, 0, -1)
+    assert curve_class(b, get_wall(walls(b), (0, 1))) == (0, 0, 0, 1, 1)
+    assert curve_class(b, get_wall(walls(b), (0, 4))) == (1, 1, 1, 0, -1)
 
 
 def test_classes_annihilate_lattice_relations(p3, blowup_p3_point, p1xp2):
     # sum of dots * ray must vanish for every wall class
     for fan in (p3, blowup_p3_point, p1xp2):
         for w in walls(fan):
-            dots = curve_class(fan, w).dots
+            dots = curve_class(fan, w)
             combo = tuple(
                 sum(dots[i] * fan.rays[i][k] for i in range(len(fan.rays)))
                 for k in range(fan.dim)
@@ -62,7 +62,7 @@ def test_picard_rank_one_classes(p3):
     for n in (3, 4):
         fan = projective_space_fan(n)
         ws = walls(fan)
-        classes = [curve_class(fan, w).dots for w in ws]
+        classes = [curve_class(fan, w) for w in ws]
         for c in classes:
             assert is_positive_multiple(classes[0], c)
         assert all(is_extremal(fan, w) for w in ws)
@@ -97,10 +97,8 @@ def test_contraction_info_examples(blowup_p3_point, blowup_p3_line, get_wall):
     b = blowup_p3_point
     info = contraction_info(b, get_wall(walls(b), (0, 1)))
     assert (info.alpha, info.beta, info.kind) == (0, 2, "fibration")
-    assert info.fiber_note == "P^1-fibration"
     info = contraction_info(b, get_wall(walls(b), (0, 4)))
     assert (info.alpha, info.beta, info.kind) == (1, 1, "divisorial")
-    assert (info.exc_dim, info.image_dim) == (2, 0)
     # codim-2 blow-down wall of the line blow-up: relation e1 + e2 - w = 0
     line = blowup_p3_line
     w = next(
@@ -110,7 +108,6 @@ def test_contraction_info_examples(blowup_p3_point, blowup_p3_line, get_wall):
     )
     info = contraction_info(line, w)
     assert (info.alpha, info.beta, info.kind) == (1, 2, "divisorial")
-    assert (info.exc_dim, info.image_dim) == (2, 1)
 
 
 def test_contraction_info_requires_mori_extremal(get_wall):
@@ -123,11 +120,11 @@ def test_contraction_info_requires_mori_extremal(get_wall):
 def full_classes(fan, wall):
     """The wall's full intersection vector, and those of the other walls
     with duplicates and positive multiples of it removed."""
-    target = curve_class(fan, wall).dots
+    target = curve_class(fan, wall)
     seen = set()
     candidates = []
     for w in walls(fan):
-        dots = curve_class(fan, w).dots
+        dots = curve_class(fan, w)
         if dots in seen or is_positive_multiple(target, dots):
             continue
         seen.add(dots)

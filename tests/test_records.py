@@ -22,7 +22,7 @@ from toricfano.classify import (
 from toricfano.cli import Report
 from toricfano.fan import Fan, ValidationReport, Wall, star_subdivide
 from toricfano.intersect import DivisorPositivity, TDivisor
-from toricfano.mori import ContractionInfo, CurveClass
+from toricfano.mori import ContractionInfo
 
 P2_RAYS = ((1, 0), (0, 1), (-1, -1))
 P2_CONES = ((0, 1), (0, 2), (1, 2))
@@ -36,9 +36,8 @@ SAMPLES = {
     Wall: ((0, 1), 2, 3, (1, 1)),
     TDivisor: ((1, 1, 1),),
     DivisorPositivity: (True, True, 1, WALL),
-    CurveClass: ((1, 1, 0),),
-    ContractionInfo: (0, 0, "fibration", None, None, "P^2-fibration"),
-    DivisorAnalysis: (2, True, 1, CurveClass((1, 1, 1)), WALL),
+    ContractionInfo: (0, 0, "fibration"),
+    DivisorAnalysis: (2, True, 1, (1, 1, 1), WALL),
     CatalogEntry: ("i", None, P2, ((0, 1), (1, 1), (2, 1)), "P^2"),
     SimplificationStep: (WALL, 3, P2, 0, (0, 1)),
     ClassificationResult: ("i", None, ((1, 0), (0, 1)), "point-contraction", ()),
@@ -126,7 +125,6 @@ class TestRecord:
 
 def test_repr_format():
     assert repr(WALL) == "Wall(wall_rays=(0, 1), apex_a=2, apex_b=3, coeffs=(1, 1))"
-    assert repr(CurveClass((1, 2))) == "CurveClass(dots=(1, 2))"
 
 
 def test_defaults():
@@ -135,8 +133,6 @@ def test_defaults():
     assert probe == FixedPointProbe(1, (0, 1), False, None, None, None)
     analysis = DivisorAnalysis(ray_index=4, is_proj_space=False)
     assert (analysis.d, analysis.line_class, analysis.line_wall) == (None, None, None)
-    info = ContractionInfo(1, 2, "divisorial", exc_dim=2)
-    assert (info.exc_dim, info.image_dim, info.fiber_note) == (2, None, None)
     assert ClassificationResult("i", None, (), "simplified").steps == ()
     assert Theorem1Report(3, True, ()).global_violations == ()
 
@@ -145,7 +141,7 @@ def test_a_missing_field_is_named():
     with pytest.raises(TypeError, match="is_proj_space"):
         DivisorAnalysis(3)
     with pytest.raises(TypeError, match="bogus"):
-        CurveClass((1,), bogus=2)
+        Wall((0, 1), 2, 3, (1, 1), bogus=2)
 
 
 def test_fan_normalises_and_checks_its_entries():
