@@ -7,19 +7,19 @@ cones sorted ascending.  The parser checks only this JSON shape; the
 other problem, and their messages are the ones shown.  Reports are plain
 text or, with --json, a single JSON document with deterministic
 (byte-identical) output.  Exit codes: 0 all assertions hold, 1 assertion
-failure, 2 malformed input or input outside the statement checked
-(``OutsideStatement``: a divisor that is not projective space, a fan that
-is not Fano, or a dimension outside the command's range,
-``UnsupportedDimension``); a reader that closes stdout early does not
-change them.  The argument parser is built once per process, by the first
-:func:`run`, and reused by later calls.
+failure, 2 a usage error (``UsageError``), malformed input, or input
+outside the statement checked (``OutsideStatement``: a divisor that is
+not projective space, a fan that is not Fano, or a dimension outside the
+command's range, ``UnsupportedDimension``); a reader that closes stdout
+early does not change them.  The command line is read by
+:func:`parse_args` against the ``COMMANDS`` table; options follow the
+subcommand and are spelled in full.
 """
 
-import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .classify import (
     ClassificationViolation,
@@ -372,7 +372,7 @@ def _theorem1_findings(report, label, fan):
 def cmd_verify_theorem1(args):
     report = Report("verify-theorem1")
     ok = True
-    if args.input:
+    if args.input is not None:
         ok = _theorem1_findings(report, args.input, parse_fan(args.input))
     else:
         n, count, depth, seed = args.corpus
@@ -402,68 +402,198 @@ def cmd_iso(args):
 def _corpus_arg(text):
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected n,count,depth,seed")
+        raise ValueError("expected n,count,depth,seed")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError("corpus entries must be integers")
+        raise ValueError("expected n,count,depth,seed as integers") from None
 
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built on the first call and shared after it.
+class Command:
+    """One subcommand: its handler, help line and positional argument names;
+    its options, each flag mapped to (type, help); and ``required``, groups
+    of flags of which exactly one must be given."""
 
-    Building the subcommand tree takes over a millisecond, as long as a
-    small command, so one process builds it once; it is not built at
-    import, which would slow every start-up, including those that never
-    parse.  Parsing leaves no state in it: each ``parse_args`` fills a
-    fresh namespace.  Callers must not add arguments to the shared parser.
+    def __init__(self, handler, help, positionals, options, required=()):
+        self.handler, self.help, self.positionals = handler, help, positionals
+        self.options, self.required = options, required
+
+
+COMMANDS = {
+    "check": Command(
+        cmd_check, "validate a fan and print its wall table", ("fan",),
+        {"--divisor": (str, "divisor file to scan for ampleness/nefness")},
+    ),
+    "mori": Command(
+        cmd_mori, "per-wall degrees, extremality, contraction kinds", ("fan",), {}
+    ),
+    "divisors": Command(cmd_divisors, "analyze every prime divisor", ("fan",), {}),
+    "classify": Command(
+        cmd_classify, "identify a Fano fan with a chosen divisor", ("fan",),
+        {"--ray": (int, "index of the divisor's ray")}, (("--ray",),),
+    ),
+    "simplify": Command(
+        cmd_simplify, "blow down once through a transverse wall", ("fan",),
+        {"--ray": (int, "index of the divisor's ray")}, (("--ray",),),
+    ),
+    "catalog": Command(
+        cmd_catalog, "build the 2n+1 classified fans", (),
+        {
+            "--dim": (int, "dimension n"),
+            "--emit": (str, "write each catalog fan to this directory"),
+        },
+        (("--dim",),),
+    ),
+    "verify-theorem2": Command(
+        cmd_verify_theorem2, "verify the divisor classification", (),
+        {"--dim": (int, "dimension n")}, (("--dim",),),
+    ),
+    "verify-theorem1": Command(
+        cmd_verify_theorem1, "verify the point blow-up criterion", (),
+        {
+            "--input": (str, "fan file to test"),
+            "--corpus": (_corpus_arg, "n,count,depth,seed random corpus"),
+        },
+        (("--input", "--corpus"),),
+    ),
+    "iso": Command(cmd_iso, "search for a fan isomorphism witness", ("a", "b"), {}),
+}
+
+_HELP = ("-h", "--help")
+
+
+class UsageError(Exception):
+    """An argument list that the ``COMMANDS`` table does not accept."""
+
+    def __init__(self, message, command=None):
+        super().__init__(message)
+        self.command = command  # the subcommand whose usage to show, or None
+
+
+class _Help(Exception):
+    """``-h`` or ``--help`` after the subcommand ``args[0]`` (None: before one)."""
+
+
+def _is_option(token, command):
+    """Whether ``token`` reads as an option rather than a value: a token
+    that starts with a dash, unless it is a lone dash, a negative number
+    such as -3 or -.5, or holds a space and names no option of the
+    command.  This is argparse's rule."""
+    if token[:1] != "-" or token == "-":
+        return False
+    flag = token.partition("=")[0]
+    if flag in command.options or flag in _HELP or flag == "--json":
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    number = (whole + fraction).isdecimal() and (fraction or not dot)
+    return not (number or " " in token)
+
+
+def parse_args(argv):
+    """The namespace a subcommand's handler reads, from ``argv``.
+
+    Positionals fill in order.  Options and ``--json`` may come anywhere
+    after the subcommand, as ``--opt value`` or ``--opt=value``; the last of
+    a repeated option wins, a value may be a negative number but not
+    another option, and after ``--`` every token is positional.  Options
+    are spelled in full.  Raises ``UsageError`` on any other list, and
+    ``_Help`` at ``-h`` or ``--help``.
     """
-    parser = argparse.ArgumentParser(
-        prog="toricfano",
-        description=(
-            "Exact toric-fan computations: walls, Mori extremality, Fano"
-            " tests, and the classification of point blow-ups."
-        ),
+    if not argv or argv[0] in _HELP:
+        if argv:
+            raise _Help(None)
+        raise UsageError("the following arguments are required: command")
+    name, tokens = argv[0], iter(argv[1:])
+    command = COMMANDS.get(name)
+    if command is None:
+        choices = ", ".join(COMMANDS)
+        raise UsageError(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    values = dict.fromkeys(command.options)
+    as_json, positionals, unknown = False, [], []
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if token in _HELP:
+            raise _Help(name)
+        if token == "--":
+            positionals.extend(tokens)
+        elif token == "--json":
+            as_json = True
+        elif flag == "--json":
+            raise UsageError(f"argument --json: ignored explicit argument {value!r}", name)
+        elif flag in command.options:
+            if not equals:
+                value = next(tokens, None)
+                if value is None or _is_option(value, command):
+                    raise UsageError(f"argument {flag}: expected one argument", name)
+            convert = command.options[flag][0]
+            try:
+                values[flag] = convert(value)
+            except ValueError as err:
+                reason = "expected an integer" if convert is int else err
+                raise UsageError(f"argument {flag}: {reason}, got {value!r}", name) from None
+        elif _is_option(token, command):
+            unknown.append(token)
+        else:
+            positionals.append(token)
+    missing = list(command.positionals[len(positionals):])
+    for group in command.required:
+        given = [flag for flag in group if values[flag] is not None]
+        if len(given) > 1:
+            raise UsageError(f"argument {given[1]}: not allowed with argument {given[0]}", name)
+        if not given:
+            missing.append(" or ".join(group))
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}", name)
+    unknown += positionals[len(command.positionals):]
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}", name)
+    return SimpleNamespace(
+        command=name,
+        handler=command.handler,
+        json=as_json,
+        **dict(zip(command.positionals, positionals)),
+        **{flag[2:]: value for flag, value in values.items()},
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument(
-            "--json", action="store_true", help="emit a JSON report on stdout"
+
+def _usage(name):
+    """The one-line usage of subcommand ``name``, or of the program (None)."""
+    if name is None:
+        return f"usage: toricfano [-h] {{{','.join(COMMANDS)}}} ..."
+    command = COMMANDS[name]
+    words = [f"usage: toricfano {name} [-h]", *command.positionals]
+    for group in command.required:
+        alternatives = " | ".join(f"{flag} {flag[2:].upper()}" for flag in group)
+        words.append(f"({alternatives})" if len(group) > 1 else alternatives)
+    required = {flag for group in command.required for flag in group}
+    words += [f"[{flag} {flag[2:].upper()}]" for flag in command.options if flag not in required]
+    return " ".join(words + ["[--json]"])
+
+
+def _help(name):
+    """The ``--help`` text of subcommand ``name``, or of the program (None)."""
+    if name is None:
+        lead = (
+            "Exact toric-fan computations: walls, Mori extremality, Fano tests,\n"
+            "and the classification of point blow-ups.\n\ncommands:"
         )
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("check", cmd_check, help="validate a fan and print its wall table")
-    p.add_argument("fan")
-    p.add_argument("--divisor", help="divisor file to scan for ampleness/nefness")
-    p = add("mori", cmd_mori, help="per-wall degrees, extremality, contraction kinds")
-    p.add_argument("fan")
-    p = add("divisors", cmd_divisors, help="analyze every prime divisor")
-    p.add_argument("fan")
-    p = add("classify", cmd_classify, help="identify a Fano fan with a chosen divisor")
-    p.add_argument("fan")
-    p.add_argument("--ray", type=int, required=True)
-    p = add("simplify", cmd_simplify, help="blow down once through a transverse wall")
-    p.add_argument("fan")
-    p.add_argument("--ray", type=int, required=True)
-    p = add("catalog", cmd_catalog, help="build the 2n+1 classified fans")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--emit", help="write each catalog fan to this directory")
-    p = add("verify-theorem2", cmd_verify_theorem2, help="verify the divisor classification")
-    p.add_argument("--dim", type=int, required=True)
-    p = add("verify-theorem1", cmd_verify_theorem1, help="verify the point blow-up criterion")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--input", help="fan file to test")
-    group.add_argument(
-        "--corpus", type=_corpus_arg, help="n,count,depth,seed random corpus"
-    )
-    p = add("iso", cmd_iso, help="search for a fan isomorphism witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    return parser
+        rows = [(key, command.help) for key, command in COMMANDS.items()]
+        tail = (
+            "Options follow the command and are spelled in full;\n"
+            "'toricfano <command> --help' lists them."
+        )
+    else:
+        command = COMMANDS[name]
+        lead, tail = f"{command.help}\n\narguments:", ""
+        rows = [(positional, "") for positional in command.positionals]
+        rows += [
+            (f"{flag} {flag[2:].upper()}", text)
+            for flag, (_, text) in command.options.items()
+        ]
+        rows.append(("--json", "emit a JSON report on stdout"))
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [f"  {label:<{width}}{text}".rstrip() for label, text in rows]
+    return "\n".join([_usage(name), "", lead, *lines, "", tail]).rstrip() + "\n"
 
 
 def _emit(report, as_json, stream):
@@ -487,11 +617,14 @@ def _emit(report, as_json, stream):
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else 2
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Help as request:
+        sys.stdout.write(_help(request.args[0]))
+        return 0
+    except UsageError as err:
+        sys.stderr.write(f"{_usage(err.command)}\ntoricfano: error: {err}\n")
+        return 2
     try:
         report = args.handler(args)
     except (FanFormatError, InvalidFanError, OutsideStatement, OSError) as err:

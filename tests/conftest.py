@@ -1,3 +1,4 @@
+import argparse
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -18,8 +19,19 @@ from toricfano import (
     random_corpus,
     star_subdivide,
 )
-import toricfano.cli  # noqa: F401  (its parser cache is one of PACKAGE_CACHES)
 from toricfano import lattice, walls
+from toricfano.cli import (
+    _corpus_arg,
+    cmd_catalog,
+    cmd_check,
+    cmd_classify,
+    cmd_divisors,
+    cmd_iso,
+    cmd_mori,
+    cmd_simplify,
+    cmd_verify_theorem1,
+    cmd_verify_theorem2,
+)
 from toricfano.fan import (
     _analyze,
     _covered_once,
@@ -485,3 +497,62 @@ def blowup_route_probe(fan, ci, cone):
     except ClassificationViolation as err:
         violation = str(err)
     return FixedPointProbe(ci, cone, True, conclusion, witness, violation)
+
+
+# The argparse parser the command line used before its table dispatcher,
+# kept as the oracle of ``test_dispatcher_agrees_with_argparse``.
+@lru_cache(maxsize=None)
+def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Building the subcommand tree takes over a millisecond, as long as a
+    small command, so one process builds it once; it is not built at
+    import, which would slow every start-up, including those that never
+    parse.  Parsing leaves no state in it: each ``parse_args`` fills a
+    fresh namespace.  Callers must not add arguments to the shared parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="toricfano",
+        description=(
+            "Exact toric-fan computations: walls, Mori extremality, Fano"
+            " tests, and the classification of point blow-ups."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument(
+            "--json", action="store_true", help="emit a JSON report on stdout"
+        )
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("check", cmd_check, help="validate a fan and print its wall table")
+    p.add_argument("fan")
+    p.add_argument("--divisor", help="divisor file to scan for ampleness/nefness")
+    p = add("mori", cmd_mori, help="per-wall degrees, extremality, contraction kinds")
+    p.add_argument("fan")
+    p = add("divisors", cmd_divisors, help="analyze every prime divisor")
+    p.add_argument("fan")
+    p = add("classify", cmd_classify, help="identify a Fano fan with a chosen divisor")
+    p.add_argument("fan")
+    p.add_argument("--ray", type=int, required=True)
+    p = add("simplify", cmd_simplify, help="blow down once through a transverse wall")
+    p.add_argument("fan")
+    p.add_argument("--ray", type=int, required=True)
+    p = add("catalog", cmd_catalog, help="build the 2n+1 classified fans")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--emit", help="write each catalog fan to this directory")
+    p = add("verify-theorem2", cmd_verify_theorem2, help="verify the divisor classification")
+    p.add_argument("--dim", type=int, required=True)
+    p = add("verify-theorem1", cmd_verify_theorem1, help="verify the point blow-up criterion")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--input", help="fan file to test")
+    group.add_argument(
+        "--corpus", type=_corpus_arg, help="n,count,depth,seed random corpus"
+    )
+    p = add("iso", cmd_iso, help="search for a fan isomorphism witness")
+    p.add_argument("a")
+    p.add_argument("b")
+    return parser

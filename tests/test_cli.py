@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,7 +11,16 @@ import pytest
 
 import toricfano
 import toricfano.classify
-from toricfano.cli import FanFormatError, parse_fan, run, write_fan
+from conftest import build_parser
+from toricfano.cli import (
+    COMMANDS,
+    FanFormatError,
+    UsageError,
+    parse_args,
+    parse_fan,
+    run,
+    write_fan,
+)
 from toricfano import Fan, projective_space_fan, validate
 
 
@@ -360,6 +372,20 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "invalid-input"
 
+    def test_negative_ray_reaches_the_handler(self, p3_file, capsys):
+        # a negative number is an option's value, not an option, so the
+        # handler reports the index, not the command line
+        assert run(["classify", p3_file, "--ray", "-1", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "invalid-input"
+        assert report["findings"] == [{"error": "ray index -1 out of range 0..3"}]
+
+    def test_empty_input_path_is_malformed_input(self, capsys):
+        # an empty --input is given, not absent: it names no file
+        assert run(["verify-theorem1", "--input", "", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "invalid-input"
+
     def test_simplify_step(self, tmp_path, capsys):
         from toricfano import Fan, star_subdivide
 
@@ -489,17 +515,11 @@ def test_closed_stdout_keeps_the_verdict(flags):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-def test_reused_parser_prints_what_a_fresh_process_prints(
-    tmp_path, p3_file, capsys, monkeypatch
-):
-    """The parser is built once per process and parsing leaves nothing in
-    it: a rejected argument list, then check with and without a divisor,
-    then a corpus sweep, each print in one process, byte for byte, what
-    each prints alone in a fresh interpreter."""
-    from toricfano.cli import build_parser
-
-    # argparse wraps its usage text at the terminal width
-    monkeypatch.setenv("COLUMNS", "80")
+def test_one_process_prints_what_fresh_processes_print(tmp_path, p3_file, capsys):
+    """Reading one command line leaves nothing behind for the next: a
+    rejected argument list, then check with and without a divisor, then a
+    corpus sweep, each print in one process, byte for byte, what each
+    prints alone in a fresh interpreter."""
     divisor = write_json(tmp_path, "anticanonical.json", {"coeffs": [1, 1, 1, 1]})
     sequence = [
         ["classify", p3_file, "--json"],  # --ray is required: exit 2
@@ -507,18 +527,179 @@ def test_reused_parser_prints_what_a_fresh_process_prints(
         ["check", p3_file],
         ["verify-theorem1", "--corpus", "3,10,2,5"],
     ]
-    build_parser.cache_clear()
     reused = []
     for argv in sequence:
         code = run(argv)
         out, err = capsys.readouterr()
         reused.append((code, out.encode("utf-8"), err.encode("utf-8")))
-    assert build_parser.cache_info()[:2] == (3, 1)  # hits, misses
     assert [code for code, _, _ in reused] == [2, 0, 0, 0]
     assert b"--ray" in reused[0][2] and b"ample=True" in reused[1][1]
     for argv, expected in zip(sequence, reused):
         proc = child_process([], argv, capture_output=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+
+def oracle_parse(argv):
+    """The argparse oracle's namespace for ``argv`` as a dict, or None
+    when it rejects the list."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def dispatcher_parse(argv):
+    try:
+        return vars(parse_args(argv))
+    except UsageError:
+        return None
+
+
+OPTIONS = sorted({flag for c in COMMANDS.values() for flag in c.options} | {"--json"})
+INTS = ["0", "3", "-1", "-12", "+4", " 5", "007", "1_000"]
+NON_INTS = ["7x", "1.5", "-0.5", "", "x", "1e3", "٣x"]
+CORPORA = ["3,10,2,5", "4,1,1,-3", " 3, 4 ,2,1"]
+BAD_CORPORA = ["3,10,2", "1,2,x,4", "a,b,c,d", "1,,2,3", "3,10,2,5,6", ","]
+PATHS = ["fan.json", "dir/p3.json", "p 3.json", "-a b.json", "a=b.json", "-", "check"]
+JUNK = ["--frob", "-x", "--jsonx", "--rays", "--dims", "foo=bar", "--x=1"]
+TOKENS = INTS + NON_INTS + CORPORA + BAD_CORPORA + PATHS + JUNK
+
+
+def _value(option, rng):
+    """A value for ``option``, of its own kind nine times in ten."""
+    if rng.random() < 0.1:
+        return rng.choice(TOKENS)
+    if option in ("--ray", "--dim"):
+        return rng.choice(INTS)
+    return rng.choice(CORPORA if option == "--corpus" else PATHS)
+
+
+def random_argv(rng):
+    """An argument list near a valid one, or of random tokens.
+
+    Half the lists are a valid command line of a random subcommand, with
+    its options in random order, in both spellings, then up to two tokens
+    inserted, deleted or replaced.  The rest are a subcommand name, or a
+    random token, followed by up to six random tokens, options and
+    ``--opt=value`` forms.  No token is ``-h``, ``--help``, ``--``, or an
+    abbreviation of an option: the dispatcher takes options spelled in
+    full only."""
+    if rng.random() < 0.5:
+        name = rng.choice(list(COMMANDS))
+        command = COMMANDS[name]
+        words = [[rng.choice(PATHS)] for _ in command.positionals]
+        flags = [rng.choice(group) for group in command.required]
+        required = {flag for group in command.required for flag in group}
+        flags += [f for f in command.options if f not in required and rng.random() < 0.5]
+        for flag in flags:
+            value = _value(flag, rng)
+            words.append([f"{flag}={value}"] if rng.random() < 0.3 else [flag, value])
+        if rng.random() < 0.5:
+            words.append(["--json"])
+        rng.shuffle(words)
+        argv = [name]
+        for word in words:
+            argv += word
+        for _ in range(rng.randrange(3)):
+            edit, at = rng.random(), rng.randrange(1, len(argv) + 1)
+            token = rng.choice(OPTIONS + TOKENS)
+            if edit < 0.4:
+                argv.insert(at, token)
+            elif at < len(argv):
+                if edit < 0.7:
+                    del argv[at]
+                else:
+                    argv[at] = token
+        return argv
+    head = rng.choice(list(COMMANDS)) if rng.random() < 0.9 else rng.choice(OPTIONS + TOKENS)
+    argv = [head]
+    for _ in range(rng.randrange(7)):
+        kind = rng.random()
+        if kind < 0.3:
+            argv.append(rng.choice(OPTIONS))
+        elif kind < 0.45:
+            argv.append(f"{rng.choice(OPTIONS)}={rng.choice(TOKENS)}")
+        else:
+            argv.append(rng.choice(TOKENS))
+    return argv
+
+
+def test_dispatcher_agrees_with_argparse():
+    """On 2,000 seeded argument lists the dispatcher accepts exactly the
+    lists the argparse parser it replaced accepts, and reads the same
+    namespace from each: subcommand, handler, --json, positionals and
+    option values.  Only parsing runs; no handler is called.  The one
+    documented divergence, abbreviated options, is not generated."""
+    rng = random.Random(20261019)
+    accepted = 0
+    for _ in range(2000):
+        argv = random_argv(rng)
+        expected = oracle_parse(argv)
+        assert dispatcher_parse(argv) == expected, argv
+        accepted += expected is not None
+    # both sides of the decision are exercised
+    assert 400 < accepted < 1600
+
+
+def test_dispatcher_keeps_argparse_forms(p3_file):
+    """The argument forms the table dispatcher keeps, each read as argparse
+    read it."""
+    forms = [
+        ["classify", p3_file, "--ray", "-1", "--json"],
+        ["classify", "--json", "--ray=2", p3_file],
+        ["catalog", "--dim", "3", "--emit", "out", "--dim", "4"],
+        ["verify-theorem1", "--corpus=3,10,2,5", "--json"],
+        ["iso", "a.json", "--json", "b.json"],
+    ]
+    for argv in forms:
+        assert dispatcher_parse(argv) == oracle_parse(argv) is not None, argv
+    assert parse_args(forms[2]).dim == 4
+    # after "--" every token is positional, even one that reads as an option
+    assert parse_args(["check", "--json", "--", "-odd.json"]).fan == "-odd.json"
+    # abbreviations are the one divergence: argparse took a unique prefix
+    assert oracle_parse(["catalog", "--di", "3"])["dim"] == 3
+    assert dispatcher_parse(["catalog", "--di", "3"]) is None
+
+
+USAGE_ERRORS = {
+    "missing-ray": (["classify", "{p3}", "--json"], ["--ray"]),
+    "non-integer-dim": (["catalog", "--dim", "three"], ["--dim", "'three'"]),
+    "unknown-subcommand": (["frobnicate"], ["frobnicate"]),
+    "input-and-corpus": (
+        ["verify-theorem1", "--input", "{p3}", "--corpus", "3,10,2,5"],
+        ["--input", "--corpus"],
+    ),
+    "malformed-corpus": (["verify-theorem1", "--corpus", "3,10,2"], ["--corpus", "'3,10,2'"]),
+    "unknown-option": (["check", "{p3}", "--frob"], ["--frob"]),
+    "option-before-subcommand": (["--json", "check", "{p3}"], ["'--json'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2_and_names_the_argument(case, p3_file, capsys):
+    argv, named = USAGE_ERRORS[case]
+    assert run([arg.format(p3=p3_file) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith("usage: toricfano")
+    assert error.startswith("toricfano: error: ")
+    assert all(name in error for name in named), error
+
+
+def test_help_names_every_subcommand(capsys):
+    for flag in ("--help", "-h"):
+        assert run([flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and all(name in out for name in COMMANDS)
+
+
+def test_subcommand_help_names_its_options(p3_file, capsys):
+    for argv in (["classify", "--help"], ["classify", p3_file, "-h", "--ray", "x"]):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "--ray" in out and "--json" in out
+        assert out.startswith("usage: toricfano classify")
 
 
 @pytest.mark.parametrize(

@@ -69,17 +69,19 @@ def test_start_up_imports_no_code_generation():
     assert "'toricfano.cli'" in out[1] and "'toricfano.fan'" in out[1]
 
 
-def test_start_up_builds_no_parser_and_inverts_nothing():
-    """The argument parser is built by the first ``cli.run`` and cones are
-    inverted on demand: importing the CLI fills neither the parser cache
-    nor that of ``fan._analyze``, the validity pass and the kernel's only
-    caller, so start-up pays for neither."""
+def test_start_up_loads_no_argument_parser_and_inverts_nothing():
+    """The command line is read by a table dispatcher, and cones are
+    inverted on demand: importing the CLI loads neither ``argparse`` nor
+    the ``gettext`` it pulls in, and fills no entry of ``fan._analyze``,
+    the validity pass and the kernel's only caller, so start-up pays for
+    neither.  The modules are compared before and after the import."""
     src = str(PACKAGE.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
-        "import toricfano.cli, toricfano.fan; "
-        "print(toricfano.cli.build_parser.cache_info().currsize, "
-        "toricfano.fan._analyze.cache_info().currsize)"
+        "import sys; before = set(sys.modules); import toricfano.cli, toricfano.fan; "
+        "print(sorted((set(sys.modules) - before) & {'argparse', 'gettext'}), "
+        "toricfano.fan._analyze.cache_info().currsize, "
+        "'toricfano.cli' in set(sys.modules) - before)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -89,4 +91,4 @@ def test_start_up_builds_no_parser_and_inverts_nothing():
         text=True,
         timeout=60,
     ).stdout
-    assert out == "0 0\n"
+    assert out == "[] 0 True\n"
