@@ -143,7 +143,7 @@ def _witness_rows(matrix):
 
 def cmd_check(args):
     fan = parse_fan(args.fan)
-    divisor = parse_divisor(args.divisor, fan) if args.divisor else None
+    divisor = None if args.divisor is None else parse_divisor(args.divisor, fan)
     report = Report("check")
     smooth = is_smooth(fan)
     complete = is_complete(fan)
@@ -295,7 +295,7 @@ def cmd_catalog(args):
                 "max_cones": [list(c) for c in entry.fan.max_cones],
             }
         )
-    if args.emit:
+    if args.emit is not None:
         os.makedirs(args.emit, exist_ok=True)
         for entry in entries:
             write_fan(

@@ -14,10 +14,12 @@ covering certificate, the wall relations and the isomorphism witness.
 Only a fan that no surgery made gets the full validity pass, with each
 cone inverted by ``kernel.inverse``.  The two surgeries, ``star_subdivide``
 and ``contract_codim2``, turn a valid smooth fan into a valid smooth fan
-with the same support, so their output inherits the parent's verdict.  It
-records what its pass reads of the parent, the cones, their inverses and
-whether the parent is complete, but not the parent itself; its cones'
-inverses are read off the parent's by column operations.  Whether a point
+with the same support, so their output inherits the parent's verdict.  The
+loop that builds the output's cones records a plan: for each cone, the
+parent cone it keeps, or the parent cone and the column operation that
+read its inverse off that cone's.  With the plan go the parent's cone
+inverses and whether the parent is complete, but not the parent or its
+cones; the output's validity pass applies the plan.  Whether a point
 blow-up is Fano is decided from the parent's walls, in ``intersect``,
 without building it.
 
@@ -56,11 +58,12 @@ class Fan:
     rays: tuple
     max_cones: tuple
 
-    # (complete, derive, cones, inverses, data) of a fan made by a surgery,
-    # else None: the parent's completeness, cones and cone inverses, where
-    # derive(cones, inverses, data) reads the fan's inverses off those;
-    # private state outside the fields, like _hash, so equality, hash, repr
-    # and pickling ignore it
+    # (complete, inverses, plan) of a fan made by a surgery, else None: the
+    # parent's completeness and its cone inverses, and per cone of this fan
+    # either the index of the parent cone it keeps or the _moved_inverse
+    # arguments (ci, k, rows, c, to) that read its inverse off parent cone
+    # ci's; private state outside the fields, like _hash, so equality,
+    # hash, repr and pickling ignore it
     _origin = None
 
     def __init__(self, dim, rays, max_cones):
@@ -84,7 +87,10 @@ class Fan:
                 for i in c:
                     require_int(i, f"cone {ci} entry")
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", tuple(map(tuple, map(sorted, cones))))
+        # sorted cones; tuples already sorted are kept, so a surgery's child
+        # shares the cone tuples it keeps from its parent
+        ordered = tuple(map(tuple, map(sorted, cones)))
+        object.__setattr__(self, "max_cones", cones if ordered == cones else ordered)
         # the record's hash, the hash of the field tuple, computed once
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
 
@@ -176,9 +182,9 @@ def _covered_once(fan, inverses):
     return True
 
 
-def _moved_inverse(adj, det, k, added, to):
-    """(adj, det) of a cone's matrix A after its row k gains c times row j
-    for each (j, c) in ``added`` and then moves to position ``to``.
+def _moved_inverse(adj, det, k, rows, c, to):
+    """(adj, det) of a cone's matrix A after its row k gains c times each
+    other row j in ``rows`` and then moves to position ``to``.
 
     The row operation is A -> E A with det E = 1, and E^-1 subtracts what E
     adds, so the adjugate has c times column k subtracted from each column
@@ -190,55 +196,13 @@ def _moved_inverse(adj, det, k, added, to):
     out = []
     for row in adj:
         moved = list(row)
-        x = moved[k]
-        for j, c in added:
-            moved[j] -= c * x
+        x = c * moved[k]
+        for j in rows:
+            if j != k:
+                moved[j] -= x
         moved.insert(to, moved.pop(k))
         out.append(tuple(map(neg, moved)) if odd else tuple(moved))
     return tuple(out), -det if odd else det
-
-
-def _subdivided_inverses(cones, inverses, center):
-    """The cone inverses of a star subdivision along ``center``, in its cone
-    order, from the parent's ``cones`` and their ``inverses``.  A cone
-    outside the center's star keeps its parent's ``(adj, det)``.  A new
-    cone swaps the center ray at position k of a parent cone for w, the
-    center's ray sum: row k gains the other center rows, and w, the highest
-    ray index, moves last.
-    """
-    center_set = set(center)
-    last = len(cones[0]) - 1
-    out = []
-    for cone, inverse in zip(cones, inverses):
-        if not center_set.issubset(cone):
-            out.append(inverse)
-            continue
-        at = [k for k, i in enumerate(cone) if i in center_set]
-        for k in at:
-            added = [(j, 1) for j in at if j != k]
-            out.append(_moved_inverse(*inverse, k, added, last))
-    return tuple(out)
-
-
-def _contracted_inverses(cones, inverses, removed):
-    """The cone inverses of a ``contract_codim2`` result, in its cone
-    order, from the parent's ``cones`` and their ``inverses``.  ``removed``
-    is (j, a, b), where ray j = ray a + ray b is removed.  A cone without j
-    keeps its parent's ``(adj, det)``: shifting the indices above j down
-    keeps its row order.  The merged cone comes from the parent cone
-    through a and j: row j becomes ray b = ray j - ray a, and moves to b's
-    place in the sorted, shifted cone.
-    """
-    j, a, b = removed
-    out = []
-    for cone, inverse in zip(cones, inverses):
-        if j not in cone:
-            out.append(inverse)
-        elif a in cone:
-            k = cone.index(j)
-            to = sum(1 for i in cone if i != j and i < b)
-            out.append(_moved_inverse(*inverse, k, [(cone.index(a), -1)], to))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -254,8 +218,9 @@ def _analyze(fan):
     each surgery's docstring states: the surgery ran only on a valid smooth
     parent, and the result is a valid smooth fan with the parent's
     support, so it is complete exactly when the parent is.  Its inverses
-    are read off the parent's, which the surgery recorded with the
-    parent's cones, by the surgery's column operations, with no
+    come from the plan the surgery recorded with the parent's inverses: a
+    kept cone shares its parent cone's ``(adj, det)``, and a moved cone's
+    is read off its parent cone's by :func:`_moved_inverse`, with no
     elimination; the adjugate and determinant are unique, so they are the
     kernel's.  No ancestor is analysed or even reachable.
 
@@ -270,8 +235,11 @@ def _analyze(fan):
     overlap LP run, to name the overlapping pairs.
     """
     if fan._origin:
-        complete, derive, *recorded = fan._origin
-        return ValidationReport(()), True, complete, derive(*recorded)
+        complete, inverses, plan = fan._origin
+        return ValidationReport(()), True, complete, tuple(
+            inverses[p] if type(p) is int else _moved_inverse(*inverses[p[0]], *p[1:])
+            for p in plan
+        )
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
         return ValidationReport(("dimension must be at least 2",)), False, False, ()
@@ -421,6 +389,17 @@ def walls(fan):
     return tuple(out)
 
 
+def _child(parent, rays, cones, plan):
+    """The fan a surgery builds from ``parent``, recording ``plan``, one
+    entry per cone, with the parent's completeness and cone inverses (the
+    tuple its cached validity pass holds, not a copy); see ``Fan._origin``.
+    """
+    child = Fan(parent.dim, rays, tuple(cones))
+    _, _, complete, inverses = _analyze(parent)
+    object.__setattr__(child, "_origin", (complete, inverses, tuple(plan)))
+    return child
+
+
 def star_subdivide(fan, center):
     """Insert the ray sum of ``center`` and re-triangulate its star.
 
@@ -437,8 +416,10 @@ def star_subdivide(fan, center):
     since swapping a center ray for w is a unimodular row operation; every
     old ray stays in some cone, since the face has a second ray to drop.
     This function checks each premise, so the result inherits the parent's
-    verdict and, by a column operation, its cones' inverses; it records the
-    parent's completeness, cones and inverses, and the center, not the
+    verdict.  The loop that builds the cones records a plan for their
+    inverses: a cone outside the star keeps its parent cone's, and a new
+    cone's is read off its parent cone's by a column operation.  The result
+    records the plan with the parent's completeness and inverses, not the
     parent.
     """
     center = tuple(
@@ -458,21 +439,20 @@ def star_subdivide(fan, center):
     )
     if w in fan.rays:
         raise InvalidFanError("the center's ray sum is already a ray of the fan")
-    new_index = len(fan.rays)
-    cones = []
-    for cone in fan.max_cones:
-        if center_set.issubset(cone):
-            for drop in center:
-                cones.append(
-                    tuple(sorted(new_index if i == drop else i for i in cone))
-                )
-        else:
+    new_index, last = len(fan.rays), fan.dim - 1
+    cones, plan = [], []
+    for ci, cone in enumerate(fan.max_cones):
+        if not center_set.issubset(cone):
             cones.append(cone)
-    child = Fan(fan.dim, fan.rays + (w,), tuple(cones))
-    _, _, complete, inverses = _analyze(fan)
-    origin = (complete, _subdivided_inverses, fan.max_cones, inverses, center)
-    object.__setattr__(child, "_origin", origin)
-    return child
+            plan.append(ci)
+            continue
+        # swap the center ray at position k for w, the highest ray index,
+        # so w goes last: row k gains the other center rows and moves last
+        at = tuple(k for k, i in enumerate(cone) if i in center_set)
+        for k in at:
+            cones.append(cone[:k] + cone[k + 1 :] + (new_index,))
+            plan.append((ci, k, at, 1, last))
+    return _child(fan, fan.rays + (w,), cones, plan)
 
 
 def contract_codim2(fan, wall):
@@ -492,9 +472,12 @@ def contract_codim2(fan, wall):
     its pair, and its determinant is theirs, since ray j - ray a = ray b
     is a unimodular row operation.  The parent is smooth and complete
     (``walls`` requires it) and the pairing is checked here, so the result
-    inherits its verdict; the merged cone's inverse is read off that of the
-    parent cone through a and j, which the result records with the parent's
-    other cones and inverses, not the parent.
+    inherits its verdict.  The loop that builds the cones records a plan
+    for their inverses: a cone without j keeps its parent cone's, since
+    shifting the indices above j keeps its row order, and the merged cone's
+    is read off that of the parent cone through a and j.  The result
+    records the plan with the parent's completeness and inverses, not the
+    parent.
     """
     if wall not in walls(fan):
         raise ValueError("wall does not belong to the fan")
@@ -520,22 +503,20 @@ def contract_codim2(fan, wall):
     def shift(i):
         return i if i < j else i - 1
 
-    cones = []
-    for cone in fan.max_cones:
+    cones, plan = [], []
+    for ci, cone in enumerate(fan.max_cones):
         if j not in cone:
-            cones.append(tuple(shift(i) for i in cone))
+            cones.append(tuple(map(shift, cone)))
+            plan.append(ci)
         elif a in cone:
-            merged = tuple(
-                sorted([shift(i) for i in cone if i != j] + [shift(b)])
-            )
-            cones.append(merged)
+            # row j becomes ray b = ray j - ray a, at b's place in the
+            # sorted, shifted cone
+            merged = sorted([shift(i) for i in cone if i != j] + [shift(b)])
+            cones.append(tuple(merged))
+            to = merged.index(shift(b))
+            plan.append((ci, cone.index(j), (cone.index(a),), -1, to))
         # the partner cone through b is dropped; the merged cone covers both
-    rays = tuple(r for i, r in enumerate(fan.rays) if i != j)
-    result = Fan(fan.dim, rays, tuple(cones))
-    _, _, complete, inverses = _analyze(fan)
-    origin = (complete, _contracted_inverses, fan.max_cones, inverses, (j, a, b))
-    object.__setattr__(result, "_origin", origin)
-    return result, j
+    return _child(fan, fan.rays[:j] + fan.rays[j + 1 :], cones, plan), j
 
 
 @lru_cache(maxsize=None)

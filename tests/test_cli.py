@@ -380,11 +380,34 @@ class TestReports:
         assert report["status"] == "invalid-input"
         assert report["findings"] == [{"error": "ray index -1 out of range 0..3"}]
 
-    def test_empty_input_path_is_malformed_input(self, capsys):
-        # an empty --input is given, not absent: it names no file
-        assert run(["verify-theorem1", "--input", "", "--json"]) == 2
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify-theorem1", "--input", ""],
+            ["check", "P3", "--divisor", ""],
+            ["check", "P3", "--divisor="],
+            ["catalog", "--dim", "3", "--emit", ""],
+        ],
+        ids=[
+            "verify-theorem1-input",
+            "check-divisor",
+            "check-divisor-equals",
+            "catalog-emit",
+        ],
+    )
+    def test_empty_input_path_is_malformed_input(
+        self, args, p3_file, tmp_path, monkeypatch, capsys
+    ):
+        # an empty path is given, not absent: it names no file, and nothing
+        # is written in its place
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        args = [p3_file if a == "P3" else a for a in args]
+        assert run(args + ["--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "invalid-input"
+        assert not any(work.iterdir())
 
     def test_simplify_step(self, tmp_path, capsys):
         from toricfano import Fan, star_subdivide

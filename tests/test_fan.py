@@ -572,14 +572,29 @@ class TestStarSubdivide:
             assert is_complete(fan)
 
 
-def check_inherited_inverses(child):
+def check_record(child, parent_inverses):
+    """What a surgery recorded stays lean: the parent's inverse tuple
+    itself, not a copy, and a plan of one entry per cone, each a parent
+    cone index or the five ``_moved_inverse`` arguments that follow a
+    parent cone's ``(adj, det)``; no Fan and no callable anywhere."""
+    complete, inverses, plan = child._origin
+    assert inverses is parent_inverses
+    assert type(plan) is tuple and len(plan) == len(child.max_cones)
+    assert all(type(p) is int or (type(p) is tuple and len(p) == 5) for p in plan)
+    moved = [x for p in plan if type(p) is tuple for x in p]
+    for x in (complete, inverses, plan, *plan, *moved):
+        assert not isinstance(x, Fan) and not callable(x), x
+
+
+def check_inherited_inverses(child, parent_inverses):
     """A star subdivision's validity pass, which reads its inverses off its
     parent's, against the kernel's pass on the parentless rebuild, and each
     derived inverse, that of a cone through the new ray, against the
-    Bareiss oracle."""
+    Bareiss oracle.  ``parent_inverses`` is the parent's cached
+    ``_analyze(parent)[3]`` when the surgery ran."""
     rebuild = Fan(child.dim, child.rays, child.max_cones)
-    assert child._origin is not None and rebuild._origin is None
-    assert not any(isinstance(x, Fan) for x in child._origin)
+    assert rebuild._origin is None
+    check_record(child, parent_inverses)
     assert rebuild == child
     assert hash(rebuild) == hash(child)
     assert repr(rebuild) == repr(child)
@@ -609,8 +624,9 @@ class TestInheritedInverses:
         """Every face of size at least 2 is a center, on each fan."""
         subdivided = 0
         for fan in differential_fans:
+            inverses = _analyze(fan)[3]
             for center in faces(fan):
-                check_inherited_inverses(star_subdivide(fan, center))
+                check_inherited_inverses(star_subdivide(fan, center), inverses)
                 subdivided += 1
             clear_caches()
         assert subdivided == 11_235
@@ -622,7 +638,7 @@ class TestInheritedInverses:
         for center in faces(fan):
             child = star_subdivide(fan, center)
             assert not is_complete(child)
-            check_inherited_inverses(child)
+            check_inherited_inverses(child, _analyze(fan)[3])
 
     def test_depth_three_chains_analysed_cold(self, differential_fans):
         """Caches are emptied between building a chain and analysing it, so
@@ -635,10 +651,11 @@ class TestInheritedInverses:
                 cone = rng.choice(chain[-1].max_cones)
                 center = rng.sample(cone, rng.randint(2, fan.dim))
                 chain.append(star_subdivide(chain[-1], center))
+            parents = [_analyze(f)[3] for f in chain[:-1]]
             clear_caches()
-            check_inherited_inverses(chain[-1])
-            for child in chain[1:-1]:
-                check_inherited_inverses(child)
+            check_inherited_inverses(chain[-1], parents[-1])
+            for child, inverses in zip(chain[1:-1], parents):
+                check_inherited_inverses(child, inverses)
 
     def test_long_chain_analysed_cold_does_not_recurse(self, p3):
         """A cold pass needs no ancestor, so a chain of 60 blow-ups analysed
@@ -646,7 +663,9 @@ class TestInheritedInverses:
         rng = random.Random(1516)
         fan = p3
         for _ in range(60):
-            fan = star_subdivide(fan, rng.sample(rng.choice(fan.max_cones), 3))
+            center = rng.sample(rng.choice(fan.max_cones), 3)
+            parent, fan = fan, star_subdivide(fan, center)
+        inverses = _analyze(parent)[3]
         clear_caches()
         frame, depth = sys._getframe(), 0
         while frame:
@@ -657,7 +676,7 @@ class TestInheritedInverses:
             assert is_smooth(fan) and is_complete(fan)
         finally:
             sys.setrecursionlimit(limit)
-        check_inherited_inverses(fan)
+        check_inherited_inverses(fan, inverses)
 
 
 def blow_downs(fan):
@@ -677,14 +696,15 @@ def blow_downs(fan):
     return out
 
 
-def check_contracted_inverses(parent, wall, result, removed):
+def check_contracted_inverses(parent, parent_inverses, wall, result, removed):
     """A blow-down's validity pass, which inherits its parent's verdict and
     reads its inverses off the parent's, against the kernel's pass on the
     parentless rebuild, and each merged cone's inverse against the Bareiss
-    oracle."""
+    oracle.  ``parent_inverses`` is the parent's cached
+    ``_analyze(parent)[3]`` when the surgery ran."""
     rebuild = Fan(result.dim, result.rays, result.max_cones)
-    assert result._origin[2] is parent.max_cones and rebuild._origin is None
-    assert not any(isinstance(x, Fan) for x in result._origin)
+    assert rebuild._origin is None
+    check_record(result, parent_inverses)
     assert rebuild == result
     assert hash(rebuild) == hash(result)
     assert repr(rebuild) == repr(result)
@@ -706,16 +726,18 @@ class TestContractedInverses:
         contracted = 0
         for n in range(3, 7):
             for entry in catalog(n):
+                inverses = _analyze(entry.fan)[3]
                 for found in blow_downs(entry.fan):
-                    check_contracted_inverses(entry.fan, *found)
+                    check_contracted_inverses(entry.fan, inverses, *found)
                     contracted += 1
         assert contracted == 122
 
     def test_every_blow_down_of_every_fan(self, differential_fans):
         contracted = 0
         for fan in differential_fans:
+            inverses = _analyze(fan)[3]
             for found in blow_downs(fan):
-                check_contracted_inverses(fan, *found)
+                check_contracted_inverses(fan, inverses, *found)
                 contracted += 1
             clear_caches()
         assert contracted == 663
@@ -730,9 +752,10 @@ class TestContractedInverses:
         for fan in differential_fans[::5]:
             blown = star_subdivide(fan, rng.choice(faces(fan)))
             results = blow_downs(blown)
+            inverses = _analyze(blown)[3]
             clear_caches()
             for found in results:
-                check_contracted_inverses(blown, *found)
+                check_contracted_inverses(blown, inverses, *found)
                 contracted += 1
         assert contracted > 0
 
@@ -759,9 +782,10 @@ class TestContractedInverses:
 
 
 class TestParentReleased:
-    """A surgery's output records its parent's cones and inverses, not the
-    parent, so once the caches drop the parent nothing keeps it alive, and
-    the output's pass still equals the full pass on its rebuild."""
+    """A surgery's output records its parent's inverses and a plan, not the
+    parent or its cones, so once the caches drop the parent nothing keeps
+    it alive, and the output's pass still equals the full pass on its
+    rebuild."""
 
     @staticmethod
     def check_released(make_parent, surgery):
