@@ -14,8 +14,9 @@ witness is produced.  An invariant divisor is recognised as projective
 (n-1)-space by counting its ray's neighbours in the maximal cones, and
 its degree and line are read off the walls through the ray; no quotient
 fan is built.  The blow-up verifier builds no blow-up either: each fixed
-point is decided from the fan's own walls, and the fan is identified
-once, against projective space or its blow-up along a linear
+point is decided from the least anticanonical degree of each cone's
+facet curves, read without building the walls, and the fan is
+identified once, against projective space or its blow-up along a linear
 codimension-two subspace.  Input outside a statement's hypotheses (a
 divisor that is not projective space, a fan that is not Fano, a dimension
 outside the range) raises :class:`OutsideStatement`, never a failed check.
@@ -29,6 +30,7 @@ from . import lattice
 from ._record import record
 from .fan import (
     Fan,
+    _least_facet_degrees,
     contract_codim2,
     ensure_smooth_complete,
     fans_isomorphic,
@@ -466,9 +468,11 @@ def _identify_blowup_base(fan):
 def theorem1_check(fan):
     """Test every fixed point's blow-up for Fano, identify the input fan.
 
-    Each fixed point is decided exactly by :func:`point_blowup_is_fano`
-    from the input's walls; no blow-up is built.  At the first fixed point
-    whose blow-up is Fano, the input fan is identified once, with an
+    Each fixed point is decided exactly by :func:`point_blowup_is_fano`,
+    and whether the input is Fano is read, from one table of the least
+    facet degree per cone (``fan._least_facet_degrees``); no blow-up is
+    built, and no wall either until a blow-up is Fano.  At the first fixed
+    point whose blow-up is Fano, the input fan is identified once, with an
     explicit witness, as projective space (then every fixed point works) or
     as the blow-up of projective space along a linear codimension-two
     subspace (then the fixed point must avoid the exceptional divisor), and
@@ -508,7 +512,7 @@ def theorem1_check(fan):
         probes.append(
             FixedPointProbe(ci, cone, True, conclusion, witness, violation)
         )
-    input_fano = is_fano(fan)
+    input_fano = min(_least_facet_degrees(fan)) > 0
     global_violations = ()
     if any_fano and not input_fano:
         global_violations = (

@@ -20,8 +20,10 @@ parent cone it keeps, or the parent cone and the column operation that
 read its inverse off that cone's.  With the plan go the parent's cone
 inverses and whether the parent is complete, but not the parent or its
 cones; the output's validity pass applies the plan.  Whether a point
-blow-up is Fano is decided from the parent's walls, in ``intersect``,
-without building it.
+blow-up is Fano is decided in ``intersect`` without building it, from
+the parent's least anticanonical degree per cone, which
+``_least_facet_degrees`` reads off the pass's inverses without building
+the walls.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot.  A pickled fan carries its three fields only, so fans
@@ -30,7 +32,7 @@ can be shared freely between workers.
 
 from functools import lru_cache
 from itertools import combinations
-from operator import neg
+from operator import mul, neg
 
 from . import kernel, lattice
 from ._record import record
@@ -387,6 +389,34 @@ def walls(fan):
             raise InvalidFanError("fan not smooth along wall")
         out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _least_facet_degrees(fan):
+    """Per maximal cone, the least -K.C over the curves of its n facets.
+
+    A cone with its rays v_i as the rows of A has m = A^-1 (1, ..., 1), the
+    point with <m, v_i> = 1 on each of its rays.  A facet whose wall has the
+    relation b + v_k + sum c_i v_i = 0, b the far apex, gives <m, b> = -1 -
+    sum c_i, so -K.C = 2 + sum c_i = 1 - <m, b> (Reid).  The fan is smooth,
+    so A^-1 = det * adj and <m, b> = det * sum_i b_i * sum(adj row i).  One
+    dot product per facet pair, from either of its cones, gives the degree
+    for both; no relation and no Wall is built.  The least entry is the
+    least degree of any wall, positive exactly when the fan is Fano, as
+    ``intersect.is_fano`` finds by scanning ``walls``.  Raises
+    InvalidFanError unless the fan is smooth and complete.
+    """
+    ensure_smooth_complete(fan)
+    cones, rays = fan.max_cones, fan.rays
+    ms = [
+        tuple(det * sum(row) for row in adj) for adj, det in _analyze(fan)[3]
+    ]
+    degrees = [[] for _ in cones]
+    for (ca, _), (cb, kb) in _facet_map(fan).values():
+        degree = 1 - sum(map(mul, ms[ca], rays[cones[cb][kb]]))
+        degrees[ca].append(degree)
+        degrees[cb].append(degree)
+    return tuple(map(min, degrees))
 
 
 def _child(parent, rays, cones, plan):

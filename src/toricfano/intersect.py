@@ -2,17 +2,16 @@
 
 On a smooth complete toric variety an invariant Cartier divisor is ample
 exactly when it meets every invariant curve strictly positively, so both
-the ample and the Fano test reduce to one exact scan over the walls.
+the ample and the Fano test are one exact scan over the walls.  Whether a
+point blow-up is Fano needs only the anticanonical degree of each wall,
+which ``fan._least_facet_degrees`` reads per maximal cone without building
+the walls; :func:`is_fano`, the wall scan, is its oracle in the tests.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
-from operator import attrgetter
 
 from ._record import record
-from .fan import require_int, walls
-
-_wall_rays = attrgetter("wall_rays")
+from .fan import _least_facet_degrees, require_int, walls
 
 
 @record
@@ -33,7 +32,12 @@ class TDivisor:
 
 
 def prime_divisor(fan, ray_index):
-    """The divisor V(ray_index)."""
+    """The divisor V(ray_index); the index must be an int naming a ray."""
+    require_int(ray_index, "ray index")
+    if not 0 <= ray_index < len(fan.rays):
+        raise ValueError(
+            f"ray index {ray_index} is out of range for {len(fan.rays)} rays"
+        )
     return TDivisor(tuple(int(i == ray_index) for i in range(len(fan.rays))))
 
 
@@ -96,8 +100,8 @@ def is_fano(fan):
 def point_blowup_is_fano(fan, cone):
     """True when blowing up the fixed point of ``cone`` gives a Fano fan.
 
-    Decided from the parent's walls, without building the blow-up.  Let
-    cone = {v_1..v_n} and w = v_1 + ... + v_n the new ray.
+    Decided from the parent, without building the blow-up.  Let cone =
+    {v_1..v_n} and w = v_1 + ... + v_n the new ray.
 
     - A wall that is not a facet of the cone lies in two cones that the
       subdivision keeps, so it keeps its relation and its degree.
@@ -109,28 +113,25 @@ def point_blowup_is_fano(fan, cone):
       {w} + cone - {v_j}, have relation v_i + v_j - w + sum of the other
       n - 2 rays = 0 and degree n - 1 > 0.
 
-    So the blow-up is Fano exactly when the fan is Fano (the cached
-    :func:`is_fano`) and each of the cone's n facet walls has degree
-    > n - 1.  Each facet wall is found by bisection in ``walls(fan)``,
-    which is sorted by wall rays, so a call reads n walls, not all of them,
-    and a sweep over every fixed point is linear in the cones.  ``cone``
-    is a maximal cone exactly when each facet left by dropping one of its
-    n entries is a wall with the dropped entry as an apex; a repeated
-    index never is, so it raises ValueError.
+    So the blow-up is Fano exactly when the fan is Fano and each of the
+    cone's n facet walls has degree > n - 1.  Both read the cached table
+    ``fan._least_facet_degrees``, one least facet degree per maximal cone:
+    its least entry is positive exactly when the fan is Fano, and the
+    cone's entry must exceed n - 1.  A sweep over every fixed point builds
+    the table once and no wall.  Each entry of ``cone`` must be an int
+    (else TypeError, as for a center of ``star_subdivide``), and the sorted
+    entries must be a maximal cone of the fan (else ValueError; a repeated
+    index never is).
     """
-    fan_walls = walls(fan)  # raises unless the fan is smooth and complete
-    cone = tuple(sorted(cone))
-    if len(cone) != fan.dim:
-        raise ValueError("center is not a maximal cone of the fan")
-    facet_walls = []
-    for k, apex in enumerate(cone):
-        facet = cone[:k] + cone[k + 1 :]
-        at = bisect_left(fan_walls, facet, key=_wall_rays)
-        w = fan_walls[at] if at < len(fan_walls) else None
-        if w is None or w.wall_rays != facet or apex not in (w.apex_a, w.apex_b):
-            raise ValueError("center is not a maximal cone of the fan")
-        facet_walls.append(w)
-    drop = fan.dim - 1
-    return is_fano(fan) and all(
-        anticanonical_degree(fan, w) > drop for w in facet_walls
-    )
+    cone = tuple(cone)
+    # one type pass; only on failure does require_int name the entry (or
+    # accept it: an int subclass passes)
+    if set(map(type, cone)) != {int}:
+        for k, i in enumerate(cone):
+            require_int(i, f"cone entry {k}")
+    table = _least_facet_degrees(fan)  # raises unless smooth and complete
+    try:
+        ci = fan.max_cones.index(tuple(sorted(cone)))
+    except ValueError:
+        raise ValueError("center is not a maximal cone of the fan") from None
+    return table[ci] > fan.dim - 1 and min(table) > 0

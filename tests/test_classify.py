@@ -593,13 +593,17 @@ def count_full_passes(monkeypatch, run):
 
 
 @pytest.mark.parametrize(
-    "corpus, facet_maps", [((3, 60, 3, 2024), 49), ((4, 50, 4, 7), 50)]
+    "corpus, facet_maps",
+    [((3, 60, 3, 2024), 54), ((4, 50, 4, 7), 53)],
+    ids=["dim3", "dim4"],
 )
 def test_theorem1_runs_one_full_validity_pass(monkeypatch, corpus, facet_maps):
     """Operation budget: building the corpus and sweeping it runs the full
     validity pass once, on P^n, the root every corpus fan descends from.
-    Facet maps are built only by ``walls``, once per distinct fan whose
-    walls are read."""
+    Besides that pass, facet maps are built by the least-facet-degree table
+    once per distinct corpus fan (48 on each corpus) and by ``walls`` once
+    per fan it identifies or identifies against (5 and 4): 1 + 48 + 5 and
+    1 + 48 + 4."""
 
     def sweep():
         for fan in random_corpus(*corpus):
@@ -626,24 +630,39 @@ def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
     assert count_full_passes(monkeypatch, verify) == (22, 76)
 
 
-def test_theorem1_reads_only_each_fixed_points_facets(monkeypatch):
-    """Operation budget: the cold sweep reads the anticanonical degree of
-    each wall at most once per fan, in the cached is_fano pass, and then
-    only the n facet walls of each fixed point, so it is linear in cones."""
+@pytest.mark.parametrize(
+    "corpus, built",
+    [((3, 60, 3, 2024), 5), ((4, 50, 4, 7), 4)],
+    ids=["dim3", "dim4"],
+)
+def test_theorem1_builds_walls_only_for_the_fans_it_identifies(monkeypatch, corpus, built):
+    """Operation budget: the cold sweep reads every anticanonical degree it
+    needs from the least-facet-degree table, so it asks no wall for one,
+    and builds walls only for the fans that ``fans_isomorphic`` compares: a
+    fan with a Fano probe and the target it is identified against."""
+    import toricfano.classify
+    import toricfano.fan
     import toricfano.intersect
 
-    corpus = random_corpus(4, 50, 4, 7)
+    fans = random_corpus(*corpus)
     clear_caches()
     degree = toricfano.intersect.anticanonical_degree
     calls = {"degree": 0}
+    compared = set()
 
     def counting_degree(fan, wall):
         calls["degree"] += 1
         return degree(fan, wall)
 
+    def recording_isomorphic(f, g):
+        compared.update((f, g))
+        return fans_isomorphic(f, g)
+
     monkeypatch.setattr(toricfano.intersect, "anticanonical_degree", counting_degree)
-    for fan in corpus:
-        theorem1_check(fan)
-    bound = sum(len(walls(fan)) + fan.dim * len(fan.max_cones) for fan in corpus)
-    assert calls["degree"] <= bound
-    assert calls["degree"] == 911
+    monkeypatch.setattr(toricfano.classify, "fans_isomorphic", recording_isomorphic)
+    identified = {fan for fan in fans if theorem1_check(fan).fano_cone_indices}
+    assert calls["degree"] == 0
+    assert toricfano.fan.walls.cache_info().misses == len(compared) == built
+    # no corpus fan has n + 1 rays, so the one target is P^n blown up
+    target = star_subdivide(projective_space_fan(corpus[0]), (0, 1))
+    assert identified and identified <= compared <= identified | {target}

@@ -13,9 +13,11 @@ from toricfano import (
     positivity,
     prime_divisor,
     projective_space_fan,
+    random_corpus,
     star_subdivide,
     walls,
 )
+from toricfano.fan import _least_facet_degrees
 
 
 def test_dot_examples(p3, blowup_p3_point, get_wall):
@@ -83,6 +85,29 @@ def test_anticanonical_degree_equals_all_ones_dot(p3, blowup_p3_point):
             assert anticanonical_degree(fan, w) == divisor_dot_curve(fan, ones, w)
 
 
+@pytest.mark.parametrize(
+    "ray_index, error",
+    [
+        (7, ValueError),
+        (-1, ValueError),
+        (4, ValueError),
+        (1.0, TypeError),
+        (True, TypeError),
+        ("1", TypeError),
+    ],
+    ids=["seven", "negative", "one-past-the-end", "float", "bool", "str"],
+)
+def test_prime_divisor_rejects_what_names_no_ray(p3, ray_index, error):
+    with pytest.raises(error, match="ray index"):
+        prime_divisor(p3, ray_index)
+
+
+def test_prime_divisor_examples(p3):
+    assert [prime_divisor(p3, i).coeffs for i in range(4)] == [
+        tuple(int(i == j) for j in range(4)) for i in range(4)
+    ]
+
+
 def test_is_ample_examples(p3, p1xp2):
     assert positivity(p3, anticanonical_divisor(p3)).ample
     assert positivity(p3, prime_divisor(p3, 3)).ample
@@ -131,6 +156,47 @@ def test_point_blowup_is_fano_matches_the_built_blowup(differential_fans):
             fano += expected
     # both answers occur; the Fano ones are the rare side
     assert 0 < fano < sum(len(f.max_cones) for f in differential_fans)
+
+
+def test_least_facet_degrees_match_the_walls(differential_fans):
+    """Differential test of the table against the wall scan it replaces in
+    the Theorem-1 sweep: each entry is the least anticanonical degree over
+    the cone's facet walls, and the least entry is positive exactly when
+    ``is_fano`` says so."""
+    fans = differential_fans + random_corpus(3, 60, 3, 2024)
+    fano = 0
+    for fan in fans:
+        table = _least_facet_degrees(fan)
+        by_facet = {w.wall_rays: w for w in walls(fan)}
+        assert table == tuple(
+            min(
+                anticanonical_degree(fan, by_facet[cone[:k] + cone[k + 1 :]])
+                for k in range(fan.dim)
+            )
+            for cone in fan.max_cones
+        ), fan
+        assert (min(table) > 0) == is_fano(fan), fan
+        fano += is_fano(fan)
+    # both verdicts occur
+    assert 0 < fano < len(fans)
+
+
+@pytest.mark.parametrize(
+    "cone, message",
+    [
+        ((0.0, 1, 2), "cone entry 0 must be an integer, got 0.0"),
+        ((True, 0, 2), "cone entry 0 must be an integer, got True"),
+        ((0, 1, "2"), "cone entry 2 must be an integer, got '2'"),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_point_blowup_is_fano_rejects_non_integer_entries(p3, cone, message):
+    # the same entries as a center are rejected by star_subdivide too
+    with pytest.raises(TypeError, match="must be an integer"):
+        star_subdivide(p3, cone)
+    with pytest.raises(TypeError) as err:
+        point_blowup_is_fano(p3, cone)
+    assert str(err.value) == message
 
 
 def test_point_blowup_is_fano_rejects_what_is_not_a_maximal_cone(p3, p1xp2):
