@@ -3,7 +3,7 @@
 The package models smooth complete fans over arbitrary-precision integers,
 computes walls (invariant curves) with their exact relations, decides
 ampleness, Fano-ness, and Mori extremality, performs star-subdivision
-blow-ups and codimension-two blow-downs, and mechanically verifies which
+blow-ups and their inverse blow-downs, and mechanically verifies which
 smooth toric Fano n-folds contain a projective-space divisor and which
 smooth complete toric n-folds have a Fano blow-up at a fixed point.
 """
@@ -33,7 +33,7 @@ from .fan import (
     InvalidFanError,
     ValidationReport,
     Wall,
-    contract_codim2,
+    blow_down,
     fans_isomorphic,
     is_complete,
     is_smooth,
@@ -82,9 +82,9 @@ __all__ = [
     "analyze_divisor",
     "anticanonical_degree",
     "anticanonical_divisor",
+    "blow_down",
     "catalog",
     "classify_fano_with_divisor",
-    "contract_codim2",
     "contraction_info",
     "curve_class",
     "divisor_dot_curve",

@@ -31,11 +31,12 @@ from ._record import record
 from .fan import (
     Fan,
     _least_facet_degrees,
-    contract_codim2,
+    blow_down,
     ensure_smooth_complete,
     fans_isomorphic,
     is_complete,
     is_smooth,
+    require_int,
     star_subdivide,
     walls,
 )
@@ -127,7 +128,7 @@ class ClassificationResult:
     steps: tuple = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def analyze_divisor(fan, ray_index):
     """Decide whether V(ray) is a projective space and read its degree.
 
@@ -138,12 +139,14 @@ def analyze_divisor(fan, ray_index):
     projective (n-1)-space exactly when the ray has n neighbours.  The
     degree is the coefficient of the ray in any wall relation through it;
     every such wall must agree, since all lines in the divisor are
-    equivalent.  The first of them is kept as the line wall.
+    equivalent.  The first of them is kept as the line wall.  The index
+    must be an int; the cache is typed, so 1.0 or True is never answered
+    from the entry of 1.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
         raise UnsupportedDimension("divisor fans need ambient dimension at least 3")
-    if not 0 <= ray_index < len(fan.rays):
+    if not 0 <= require_int(ray_index, "ray index") < len(fan.rays):
         raise ValueError("ray index out of range")
     star = {i for cone in fan.max_cones if ray_index in cone for i in cone}
     if len(star) != fan.dim + 1:
@@ -203,7 +206,8 @@ def simplify_pair(fan, ray_index):
             f"transverse extremal wall has coefficients {w.coeffs}; "
             "only all-zero or a single -1 can occur on a Fano fan"
         )
-    result, removed = contract_codim2(fan, w)
+    removed = w.wall_rays[w.coeffs.index(-1)]
+    result = blow_down(fan, removed, (w.apex_a, w.apex_b))
     new_ray = ray_index if ray_index < removed else ray_index - 1
     if not is_fano(result):
         raise ClassificationViolation(

@@ -4,19 +4,20 @@ A fan is the combinatorial datum of a toric variety: primitive ray
 generators plus the full-dimensional simplicial cones, each recorded as a
 sorted tuple of ray indices.  This module owns validation, smoothness and
 completeness tests (one covering certificate), wall (invariant curve)
-enumeration with exact wall relations, star-subdivision blow-ups,
-codimension-two blow-downs, and fan isomorphism by wall propagation,
-which checks each anchor candidate on the cached walls and forms a matrix
-only for the one that succeeds.  Every change of basis reads one exact
+enumeration with exact wall relations, star-subdivision blow-ups and
+their inverse blow-downs along centers of every size, and fan
+isomorphism by wall propagation, which checks each anchor candidate on
+the cached walls and forms a matrix only for the one that succeeds.
+Fan surgery builds no walls.  Every change of basis reads one exact
 integer inverse per maximal cone, found once by the validity pass: the
 covering certificate, the wall relations and the isomorphism witness.
 
 Only a fan that no surgery made gets the full validity pass, with each
 cone inverted by ``kernel.inverse``.  The two surgeries, ``star_subdivide``
-and ``contract_codim2``, turn a valid smooth fan into a valid smooth fan
-with the same support, so their output inherits the parent's verdict.  The
-loop that builds the output's cones records a plan: for each cone, the
-parent cone it keeps, or the parent cone and the column operation that
+and its inverse ``blow_down``, turn a valid smooth fan into a valid smooth
+fan with the same support, so their output inherits the parent's verdict.
+The loop that builds the output's cones records a plan: for each cone,
+the parent cone it keeps, or the parent cone and the column operation that
 read its inverse off that cone's.  With the plan go the parent's cone
 inverses and whether the parent is complete, but not the parent or its
 cones; the output's validity pass applies the plan.  Whether a point
@@ -430,13 +431,34 @@ def _child(parent, rays, cones, plan):
     return child
 
 
+def _checked_center(fan, center):
+    """``center`` as a sorted tuple of distinct ray indices, for a surgery
+    on a valid smooth fan: its entries are ints, at least two, each naming
+    a ray of the fan."""
+    center = tuple(
+        sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
+    )
+    if not is_smooth(fan):
+        raise InvalidFanError("fan must be smooth")
+    if len(center) < 2:
+        raise ValueError("center must have dimension at least 2")
+    if not all(0 <= i < len(fan.rays) for i in center):
+        raise ValueError("center has out-of-range ray indices")
+    return center
+
+
+def _ray_sum(fan, indices):
+    return tuple(map(sum, zip(*map(fan.rays.__getitem__, indices))))
+
+
 def star_subdivide(fan, center):
     """Insert the ray sum of ``center`` and re-triangulate its star.
 
     This is the fan surgery of blowing up along the invariant subvariety
     of ``center``: every maximal cone containing the center is replaced by
     the cones swapping one center ray for the new one.  A center of size
-    ``dim`` blows up the fixed point of that cone.
+    ``dim`` blows up the fixed point of that cone.  :func:`blow_down` is
+    its inverse.
 
     The lemma the result's validity pass relies on: the star subdivision
     of a valid smooth fan along a face of size at least 2 whose ray sum w
@@ -452,21 +474,11 @@ def star_subdivide(fan, center):
     records the plan with the parent's completeness and inverses, not the
     parent.
     """
-    center = tuple(
-        sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
-    )
-    if not is_smooth(fan):
-        raise InvalidFanError("fan must be smooth")
-    if len(center) < 2:
-        raise ValueError("center must have dimension at least 2")
-    if not all(0 <= i < len(fan.rays) for i in center):
-        raise ValueError("center has out-of-range ray indices")
+    center = _checked_center(fan, center)
     center_set = set(center)
     if not any(map(center_set.issubset, fan.max_cones)):
         raise ValueError("center is not a face of any maximal cone")
-    w = tuple(
-        sum(fan.rays[i][k] for i in center) for k in range(fan.dim)
-    )
+    w = _ray_sum(fan, center)
     if w in fan.rays:
         raise InvalidFanError("the center's ray sum is already a ray of the fan")
     new_index, last = len(fan.rays), fan.dim - 1
@@ -485,68 +497,66 @@ def star_subdivide(fan, center):
     return _child(fan, fan.rays + (w,), cones, plan)
 
 
-def contract_codim2(fan, wall):
-    """Blow down along a wall whose relation has the blow-down shape.
+def blow_down(fan, ray, center):
+    """Remove ``ray``, the ray sum of ``center``, and merge the cones
+    through it: the inverse of :func:`star_subdivide` along ``center``.
 
-    The wall must have exactly one coefficient -1 and the rest 0, so the
-    ray carrying the -1 is the sum of the two apexes.  That ray is removed
-    and the paired cones across it are merged; ray indices above it shift
-    down by one.  Returns (new_fan, removed_ray_index).
+    This is the fan surgery of blowing the exceptional divisor V(ray) down
+    onto the invariant subvariety of ``center``; a center of size ``dim``
+    blows a P^(n-1) down to a point.  Ray indices above ``ray`` shift down
+    by one, so ``blow_down(star_subdivide(f, center), len(f.rays), center)``
+    is ``f``, cone order included.  The center is an argument because a ray
+    can be the ray sum of two centers, whose blow-downs differ.
 
-    The lemma the result's validity pass relies on: in a valid smooth
-    complete fan, let ray j = ray a + ray b, and let every cone through j
-    hold exactly one of a and b, paired with a cone of the same other rays
-    holding the other.  Then the cones through j are the star subdivision
-    of the merged cones along {a, b}, and the result is a valid smooth
-    complete fan with the same support: each merged cone is the union of
-    its pair, and its determinant is theirs, since ray j - ray a = ray b
-    is a unimodular row operation.  The parent is smooth and complete
-    (``walls`` requires it) and the pairing is checked here, so the result
-    inherits its verdict.  The loop that builds the cones records a plan
-    for their inverses: a cone without j keeps its parent cone's, since
-    shifting the indices above j keeps its row order, and the merged cone's
-    is read off that of the parent cone through a and j.  The result
-    records the plan with the parent's completeness and inverses, not the
-    parent.
+    The lemma the result's validity pass relies on is star_subdivide's,
+    read backwards: in a valid smooth fan, let ray be the sum of the center
+    rays, let every cone through ray miss exactly one center ray, and let
+    the cones with the same other rays miss each center ray exactly once.
+    Then each such group is the star subdivision of its merged cone, the
+    other rays with the whole center, and the result is a valid smooth fan
+    with the same support: the merged cone is the union of its group, and
+    its determinant is that of each cone of the group, since ray minus the
+    center rays it holds is the one it misses, a unimodular row operation.
+    This function checks each premise, so the result inherits the parent's
+    verdict.  The loop that builds the cones records a plan for their
+    inverses: a cone without ray keeps its parent cone's, since the shift
+    keeps its row order, and a merged cone's is read off that of the cone
+    of its group that misses the highest center ray.  The result records
+    the plan with the parent's completeness and inverses, not the parent.
     """
-    if wall not in walls(fan):
-        raise ValueError("wall does not belong to the fan")
-    negatives = [k for k, c in enumerate(wall.coeffs) if c == -1]
-    if len(negatives) != 1 or any(
-        c for k, c in enumerate(wall.coeffs) if k != negatives[0]
-    ):
-        raise ValueError("not a codimension-two blow-down wall")
-    j = wall.wall_rays[negatives[0]]
-    a, b = wall.apex_a, wall.apex_b
-    pairs = {}
+    center = _checked_center(fan, center)
+    if require_int(ray, "ray index") not in range(len(fan.rays)):
+        raise ValueError("ray index out of range")
+    if fan.rays[ray] != _ray_sum(fan, center):
+        raise ValueError("ray is not the ray sum of the center")
+    # per group of cones through ray with the same other rays, the center
+    # rays each cone misses: one each, and every center ray once
+    center_set, missed = set(center), {}
     for cone in fan.max_cones:
-        if j not in cone:
-            continue
-        has_a, has_b = a in cone, b in cone
-        if has_a == has_b:
-            raise ValueError("fan is not a star subdivision along this wall")
-        key = tuple(i for i in cone if i not in (j, a, b))
-        pairs.setdefault(key, set()).add(a if has_a else b)
-    if any(seen != {a, b} for seen in pairs.values()):
-        raise ValueError("fan is not a star subdivision along this wall")
+        if ray in cone:
+            key = tuple(i for i in cone if i != ray and i not in center_set)
+            missed.setdefault(key, []).append(tuple(center_set.difference(cone)))
+    if any(sorted(m) != [(i,) for i in center] for m in missed.values()):
+        raise ValueError("fan is not a star subdivision along this center")
 
     def shift(i):
-        return i if i < j else i - 1
+        return i if i < ray else i - 1
 
+    top = center[-1]
     cones, plan = [], []
     for ci, cone in enumerate(fan.max_cones):
-        if j not in cone:
+        if ray not in cone:
             cones.append(tuple(map(shift, cone)))
             plan.append(ci)
-        elif a in cone:
-            # row j becomes ray b = ray j - ray a, at b's place in the
-            # sorted, shifted cone
-            merged = sorted([shift(i) for i in cone if i != j] + [shift(b)])
+        elif top not in cone:
+            # row ray, less the other center rows, becomes the highest
+            # center ray, at its place in the sorted, shifted cone
+            merged = sorted(shift(top if i == ray else i) for i in cone)
             cones.append(tuple(merged))
-            to = merged.index(shift(b))
-            plan.append((ci, cone.index(j), (cone.index(a),), -1, to))
-        # the partner cone through b is dropped; the merged cone covers both
-    return _child(fan, fan.rays[:j] + fan.rays[j + 1 :], cones, plan), j
+            at = tuple(k for k, i in enumerate(cone) if i in center_set)
+            plan.append((ci, cone.index(ray), at, -1, merged.index(shift(top))))
+        # the group's other cones are dropped; the merged cone covers them
+    return _child(fan, fan.rays[:ray] + fan.rays[ray + 1 :], cones, plan)
 
 
 @lru_cache(maxsize=None)

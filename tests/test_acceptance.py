@@ -15,9 +15,9 @@ from conftest import wall_relation_holds, witness_is_valid
 from toricfano import (
     analyze_divisor,
     anticanonical_degree,
+    blow_down,
     catalog,
     classify_fano_with_divisor,
-    contract_codim2,
     curve_class,
     divisor_dot_curve,
     fans_isomorphic,
@@ -229,16 +229,7 @@ def test_criterion_7_kernel_invariants():
             cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
             center = tuple(sorted(rng.sample(cone, 2)))
             blown = star_subdivide(fan, center)
-            exceptional = len(blown.rays) - 1
-            wall = next(
-                w
-                for w in walls(blown)
-                if exceptional in w.wall_rays
-                and dict(zip(w.wall_rays, w.coeffs))[exceptional] == -1
-                and {w.apex_a, w.apex_b} == set(center)
-            )
-            result, removed = contract_codim2(blown, wall)
-            assert removed == exceptional
+            result = blow_down(blown, len(fan.rays), center)
             assert result == fan
             assert star_subdivide(result, center) == blown
 

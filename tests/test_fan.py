@@ -25,9 +25,11 @@ from toricfano import (
     UnsupportedDimension,
     analyze_divisor,
     anticanonical_divisor,
+    blow_down,
     catalog,
-    contract_codim2,
+    classify_fano_with_divisor,
     fans_isomorphic,
+    find_transverse_extremal,
     is_complete,
     is_extremal,
     is_fano,
@@ -36,6 +38,7 @@ from toricfano import (
     positivity,
     projective_space_fan,
     random_corpus,
+    simplify_pair,
     star_subdivide,
     theorem1_check,
     validate,
@@ -131,7 +134,6 @@ NEEDS_SMOOTH_COMPLETE = {
     "fans_isomorphic": lambda f: fans_isomorphic(f, projective_space_fan(3)),
     "theorem1_check": theorem1_check,
     "analyze_divisor": lambda f: analyze_divisor(f, 0),
-    "contract_codim2": lambda f: contract_codim2(f, Wall((0, 1), 2, 3, (0, -1))),
     "point_blowup_is_fano": lambda f: point_blowup_is_fano(f, (0, 1, 2)),
 }
 
@@ -153,6 +155,32 @@ def test_validity_errors_are_typed_and_exact(fan, message, call):
 
 
 @pytest.mark.parametrize(
+    "fan, message",
+    [
+        (Fan(3, ((2, 0, 0),) + E3[1:] + ((-1, -1, -1),), P3_CONES), "ray 0 not primitive"),
+        (Fan(3, E3 + ((-1, -1, -2),), P3_CONES), "fan must be smooth"),
+    ],
+    ids=["not-primitive", "not-smooth"],
+)
+def test_blow_down_needs_a_valid_smooth_fan(fan, message):
+    with pytest.raises(InvalidFanError) as err:
+        blow_down(fan, 3, (0, 1, 2))
+    assert str(err.value) == message
+
+
+def test_blow_down_needs_no_complete_fan():
+    """The surgeries need a smooth fan, not a complete one: on the one-cone
+    fan every center blows up and back down to the fan itself."""
+    fan = Fan(3, E3, ((0, 1, 2),))
+    assert is_smooth(fan) and not is_complete(fan)
+    for center in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        back = blow_down(star_subdivide(fan, center), 3, center)
+        assert back == fan and back.max_cones == fan.max_cones
+        assert not is_complete(back)
+        assert _analyze(back) == _analyze(fan)
+
+
+@pytest.mark.parametrize(
     "fan, ray, error, message",
     [
         (
@@ -170,6 +198,20 @@ def test_divisor_argument_errors_are_exact(fan, ray, error, message):
     with pytest.raises(ValueError) as err:
         analyze_divisor(fan, ray)
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("ray", [2.5, 1.0, True, "1"], ids=repr)
+def test_divisor_ray_index_must_be_an_int(p3, ray):
+    """Each call raises, also after the int with the same value was asked:
+    the cache is typed, so no entry of 1 answers for 1.0 or True."""
+    assert analyze_divisor(p3, 1).ray_index == 1
+    for _ in range(2):
+        with pytest.raises(TypeError, match="ray index must be an integer"):
+            analyze_divisor(p3, ray)
+    # and through every caller that takes a ray index
+    for call in (find_transverse_extremal, simplify_pair, classify_fano_with_divisor):
+        with pytest.raises(TypeError, match="ray index must be an integer"):
+            call(p3, ray)
 
 
 P2_CONES = ((0, 1), (0, 2), (1, 2))
@@ -621,12 +663,18 @@ def faces(fan):
 
 class TestInheritedInverses:
     def test_every_center_of_every_fan(self, differential_fans):
-        """Every face of size at least 2 is a center, on each fan."""
+        """Every face of size at least 2 is a center, on each fan, and the
+        blow-down along it undoes the blow-up: the same fan, cone order
+        included, whose pass, read off the child's, is the parent's."""
         subdivided = 0
         for fan in differential_fans:
-            inverses = _analyze(fan)[3]
+            parent = _analyze(fan)
             for center in faces(fan):
-                check_inherited_inverses(star_subdivide(fan, center), inverses)
+                child = star_subdivide(fan, center)
+                check_inherited_inverses(child, parent[3])
+                back = blow_down(child, len(fan.rays), center)
+                assert back == fan and back.max_cones == fan.max_cones
+                assert _analyze(back) == parent, (fan, center)
                 subdivided += 1
             clear_caches()
         assert subdivided == 11_235
@@ -681,16 +729,17 @@ class TestInheritedInverses:
 
 def blow_downs(fan):
     """(wall, result, removed ray) for every wall of the blow-down shape,
-    one -1 and the rest 0, whose star pairs up, so that ``contract_codim2``
-    accepts it."""
+    one -1 and the rest 0, whose star pairs up, so that ``blow_down``
+    accepts the -1 ray with the wall's apexes as the center."""
     out = []
     for wall in walls(fan):
         if sorted(wall.coeffs) != [-1] + [0] * (len(wall.coeffs) - 1):
             continue
+        removed = wall.wall_rays[wall.coeffs.index(-1)]
         try:
-            result, removed = contract_codim2(fan, wall)
+            result = blow_down(fan, removed, (wall.apex_a, wall.apex_b))
         except ValueError as err:
-            assert str(err) == "fan is not a star subdivision along this wall"
+            assert str(err) == "fan is not a star subdivision along this center"
             continue
         out.append((wall, result, removed))
     return out
@@ -832,25 +881,19 @@ class TestPickle:
 
 
 class TestContract:
+    """``blow_down`` round trips on named fans, and what it rejects."""
+
     def test_round_trip_p1xp2(self, p1xp2, get_wall):
         blown = star_subdivide(p1xp2, (0, 2))
         w = get_wall(walls(blown), (3, 5))  # {b2, w}: relation u+ + b1 - w = 0
         assert dict(zip(w.wall_rays, w.coeffs)) == {3: 0, 5: -1}
-        result, removed = contract_codim2(blown, w)
-        assert removed == 5
-        assert result == p1xp2
+        assert (w.apex_a, w.apex_b) == (0, 2)
+        assert blow_down(blown, 5, (0, 2)) == p1xp2
 
-    def test_round_trip_p3_line(self, p3, blowup_p3_line, get_wall):
-        candidates = [
-            w
-            for w in walls(blowup_p3_line)
-            if 4 in w.wall_rays and dict(zip(w.wall_rays, w.coeffs))[4] == -1
-        ]
-        result, removed = contract_codim2(blowup_p3_line, candidates[0])
-        assert removed == 4
+    def test_round_trip_p3_line(self, p3, blowup_p3_line):
+        result = blow_down(blowup_p3_line, 4, (1, 0))
         assert result == p3
-        again = star_subdivide(result, (candidates[0].apex_a, candidates[0].apex_b))
-        assert again == blowup_p3_line
+        assert star_subdivide(result, (0, 1)) == blowup_p3_line
 
     def test_contract_interior_ray_index(self, p1xp2):
         # move the exceptional ray to the middle of the ray list; indices
@@ -863,40 +906,92 @@ class TestContract:
             tuple(blown.rays[i] for i in order),
             tuple(tuple(relabel[i] for i in c) for c in blown.max_cones),
         )
-        w = next(
-            w
-            for w in walls(fan)
-            if 2 in w.wall_rays and dict(zip(w.wall_rays, w.coeffs))[2] == -1
-        )
-        result, removed = contract_codim2(fan, w)
-        assert removed == 2
+        result = blow_down(fan, 2, (0, 3))
         assert result == p1xp2
-        center = tuple(
-            sorted(i if i < 2 else i - 1 for i in (w.apex_a, w.apex_b))
-        )
-        again = star_subdivide(result, center)
+        again = star_subdivide(result, (0, 2))
         assert again == blown
         assert fans_isomorphic(again, fan) is not None
 
-    def test_rejects_wrong_pattern(self, p3, get_wall):
-        w = get_wall(walls(p3), (0, 1))
-        with pytest.raises(ValueError, match="not a codimension-two blow-down wall"):
-            contract_codim2(p3, w)
+    def test_rejects_wrong_pattern(self, p3, blowup_p3_line):
+        # the ray is not the sum of the center's rays
+        for fan, ray, center in ((p3, 3, (0, 1)), (blowup_p3_line, 4, (0, 2))):
+            with pytest.raises(ValueError, match="^ray is not the ray sum of the center$"):
+                blow_down(fan, ray, center)
 
-    def test_rejects_foreign_wall(self, p3, p1xp2, get_wall):
-        w = get_wall(walls(p1xp2), (2, 3))
-        with pytest.raises(ValueError, match="does not belong"):
-            contract_codim2(p3, w)
+    def test_rejects_foreign_wall(self, p3):
+        # indices that name no ray of the fan
+        with pytest.raises(ValueError, match="^ray index out of range$"):
+            blow_down(p3, 4, (0, 1))
+        with pytest.raises(ValueError, match="^ray index out of range$"):
+            blow_down(p3, -1, (0, 1))
+        with pytest.raises(ValueError, match="^center has out-of-range ray indices$"):
+            blow_down(p3, 3, (0, 5))
+        with pytest.raises(ValueError, match="^center must have dimension at least 2$"):
+            blow_down(p3, 0, (0,))
 
-    def test_rejects_broken_pairing(self, blowup_p3_line, get_wall):
-        # blow up a point inside the exceptional structure: the wall with
-        # relation e1 + e2 - w = 0 keeps its blow-down pattern, but the
-        # star of w no longer pairs up across the apexes
+    def test_rejects_broken_pairing(self, blowup_p3_line):
+        # blow up a point inside the exceptional structure: ray 4 = e1 + e2
+        # is still the ray sum of the center, but the star of ray 4 no
+        # longer pairs up across it
         fan = star_subdivide(blowup_p3_line, (0, 2, 4))  # cone <e1, e3, w>
-        w = get_wall(walls(fan), (3, 4))  # {e0, w}
-        assert dict(zip(w.wall_rays, w.coeffs)) == {3: 0, 4: -1}
-        with pytest.raises(ValueError, match="not a star subdivision"):
-            contract_codim2(fan, w)
+        with pytest.raises(ValueError, match="^fan is not a star subdivision along this center$"):
+            blow_down(fan, 4, (0, 1))
+
+    def test_rejects_a_cone_missing_two_center_rays(self, blowup_p3_line):
+        # ray 5 = (1, 1, 1) is the ray sum of {e1, e2, e3} and of {e3, w};
+        # the cone <e1, w, ray 5> misses two of e1, e2, e3
+        fan = star_subdivide(blowup_p3_line, (2, 4))
+        assert (0, 4, 5) in fan.max_cones
+        with pytest.raises(ValueError, match="^fan is not a star subdivision along this center$"):
+            blow_down(fan, 5, (0, 1, 2))
+        assert blow_down(fan, 5, (2, 4)) == blowup_p3_line
+        # two cones through r = e1 + e2 + e3 + e4 that meet in <k, r>, each
+        # missing two center rays: together they miss each center ray once,
+        # but their merged cone would have five rays
+        rays = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))
+        fan = Fan(4, rays + ((1, 1, 1, 1), (1, 0, 1, 0)), ((2, 3, 4, 5), (0, 1, 4, 5)))
+        assert is_smooth(fan)
+        with pytest.raises(ValueError, match="^fan is not a star subdivision along this center$"):
+            blow_down(fan, 4, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "ray, center, message",
+        [
+            (4.0, (0, 1), "ray index must be an integer"),
+            (True, (0, 1), "ray index must be an integer"),
+            (4, (0, 1.0), "center entry 1 must be an integer"),
+            (4, (True, 1), "center entry 0 must be an integer"),
+        ],
+        ids=["float-ray", "bool-ray", "float-center", "bool-center"],
+    )
+    def test_rejects_non_integer_indices(self, blowup_p3_line, ray, center, message):
+        with pytest.raises(TypeError, match=message):
+            blow_down(blowup_p3_line, ray, center)
+
+    def test_a_ray_can_be_the_sum_of_two_centers(self, p3):
+        """Ray 4 = (-1, 0, -1) of corpus fan 42 is the ray sum of {1, 3} and
+        of {0, 6}; each is a blow-down, and the two are not isomorphic, so
+        a blow-down is named by its ray and its center."""
+        fan = random_corpus(3, 200, 3, 42)[42]
+        assert fan.rays[4] == (-1, 0, -1)
+        down = [blow_down(fan, 4, center) for center in ((1, 3), (0, 6))]
+        for result in down:
+            assert is_smooth(result) and is_complete(result)
+            assert _analyze(result) == _analyze.__wrapped__(
+                Fan(result.dim, result.rays, result.max_cones)
+            )
+        assert fans_isomorphic(*down) is None
+        # each blows back up to fan 42, its ray 4 now last
+        for result, center in zip(down, ((1, 3), (0, 5))):
+            assert fans_isomorphic(star_subdivide(result, center), fan) is not None
+
+    def test_builds_no_walls(self):
+        """From cold caches, blowing B(P^4, P^2) down to P^4 builds no
+        walls: the premises are read off rays and cones."""
+        fan = catalog(4)[1].fan
+        clear_caches()
+        assert blow_down(fan, 5, (0, 1)) == projective_space_fan(4)
+        assert walls.cache_info().misses == 0
 
 
 class TestIsomorphism:
