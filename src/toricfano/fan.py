@@ -12,10 +12,13 @@ Fan surgery builds no walls.  Every change of basis reads one exact
 integer inverse per maximal cone, found once by the validity pass: the
 covering certificate, the wall relations and the isomorphism witness.
 
-Only a fan that no surgery made gets the full validity pass, with each
-cone inverted by ``kernel.inverse``.  The two surgeries, ``star_subdivide``
-and its inverse ``blow_down``, turn a valid smooth fan into a valid smooth
-fan with the same support, so their output inherits the parent's verdict.
+Only a fan that no surgery made gets the full validity pass.  It asks
+``kernel.inverse`` for one root cone and walks the facet graph from there,
+reading each neighbour's inverse off the known one's by one exchange step
+(``_exchanged_inverse``), so a complete fan costs one elimination.  The
+two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
+valid smooth fan into a valid smooth fan with the same support, so their
+output inherits the parent's verdict.
 The loop that builds the output's cones records a plan: for each cone,
 the parent cone it keeps, or the parent cone and the column operation that
 read its inverse off that cone's.  With the plan go the parent's cone
@@ -208,6 +211,54 @@ def _moved_inverse(adj, det, k, rows, c, to):
     return tuple(out), -det if odd else det
 
 
+def _times(u, adj):
+    """The row vector u adj, summed over u's nonzero entries only (None when
+    u is zero): the coordinates of u in the cone's ray basis, times det."""
+    out = None
+    for x, row in zip(u, adj):
+        if x:
+            out = [x * r for r in row] if out is None else [
+                c + x * r for c, r in zip(out, row)
+            ]
+    return out
+
+
+def _exchanged_inverse(adj, det, k, mu, to):
+    """(adj, det) of a cone's matrix A after its row k is replaced by a row
+    u, given mu = u adj, and then moved to position ``to``.
+
+    With lambda = mu / det, u = lambda A, so the new matrix is E A, where E
+    is the identity with row k replaced by lambda, and its det is det *
+    lambda_k = mu_k.  Its inverse A^-1 E^-1 has column k of A^-1 divided by
+    lambda_k, and lambda_j / lambda_k times that column subtracted from each
+    other column j; times mu_k, column k of the adjugate is kept and column
+    j becomes (mu_k adj_j - mu_j adj_k) / det.  That division is exact,
+    since the result is an adjugate; it is a product when det is +-1, and
+    a remainder raises ArithmeticError.  The move is ``_moved_inverse``'s:
+    column k moves to ``to``, and adj and det are multiplied by (-1)^|to -
+    k|.  ``_moved_inverse`` is the case mu = det (e_k + c sum_rows e_j).
+    """
+    d = mu[k]
+    sign = -1 if (to - k) % 2 else 1
+    unit, scale = det in (1, -1), sign * det
+    out = []
+    for row in adj:
+        x = row[k]
+        if unit:
+            moved = [scale * (d * a - m * x) for a, m in zip(row, mu)]
+        else:
+            moved = []
+            for a, m in zip(row, mu):
+                q, rem = divmod(d * a - m * x, det)
+                if rem:
+                    raise ArithmeticError("exchanged adjugate is not exact")
+                moved.append(sign * q)
+        moved[k] = sign * x
+        moved.insert(to, moved.pop(k))
+        out.append(tuple(moved))
+    return tuple(out), sign * d
+
+
 @lru_cache(maxsize=None)
 def _analyze(fan):
     """The validity pass behind validate, is_smooth, is_complete and walls.
@@ -227,15 +278,22 @@ def _analyze(fan):
     elimination; the adjugate and determinant are unique, so they are the
     kernel's.  No ancestor is analysed or even reachable.
 
-    Any other fan gets the full pass, each cone inverted by
-    :func:`kernel.inverse`.  The entry checks run in bulk: one ``all`` or
-    set test each for the rays' dimensions and primitivity, equal rays,
-    unused rays and duplicate cones, and per cone a size test and, the cone
-    being sorted, a range test on its first and last index.  Only a test
-    that fails runs its per-entry loop, to name every offending ray or cone
-    in index order.  Overlaps are excluded by the covering-degree
-    certificate of :func:`is_complete`; only when it fails does the O(C^2)
-    overlap LP run, to name the overlapping pairs.
+    Any other fan gets the full pass.  The entry checks run in bulk: one
+    ``all`` or set test each for the rays' dimensions and primitivity,
+    equal rays, unused rays and duplicate cones, and per cone a size test
+    and, the cone being sorted, a range test on its first and last index.
+    Only a test that fails runs its per-entry loop, to name every offending
+    ray or cone in index order.  Then the cones are inverted by a walk of
+    the facet graph (Reid's move across a wall): only the first cone not
+    yet reached is inverted by :func:`kernel.inverse`, and every cone
+    across a facet of an inverted cone is read off it by
+    :func:`_exchanged_inverse`, its apex u giving mu = u adj.  mu_k, at
+    the position of the apex it replaces, is the cone's det up to sign, so
+    mu_k = 0 leaves a singular cone unreached, and the kernel, asked for it
+    as a later root, finds it singular.  A complete fan, or any connected
+    one, asks the kernel once.  Overlaps are excluded by the
+    covering-degree certificate of :func:`is_complete`; only when it fails
+    does the O(C^2) overlap LP run, to name the overlapping pairs.
     """
     if fan._origin:
         complete, inverses, plan = fan._origin
@@ -267,25 +325,43 @@ def _analyze(fan):
             if seen.setdefault(ray, i) != i:
                 problems.append(f"rays {seen[ray]} and {i} are equal")
     # every cone of size dim with distinct in-range indices: then a cone's
-    # sorted tuple is its ray set, and a set of cones finds duplicates
-    well_formed = True
-    inverses = []
+    # sorted tuple is its ray set, and a set of cones finds duplicates.
+    # A cone has at most one problem; those of a shape found here and, after
+    # the walk, those of a singular cone are named in cone order
+    faults = [None] * len(cones)
+    loose = set()  # cones the walk leaves out
     for ci, cone in enumerate(cones):
         if len(cone) != dim:
-            problems.append(f"cone {ci} has size {len(cone)}, expected {dim}")
-            well_formed = False
+            faults[ci] = f"cone {ci} has size {len(cone)}, expected {dim}"
+        elif not (cone[0] >= 0 and cone[-1] < n_rays and len(set(cone)) == dim):
+            faults[ci] = f"cone {ci} has repeated or out-of-range ray indices"
+        elif dims_ok or all(len(rays[i]) == dim for i in cone):
             continue
-        if not (cone[0] >= 0 and cone[-1] < n_rays and len(set(cone)) == dim):
-            problems.append(f"cone {ci} has repeated or out-of-range ray indices")
-            well_formed = False
+        # a bad shape, or a ray whose wrong dimension is already reported
+        loose.add(ci)
+    well_formed = not any(faults)
+    facets = _facet_map(fan)
+    inverses = [None] * len(cones)
+    for root, cone in enumerate(cones):
+        if inverses[root] is not None or root in loose:
             continue
-        rows = tuple(map(rays.__getitem__, cone))
-        if not dims_ok and any(len(row) != dim for row in rows):
-            continue  # the ray's dimension is already reported
         try:
-            inverses.append(kernel.inverse(rows))
+            inverses[root] = kernel.inverse(tuple(map(rays.__getitem__, cone)))
         except ValueError:
-            problems.append(f"cone {ci} is not simplicial")
+            faults[root] = f"cone {root} is not simplicial"
+            continue
+        reached = [root]
+        for ca in reached:
+            adj, det = inverses[ca]
+            known = cones[ca]
+            for k in range(dim):
+                for cb, kb in facets[known[:k] + known[k + 1 :]]:
+                    if inverses[cb] is None and cb not in loose:
+                        mu = _times(rays[cones[cb][kb]], adj)
+                        if mu and mu[k]:
+                            inverses[cb] = _exchanged_inverse(adj, det, k, mu, kb)
+                            reached.append(cb)
+    problems.extend(filter(None, faults))
     used = set().union(*cones)
     if not used.issuperset(range(n_rays)):
         for i in range(n_rays):
@@ -300,7 +376,6 @@ def _analyze(fan):
     if problems:
         return ValidationReport(tuple(problems)), False, False, ()
     dets = [det for _, det in inverses]
-    facets = _facet_map(fan)
     paired = all(len(cones) == 2 for cones in facets.values())
     # the apex at position k is on the side sign(det * (-1)^k) of its facet:
     # opposite sides when the dets agree in sign exactly if ka + kb is odd
@@ -634,10 +709,10 @@ def fans_isomorphic(f, g):
     """Search for a determinant +-1 matrix matching rays and maximal cones.
 
     Anchored search by wall propagation: fix the first maximal cone of
-    ``f``; for every maximal cone of ``g`` and every ordering of its rays
-    whose per-ray invariants match the anchor's, cross a spanning tree of
-    f's cones wall by wall, asking g for a wall with the same coefficients
-    at each step.  A smooth complete fan is fixed up to GL(n, Z) by its
+    ``f``; for every maximal cone of ``g`` with the anchor's multiset of
+    per-ray invariants and every ordering of its rays whose invariants
+    match the anchor's ray by ray, cross a spanning tree of f's cones wall
+    by wall, asking g for a wall with the same coefficients at each step.  A smooth complete fan is fixed up to GL(n, Z) by its
     cones and wall coefficients and its facet graph is connected, so a
     candidate passes exactly when it is a fan isomorphism.  Only then is
     the witness formed: the matrix sending one generator tuple to the
@@ -665,7 +740,12 @@ def fans_isomorphic(f, g):
         return None
     anchor = f.max_cones[0]
     wanted = [f_inv[i] for i in anchor]
+    multiset = sorted(wanted)
     for target in g.max_cones:
+        # a cone with other invariants has no order; _orders would find
+        # that only position by position, through factorially many prefixes
+        if sorted(map(g_inv.__getitem__, target)) != multiset:
+            continue
         for perm in _orders(target, wanted, g_inv):
             if _propagates(walk, g_walls, anchor, perm):
                 adj, det = _analyze(f)[3][0]

@@ -4,10 +4,14 @@ Every decision in the package is an exact sign test, so the kernel has one
 routine: the adjugate and determinant of a square matrix by fraction-free
 (Bareiss) Gauss-Jordan elimination, whose divisions are exact and whose
 entries stay minors of the input.  The validity pass in ``fan``, its only
-caller, calls it once per maximal cone of a fan with no parent: a parsed
-fan file, projective space or a P^1-bundle.  The output of a surgery, a
-star subdivision or a blow-down, reads its inverses off its parent's
-instead, and every other change of basis reads the validity pass's result.
+caller, runs only on a fan with no parent: a parsed fan file, projective
+space or a P^1-bundle.  It calls the kernel for one root cone per
+connected piece of the facet graph, once for a complete fan, and reads
+every other cone's inverse off a neighbour's across their shared facet; a
+cone the walk finds singular is left to the kernel, which raises.  The
+output of a surgery, a star subdivision or a blow-down, reads its inverses
+off its parent's instead, and every other change of basis reads the
+validity pass's result.
 
 Cone matrices of smooth fans are mostly 0 and +-1, so the elimination
 pivots on a unit entry of the column when there is one, and while the

@@ -105,6 +105,21 @@ def clear_caches():
         cache.cache_clear()
 
 
+def count_kernel_calls(monkeypatch):
+    """A list that gains the rows of each ``kernel.inverse`` call from now
+    on; ``monkeypatch`` restores the kernel after the test."""
+    import toricfano.kernel
+
+    inverse, calls = toricfano.kernel.inverse, []
+
+    def counting_inverse(rows):
+        calls.append(rows)
+        return inverse(rows)
+
+    monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
+    return calls
+
+
 @lru_cache(maxsize=None)
 def signed_permutations(n):
     """Every permutation of range(n) with its sign, by counting inversions."""

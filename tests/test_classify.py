@@ -517,27 +517,26 @@ def test_analyze_divisor_builds_no_fan(monkeypatch):
 
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):
-    """Operation budget: the validity pass asks the kernel only for the
-    cones of a fan with no parent, here P^n, the root of the corpus; every
-    star subdivision reads its inverses off its parent's, keeping the
-    parent's ``(adj, det)`` for a cone outside the star and deriving one
-    for each new cone.  The kernel keeps no memo, so each call counted
-    through its wrapper is one elimination.  No blow-up is built, so past
-    the corpus itself only the two targets are checked.  Both sweeps run
-    cold."""
+    """Operation budget: each cone's inverse is found once, and the kernel
+    is asked once per fan with no parent, here P^n, the root of the corpus:
+    the validity pass inverts its cone 0 and reads every other cone's
+    inverse off a neighbour's across their shared facet.  Every star
+    subdivision reads its inverses off its parent's, keeping the parent's
+    ``(adj, det)`` for a cone outside the star and deriving one for each
+    new cone.  The kernel keeps no memo, so each call counted through its
+    wrapper is one elimination.  No blow-up is built, so past the corpus
+    itself only the two targets are checked.  Both sweeps run cold."""
     import toricfano.fan
     import toricfano.kernel
 
     inverse = toricfano.kernel.inverse
     moved = toricfano.fan._moved_inverse
+    exchanged = toricfano.fan._exchanged_inverse
     analyze = toricfano.fan._analyze.__wrapped__
-    for corpus, computed, derived in (
-        ((3, 60, 3, 2024), 4, 253),
-        ((4, 50, 4, 7), 5, 574),
-    ):
+    for corpus, derived in (((3, 60, 3, 2024), 253), ((4, 50, 4, 7), 574)):
         clear_caches()
         missed = []
-        calls = {"asked": 0, "derived": 0}
+        calls = {"asked": 0, "derived": 0, "exchanged": 0}
 
         def counting_analyze(fan):
             missed.append(fan)
@@ -551,30 +550,39 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
             calls["derived"] += 1
             return moved(*args)
 
+        def counting_exchanged(*args):
+            calls["exchanged"] += 1
+            return exchanged(*args)
+
         monkeypatch.setattr(
             toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
         )
         monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
         monkeypatch.setattr(toricfano.fan, "_moved_inverse", counting_moved)
+        monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", counting_exchanged)
         for fan in random_corpus(*corpus):
             theorem1_check(fan)
         roots = [fan for fan in missed if fan._origin is None]
-        # the kernel is asked once per cone of a parentless fan, and no more
-        assert calls["asked"] == sum(len(fan.max_cones) for fan in roots)
-        assert calls["asked"] == computed, corpus
+        # the kernel is asked once per parentless fan, for its cone 0, and
+        # the other cones of that fan are read off their neighbours'
+        assert [fan.dim for fan in roots] == [corpus[0]]
+        assert calls["asked"] == len(roots) == 1, corpus
+        assert calls["exchanged"] == sum(len(fan.max_cones) - 1 for fan in roots)
         assert calls["derived"] == derived, corpus
 
 
 def count_full_passes(monkeypatch, run):
-    """(full validity passes, facet maps built) by ``run()`` from cold
-    caches.  A full pass is an ``_analyze`` miss on a fan with no parent;
-    a surgery's output inherits its parent's verdict instead."""
+    """(full validity passes, kernel calls, facet maps built) by ``run()``
+    from cold caches.  A full pass is an ``_analyze`` miss on a fan with no
+    parent; a surgery's output inherits its parent's verdict instead."""
     import toricfano.fan
+    import toricfano.kernel
 
     analyze = toricfano.fan._analyze.__wrapped__
     facet_map = toricfano.fan._facet_map
+    inverse = toricfano.kernel.inverse
     clear_caches()
-    counts = {"passes": 0, "facet maps": 0}
+    counts = {"passes": 0, "kernel calls": 0, "facet maps": 0}
 
     def counting_analyze(fan):
         counts["passes"] += fan._origin is None
@@ -584,12 +592,17 @@ def count_full_passes(monkeypatch, run):
         counts["facet maps"] += 1
         return facet_map(fan)
 
+    def counting_inverse(rows):
+        counts["kernel calls"] += 1
+        return inverse(rows)
+
     monkeypatch.setattr(
         toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
     )
     monkeypatch.setattr(toricfano.fan, "_facet_map", counting_facet_map)
+    monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
     run()
-    return counts["passes"], counts["facet maps"]
+    return counts["passes"], counts["kernel calls"], counts["facet maps"]
 
 
 @pytest.mark.parametrize(
@@ -609,16 +622,16 @@ def test_theorem1_runs_one_full_validity_pass(monkeypatch, corpus, facet_maps):
         for fan in random_corpus(*corpus):
             theorem1_check(fan)
 
-    assert count_full_passes(monkeypatch, sweep) == (1, facet_maps)
+    assert count_full_passes(monkeypatch, sweep) == (1, 1, facet_maps)
 
 
 def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
     """Operation budget: verify-theorem2 for dimensions 3 to 6 runs the full
     validity pass once on each distinct catalog fan with no parent, P^n and
-    the n P^1-bundles, 22 in all; the blow-ups and every blow-down that
-    classification performs inherit their parents' verdicts.  Facet maps
-    are built only by ``walls``, once per distinct fan whose walls are
-    read."""
+    the n P^1-bundles, 22 in all, and each pass asks the kernel once; the
+    blow-ups and every blow-down that classification performs inherit
+    their parents' verdicts.  Facet maps are built once by each full pass
+    and by ``walls`` once per distinct fan whose walls are read: 22 + 54."""
     import toricfano.cli
 
     def verify():
@@ -627,7 +640,7 @@ def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
                 assert toricfano.cli.run(["verify-theorem2", "--dim", str(n), "--json"]) == 0
 
     assert sum(1 + n for n in range(3, 7)) == 22
-    assert count_full_passes(monkeypatch, verify) == (22, 76)
+    assert count_full_passes(monkeypatch, verify) == (22, 22, 76)
 
 
 @pytest.mark.parametrize(

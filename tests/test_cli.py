@@ -11,7 +11,7 @@ import pytest
 
 import toricfano
 import toricfano.classify
-from conftest import build_parser
+from conftest import build_parser, clear_caches, count_kernel_calls
 from toricfano.cli import (
     COMMANDS,
     FanFormatError,
@@ -324,6 +324,28 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "fail"
         assert "divisors" in report["findings"][0]["error"]
+
+    def test_check_asks_the_kernel_once_per_parsed_fan(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Operation budget: a parsed fan has no parent, so ``check`` runs
+        the full validity pass on it, which asks the kernel for one cone of
+        a complete fan and reads every other cone's inverse off a
+        neighbour's.  On every catalog fan of dimensions 3 to 6, written
+        out and checked from cold caches: one kernel call per file."""
+        files = []
+        for n in range(3, 7):
+            folder = tmp_path / f"dim{n}"
+            assert run(["catalog", "--dim", str(n), "--emit", str(folder)]) == 0
+            files += sorted(folder.iterdir())
+        capsys.readouterr()
+        clear_caches()
+        calls = count_kernel_calls(monkeypatch)
+        for k, path in enumerate(files, 1):
+            assert run(["check", str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["findings"][0]["smooth"]
+            assert len(calls) == k, path
+        assert len(files) == sum(2 * n + 1 for n in range(3, 7)) == 40
 
     def test_verify_theorem1_input(self, p3_file, capsys):
         assert run(["verify-theorem1", "--input", p3_file, "--json"]) == 0

@@ -4,14 +4,18 @@ import random
 import re
 import sys
 import weakref
+from functools import cmp_to_key
 from itertools import combinations
 from enum import IntEnum
+from math import gcd
+from operator import mul
 
 import pytest
 from conftest import (
     bareiss_inverse,
     brute_fans_isomorphic,
     clear_caches,
+    count_kernel_calls,
     permutation_det,
     per_entry_analysis,
     relabel_fan,
@@ -44,7 +48,14 @@ from toricfano import (
     validate,
     walls,
 )
-from toricfano.fan import Wall, _analyze, _overlaps
+from toricfano.classify import p1_bundle_fan
+from toricfano.fan import (
+    Wall,
+    _analyze,
+    _exchanged_inverse,
+    _moved_inverse,
+    _overlaps,
+)
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -415,6 +426,7 @@ def corrupt(fan, rng):
             "non-primitive ray",
             "unused ray",
             "singular cone",
+            "walked singular cone",
         )
     )
     if kind == "repeated index":
@@ -439,9 +451,17 @@ def corrupt(fan, rng):
         at = rng.randrange(n + 1)
         rays.insert(at, tuple(rng.randint(-5, 5) for _ in range(dim)))
         cones = [[i + (i >= at) for i in c] for c in cones]
-    else:
+    elif kind == "singular cone":
         # the cone's first ray becomes the sum of its next two
         rays[cone[0]] = tuple(a + b for a, b in zip(rays[cone[1]], rays[cone[2]]))
+    else:
+        # a new ray, the sum of the next two, takes the first one's place in
+        # a cone other than cone 0: only the walk from the root meets it
+        cone = rng.choice(
+            [c for c in cones[1:] if len(c) == dim and all(0 <= i < n for i in c)]
+        )
+        cone[0] = len(rays)
+        rays.append(tuple(a + b for a, b in zip(rays[cone[1]], rays[cone[2]])))
     return Fan(dim, rays, cones), kind
 
 
@@ -468,7 +488,7 @@ class TestBulkEntryChecks:
                         is_complete(bad)
                 else:
                     assert (is_smooth(bad), is_complete(bad)) == (smooth, complete)
-        assert len(kinds) == 11
+        assert len(kinds) == 12
         # every entry problem is named at least once, and overlaps too
         assert len(messages) == 10, messages
 
@@ -725,6 +745,145 @@ class TestInheritedInverses:
         finally:
             sys.setrecursionlimit(limit)
         check_inherited_inverses(fan, inverses)
+
+
+def check_walked_inverses(fan, calls):
+    """The full pass of ``fan`` rebuilt with no parent, uncached: a valid
+    complete fan, one kernel call, and every cone's inverse the Bareiss
+    oracle's."""
+    before = len(calls)
+    report, smooth, complete, inverses = _analyze.__wrapped__(
+        Fan(fan.dim, fan.rays, fan.max_cones)
+    )
+    assert report.valid and complete, fan
+    assert len(calls) == before + 1, fan
+    expected = [bareiss_inverse([fan.rays[i] for i in cone]) for cone in fan.max_cones]
+    assert list(inverses) == expected, fan
+    assert smooth == all(det in (1, -1) for _, det in expected)
+
+
+def by_angle(a, b):
+    """Order of two nonzero plane vectors by angle in [0, 2 pi), exactly."""
+    half_a, half_b = a[1] < 0 or (a[1] == 0 and a[0] < 0), b[1] < 0 or (
+        b[1] == 0 and b[0] < 0
+    )
+    if half_a != half_b:
+        return 1 if half_a else -1
+    return b[0] * a[1] - a[0] * b[1]
+
+
+def angle_fan(rng, count):
+    """A complete 2-dimensional fan, usually not smooth: ``count`` distinct
+    primitive rays sorted by angle, each consecutive pair a cone, every
+    turn between them less than pi, and the cones shuffled."""
+    while True:
+        rays = set()
+        while len(rays) < count:
+            ray = (rng.randint(-5, 5), rng.randint(-5, 5))
+            if gcd(*ray) == 1:
+                rays.add(ray)
+        rays = sorted(rays, key=cmp_to_key(by_angle))
+        turns = zip(rays, rays[1:] + rays[:1])
+        if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in turns):
+            cones = [(i, (i + 1) % count) for i in range(count)]
+            rng.shuffle(cones)
+            return Fan(2, tuple(rays), tuple(cones))
+
+
+def weighted_projective_fan(weights):
+    """The fan of weighted projective space: e_1 .. e_n and minus
+    ``weights``, which have gcd 1; the cone missing e_i has det +-w_i."""
+    n = len(weights)
+    rays = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    rays.append(tuple(-w for w in weights))
+    return Fan(n, tuple(rays), tuple(combinations(range(n + 1), n)))
+
+
+class TestWalkedInverses:
+    """The full pass asks the kernel for one cone of a complete fan and
+    reads every other cone's inverse off a neighbour's, across their shared
+    facet; each is compared with the Bareiss oracle."""
+
+    def test_every_rebuilt_fan(self, differential_fans, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        for fan in differential_fans:
+            check_walked_inverses(fan, calls)
+        assert len(calls) == len(differential_fans)
+        assert sum(len(fan.max_cones) for fan in differential_fans) == 2_721
+
+    def test_relabelled_copies(self, differential_fans, monkeypatch):
+        """Shuffled cones put another cone at the root and walk other trees."""
+        calls = count_kernel_calls(monkeypatch)
+        rng = random.Random(2222)
+        for fan in differential_fans:
+            check_walked_inverses(relabel_fan(fan, rng), calls)
+
+    def test_non_smooth_fans_divide_exactly(self, monkeypatch):
+        """Steps from a cone of |det| > 1 divide by it, exactly."""
+        import toricfano.fan
+
+        calls = count_kernel_calls(monkeypatch)
+        exchanged, dets = toricfano.fan._exchanged_inverse, []
+
+        def recording_exchanged(adj, det, *args):
+            dets.append(det)
+            return exchanged(adj, det, *args)
+
+        monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", recording_exchanged)
+        rng = random.Random(2323)
+        fans = [angle_fan(rng, rng.randint(3, 12)) for _ in range(200)]
+        for weights in ((1, 1, 2), (1, 2, 3), (2, 3, 5), (1, 1, 1, 3), (1, 2, 3, 5)):
+            fan = weighted_projective_fan(weights)
+            fans += [fan] + [relabel_fan(fan, rng) for _ in range(6)]
+        for fan in fans:
+            check_walked_inverses(fan, calls)
+        assert not all(is_smooth(fan) for fan in fans)
+        assert any(det not in (1, -1) for det in dets)
+        assert sum(abs(det) > 1 for det in dets) > 100
+
+    def test_a_singular_cone_is_left_to_the_kernel(self, p3, monkeypatch):
+        """A cone the walk finds singular (mu_k = 0) is not reached; the
+        kernel, asked for it as the next root, names it."""
+        calls = count_kernel_calls(monkeypatch)
+        # ray 4, the sum of rays 1 and 3, takes ray 0's place in cone 1
+        fan = Fan(3, p3.rays + ((-1, 0, -1),), ((0, 1, 2), (1, 3, 4), (0, 2, 3), (1, 2, 3)))
+        assert validate(fan).problems == ("cone 1 is not simplicial",)
+        assert [sorted(map(fan.rays.index, rows)) for rows in calls] == [[0, 1, 2], [1, 3, 4]]
+
+    def test_exchange_of_a_row_operation_is_the_moved_inverse(self):
+        """``_moved_inverse`` is the exchange whose new row is row k plus c
+        times the rows in ``rows``: mu = det (e_k + c sum_rows e_j).  Both
+        also match the Bareiss oracle on the exchanged, moved matrix."""
+        rng = random.Random(2424)
+        checked = 0
+        while checked < 2_000:
+            n = rng.randint(2, 5)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            try:
+                adj, det = bareiss_inverse(a)
+            except ValueError:
+                continue
+            k, to, c = rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2, -3))
+            rows = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            lam = [int(j == k) + c * (j in rows and j != k) for j in range(n)]
+            moved = _moved_inverse(adj, det, k, rows, c, to)
+            assert _exchanged_inverse(adj, det, k, [det * x for x in lam], to) == moved
+            new = [sum(x * row[i] for x, row in zip(lam, a)) for i in range(n)]
+            exchanged = a[:k] + a[k + 1 :]
+            exchanged.insert(to, new)
+            assert moved == bareiss_inverse(exchanged)
+            # an arbitrary new row: the general exchange
+            u = [rng.randint(-4, 4) for _ in range(n)]
+            mu = [sum(x * row[j] for x, row in zip(u, adj)) for j in range(n)]
+            if mu[k]:
+                exchanged[to] = u
+                assert _exchanged_inverse(adj, det, k, mu, to) == bareiss_inverse(exchanged)
+            checked += abs(det) > 1
+
+    def test_an_inexact_exchange_raises(self):
+        # not an adjugate of det 2: the exchange leaves a remainder
+        with pytest.raises(ArithmeticError, match="not exact"):
+            _exchanged_inverse(((1, 0), (0, 1)), 2, 0, (1, 1), 0)
 
 
 def blow_downs(fan):
@@ -1094,6 +1253,41 @@ class TestIsomorphism:
                     if f != g:
                         seen[witness is not None] += 1
         assert seen[True] > 0 and seen[False] > 0
+
+    def test_skips_target_cones_with_other_invariants(self, monkeypatch):
+        """Operation budget at n = 10: B(P^n, P^(n-2)), written as the point
+        blow-down of catalog entry iv (nu = 0) and rebuilt with no parent,
+        against the catalog's star subdivision of P^n.  Only the target cones
+        whose invariant multiset is the anchor's are searched, so ``_orders``
+        is called 11 times, recursive calls included.  A cone whose
+        invariants differ only at a late position took ``_orders`` through
+        factorially many prefixes: 1,972,847 calls on this pair."""
+        import toricfano.fan
+
+        n = 10
+        entry = star_subdivide(p1_bundle_fan(n, 1), (1, 2))
+        down = blow_down(entry, 0, tuple(range(2, n + 2)))
+        source = Fan(n, down.rays, down.max_cones)
+        target = star_subdivide(projective_space_fan(n), (0, 1))
+        orders, calls = toricfano.fan._orders, []
+
+        def counting_orders(*args):
+            calls.append(args)
+            return orders(*args)
+
+        monkeypatch.setattr(toricfano.fan, "_orders", counting_orders)
+        witness = fans_isomorphic(source, target)
+        assert len(calls) == 11
+        # rays onto rays and cones onto cones; a smooth cone's generators go
+        # to a smooth cone's, so the witness has determinant +-1 as well
+        index = {ray: i for i, ray in enumerate(target.rays)}
+        image = [
+            index[tuple(sum(map(mul, row, ray)) for row in witness)]
+            for ray in source.rays
+        ]
+        assert sorted(image) == list(range(len(target.rays)))
+        mapped = {tuple(sorted(image[i] for i in cone)) for cone in source.max_cones}
+        assert mapped == set(target.max_cones)
 
     def test_builds_a_witness_only_for_a_passing_candidate(self, monkeypatch):
         """Operation budget of the theorem-1 sweep over the dim-4 corpus from
