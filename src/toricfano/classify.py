@@ -11,8 +11,8 @@ codimension-two subspace, with the point off the exceptional divisor.
 Everything is decided on fans with exact integer arithmetic; whenever a
 fan is identified with a catalog member, an explicit unimodular matrix
 witness is produced.  An invariant divisor is recognised as projective
-(n-1)-space by counting its ray's neighbours in the maximal cones, and
-its degree and line are read off the walls through the ray; no quotient
+(n-1)-space by counting the maximal cones through its ray, and its
+degree and line are read off the walls through the ray; no quotient
 fan is built.  The blow-up verifier builds no blow-up either: each fixed
 point is decided from the least anticanonical degree of each cone's
 facet curves, read without building the walls, and the fan is
@@ -42,11 +42,11 @@ from .fan import (
 )
 from .intersect import is_fano, point_blowup_is_fano
 from .mori import (
+    _picard_classes,
     contraction_info,
     curve_class,
     is_extremal,
     is_mori_extremal,
-    is_positive_multiple,
 )
 
 
@@ -133,23 +133,23 @@ def analyze_divisor(fan, ray_index):
     """Decide whether V(ray) is a projective space and read its degree.
 
     Recognition: on a smooth complete fan the fan of V(ray) is the ray's
-    star in N / Z*ray, whose rays are the pairwise distinct images of the
-    ray's neighbours (the rays sharing a maximal cone with it).  A smooth
-    complete fan of Picard rank one is projective space, so V(ray) is
-    projective (n-1)-space exactly when the ray has n neighbours.  The
-    degree is the coefficient of the ray in any wall relation through it;
-    every such wall must agree, since all lines in the divisor are
-    equivalent.  The first of them is kept as the line wall.  The index
-    must be an int; the cache is typed, so 1.0 or True is never answered
-    from the entry of 1.
+    star in N / Z*ray, a smooth complete (n-1)-fan with one maximal cone
+    per maximal cone through the ray.  A complete simplicial (n-1)-fan has
+    at least n maximal cones, and exactly n only when it has n rays, and a
+    smooth complete fan of Picard rank one is projective space, so V(ray)
+    is projective (n-1)-space exactly when the ray lies in exactly n
+    maximal cones.  The degree is the coefficient of the ray in any wall
+    relation through it; every such wall must agree, since all lines in the
+    divisor are equivalent.  The first of them is kept as the line wall.
+    The index must be an int; the cache is typed, so 1.0 or True is never
+    answered from the entry of 1.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
         raise UnsupportedDimension("divisor fans need ambient dimension at least 3")
     if not 0 <= require_int(ray_index, "ray index") < len(fan.rays):
         raise ValueError("ray index out of range")
-    star = {i for cone in fan.max_cones if ray_index in cone for i in cone}
-    if len(star) != fan.dim + 1:
+    if sum(ray_index in cone for cone in fan.max_cones) != fan.dim:
         return DivisorAnalysis(ray_index, False)
     d = None
     first = None
@@ -168,18 +168,21 @@ def find_transverse_extremal(fan, ray_index):
 
     Candidates carry the ray as an apex and not among the wall rays, which
     makes the divisor-curve intersection exactly 1; the class must not be
-    a positive multiple of the divisor's line class.  Returns None when no
-    such wall exists.  Walls are scanned in lexicographic ray-index order,
-    so the choice is deterministic.
+    a positive multiple of the divisor's line class.  Wall classes are
+    primitive, so that is a class in the fan's class table unequal to the
+    line's.  Returns None when no such wall exists.  Walls are scanned in
+    lexicographic ray-index order, the table's, so the choice is
+    deterministic.
     """
     analysis = analyze_divisor(fan, ray_index)
     if not analysis.is_proj_space:
         raise OutsideStatement("divisor is not a projective space")
-    line = analysis.line_class
-    for w in walls(fan):
+    table = _picard_classes(fan)[0]
+    line = table[analysis.line_wall.wall_rays][1]
+    for w, dots in table.values():
         if ray_index in w.wall_rays or ray_index not in (w.apex_a, w.apex_b):
             continue
-        if is_positive_multiple(line, curve_class(fan, w)):
+        if dots == line:
             continue
         if is_mori_extremal(fan, w):
             return w

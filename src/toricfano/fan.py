@@ -636,16 +636,15 @@ def blow_down(fan, ray, center):
 
 @lru_cache(maxsize=None)
 def _iso_record(fan):
-    """What the isomorphism search reads of a smooth complete fan.
+    """What the isomorphism search reads of a smooth complete fan before it
+    searches: (facet -> Wall, per-ray invariants, their sorted multiset).
 
-    Returns (facet -> Wall, per-ray invariants, their sorted multiset, walk).
     A ray's invariant is its valence and the sorted multiset of its
-    coefficients in the walls through it; a fan isomorphism preserves both.
-    The walk crosses a spanning tree of the facet graph from cone 0, one
-    step ``(facet, known apex, new apex, coeffs)`` per cone reached.
+    coefficients in the walls through it; a fan isomorphism preserves both,
+    so fans with unequal multisets are not isomorphic.  The walk a search
+    crosses is built by :func:`_walk`, only once a search is needed.
     """
     fan_walls = walls(fan)
-    by_facet = {w.wall_rays: w for w in fan_walls}
     valence = [0] * len(fan.rays)
     for cone in fan.max_cones:
         for i in cone:
@@ -655,6 +654,13 @@ def _iso_record(fan):
         for i, c in zip(w.wall_rays, w.coeffs):
             coeffs[i].append(c)
     inv = tuple((v, tuple(sorted(cs))) for v, cs in zip(valence, coeffs))
+    return {w.wall_rays: w for w in fan_walls}, inv, tuple(sorted(inv))
+
+
+def _walk(fan, by_facet):
+    """A spanning tree of the facet graph crossed from cone 0, one step
+    ``(facet, known apex, new apex, coeffs)`` per cone reached; ``by_facet``
+    is the fan's facet -> Wall map."""
     walk = []
     seen = {fan.max_cones[0]}
     frontier = [fan.max_cones[0]]
@@ -667,7 +673,13 @@ def _iso_record(fan):
                 seen.add(reached)
                 frontier.append(reached)
                 walk.append((w.wall_rays, known, new, w.coeffs))
-    return by_facet, inv, tuple(sorted(inv)), tuple(walk)
+    return walk
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    """The n x n identity matrix, the witness of a fan onto itself."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _orders(target, wanted, inv):
@@ -708,13 +720,18 @@ def _propagates(walk, g_walls, anchor, order):
 def fans_isomorphic(f, g):
     """Search for a determinant +-1 matrix matching rays and maximal cones.
 
-    Anchored search by wall propagation: fix the first maximal cone of
-    ``f``; for every maximal cone of ``g`` with the anchor's multiset of
-    per-ray invariants and every ordering of its rays whose invariants
-    match the anchor's ray by ray, cross a spanning tree of f's cones wall
-    by wall, asking g for a wall with the same coefficients at each step.  A smooth complete fan is fixed up to GL(n, Z) by its
-    cones and wall coefficients and its facet graph is connected, so a
-    candidate passes exactly when it is a fan isomorphism.  Only then is
+    A fan is isomorphic to itself by the identity, built once per
+    dimension.  Otherwise the per-ray invariants of :func:`_iso_record`
+    come first: fans whose invariant multisets differ are not isomorphic,
+    and no search is made.  The search is anchored and propagates walls:
+    fix the first maximal cone of ``f``; for every maximal cone of ``g``
+    with the anchor's multiset of per-ray invariants and every ordering of
+    its rays whose invariants match the anchor's ray by ray, cross f's walk
+    (:func:`_walk`, built for this search), a spanning tree of its cones,
+    wall by wall, asking g for a wall with the same coefficients at each
+    step.  A smooth complete fan is fixed up to GL(n, Z) by its cones and
+    wall coefficients and its facet graph is connected, so a candidate
+    passes exactly when it is a fan isomorphism.  Only then is
     the witness formed: the matrix sending one generator tuple to the
     other, whose anchor inverse is the validity pass's inverse of cone 0,
     transposed, because here the generators are the columns.  Candidates
@@ -733,11 +750,12 @@ def fans_isomorphic(f, g):
     n = f.dim
     if f == g:
         # the first candidate, cone 0 onto itself in order, gives I
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    _, f_inv, f_invariants, walk = _iso_record(f)
-    g_walls, g_inv, g_invariants, _ = _iso_record(g)
+        return _identity(n)
+    f_walls, f_inv, f_invariants = _iso_record(f)
+    g_walls, g_inv, g_invariants = _iso_record(g)
     if f_invariants != g_invariants:
         return None
+    walk = _walk(f, f_walls)
     anchor = f.max_cones[0]
     wanted = [f_inv[i] for i in anchor]
     multiset = sorted(wanted)

@@ -360,7 +360,7 @@ def divisor_star_fan(fan, ray_index):
     Collects the maximal cones through the ray, projects the other rays to
     the quotient by the ray's span, and primitivizes the images.  For a
     smooth complete ambient fan the result is again smooth and complete.
-    The oracle for ``analyze_divisor``'s neighbour count: V(ray) is a
+    The oracle for ``analyze_divisor``'s cone count: V(ray) is a
     projective space exactly when this fan has ``fan.dim`` rays.
     """
     ensure_smooth_complete(fan)
@@ -387,6 +387,24 @@ def divisor_star_fan(fan, ray_index):
         for cone in star
     )
     return Fan(fan.dim - 1, tuple(ray_list), cones)
+
+
+def is_positive_multiple(base, other):
+    """True when other = q * base for some rational q > 0 (exact, integral).
+
+    The oracle for comparing wall classes by equality: a wall class is 1
+    on its apexes, so two are positive multiples exactly when they are
+    equal.
+    """
+    n = len(base)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if base[i] * other[j] != base[j] * other[i]:
+                return False
+    for x, y in zip(base, other):
+        if x != 0:
+            return x * y > 0
+    return False
 
 
 def fraction_in_nonneg_span(columns, target):

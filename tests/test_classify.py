@@ -77,9 +77,9 @@ class TestDivisorStarFanValidity:
 
 
 def test_neighbour_count_matches_star_fan(differential_fans):
-    """Differential test: the neighbour count recognises V(ray) as a
-    projective space exactly when the quotient star fan has n rays, and the
-    line wall is the first wall through the ray."""
+    """Differential test: the count of maximal cones through the ray
+    recognises V(ray) as a projective space exactly when the quotient star
+    fan has n rays, and the line wall is the first wall through the ray."""
     for fan in differential_fans:
         for i in range(len(fan.rays)):
             analysis = analyze_divisor(fan, i)
@@ -89,6 +89,20 @@ def test_neighbour_count_matches_star_fan(differential_fans):
             if analysis.is_proj_space:
                 first = next(w for w in walls(fan) if i in w.wall_rays)
                 assert analysis.line_wall == first
+
+
+def test_cone_count_matches_neighbour_set(differential_fans):
+    """Differential test: V(ray) is recognised by the ray lying in exactly n
+    maximal cones, the test that replaced counting its n neighbours (the
+    rays sharing a maximal cone with it), and the two agree on every ray."""
+    seen = {True: 0, False: 0}
+    for fan in differential_fans:
+        for i in range(len(fan.rays)):
+            neighbours = {j for cone in fan.max_cones if i in cone for j in cone}
+            answer = analyze_divisor(fan, i).is_proj_space
+            assert answer == (len(neighbours) == fan.dim + 1), (fan, i)
+            seen[answer] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 class TestAnalyzeDivisor:

@@ -1,9 +1,11 @@
 import gc
+import io
 import pickle
 import random
 import re
 import sys
 import weakref
+from contextlib import redirect_stdout
 from functools import cmp_to_key
 from itertools import combinations
 from enum import IntEnum
@@ -1253,6 +1255,39 @@ class TestIsomorphism:
                     if f != g:
                         seen[witness is not None] += 1
         assert seen[True] > 0 and seen[False] > 0
+
+    def test_itself_shares_one_identity_per_dimension(self, p3, blowup_p3_line):
+        assert fans_isomorphic(p3, p3) is fans_isomorphic(blowup_p3_line, blowup_p3_line)
+        assert fans_isomorphic(p3, p3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "command, walks",
+        [
+            ([["verify-theorem2", "--dim", str(n), "--json"] for n in range(3, 7)], 14),
+            ([["verify-theorem1", "--corpus", "4,50,4,7", "--json"]], 3),
+        ],
+        ids=["theorem2", "theorem1-dim4"],
+    )
+    def test_builds_a_walk_only_for_a_search(self, monkeypatch, command, walks):
+        """Operation budget from cold caches: the walk of f is built only
+        when f and g have the same invariant multiset and differ, once per
+        such call.  Built with every fan's invariants, the walks were 50
+        and 4."""
+        import toricfano.cli
+        import toricfano.fan
+
+        clear_caches()
+        walk, built = toricfano.fan._walk, []
+
+        def counting_walk(fan, by_facet):
+            built.append(fan)
+            return walk(fan, by_facet)
+
+        monkeypatch.setattr(toricfano.fan, "_walk", counting_walk)
+        for args in command:
+            with redirect_stdout(io.StringIO()):
+                assert toricfano.cli.run(args) == 0
+        assert len(built) == walks
 
     def test_skips_target_cones_with_other_invariants(self, monkeypatch):
         """Operation budget at n = 10: B(P^n, P^(n-2)), written as the point

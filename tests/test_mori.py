@@ -2,7 +2,12 @@ import io
 from contextlib import redirect_stdout
 
 import pytest
-from conftest import clear_caches, fraction_in_nonneg_span, pair
+from conftest import (
+    clear_caches,
+    fraction_in_nonneg_span,
+    is_positive_multiple,
+    pair,
+)
 
 import toricfano._simplex
 import toricfano.cli
@@ -19,7 +24,6 @@ from toricfano import (
     projective_space_fan,
     walls,
 )
-from toricfano.mori import is_positive_multiple
 from toricfano._simplex import in_nonneg_span
 
 
@@ -189,24 +193,20 @@ def test_picard_lp_matches_full_fraction_lp(differential_fans):
 
 def test_extremality_lp_budget(monkeypatch):
     """Operation budget of verify-theorem2 for dimensions 3 to 6 from cold
-    caches: one LP per is_extremal miss, each with one row per ray outside
-    cone 0 (the Picard rank), a pinned number of pivots, and one class
-    projected per wall of each fan asked about."""
+    caches: one class table per fan asked about, holding one class per
+    wall, and one LP per distinct class asked about, each with one row per
+    ray outside cone 0 (the Picard rank) and a pinned number of pivots.
+    Cached per wall, as before the class table, the LPs were 126, with 296
+    rows and 262 pivots."""
     clear_caches()
     lps = []
     asked = {"fans": set()}
-    projected = {"calls": 0}
     classes = toricfano.mori._picard_classes
-    curve = toricfano.mori.curve_class
 
     def recording_classes(fan):
         asked["fan"] = fan
         asked["fans"].add(fan)
         return classes(fan)
-
-    def counting_curve_class(fan, wall):
-        projected["calls"] += 1
-        return curve(fan, wall)
 
     def recording_lp(columns, target):
         feasible, pivots = toricfano._simplex._phase_one(columns, target)
@@ -215,17 +215,43 @@ def test_extremality_lp_budget(monkeypatch):
         return feasible
 
     monkeypatch.setattr(toricfano.mori, "_picard_classes", recording_classes)
-    monkeypatch.setattr(toricfano.mori, "curve_class", counting_curve_class)
     monkeypatch.setattr(toricfano.mori, "in_nonneg_span", recording_lp)
     for n in range(3, 7):
         with redirect_stdout(io.StringIO()):
             assert toricfano.cli.run(["verify-theorem2", "--dim", str(n), "--json"]) == 0
     assert [rows for rows, _, _ in lps] == [rho for _, rho, _ in lps]
-    assert len(lps) == is_extremal.cache_info().misses == 126
-    assert sum(rows for rows, _, _ in lps) == 296
-    assert sum(pivots for _, _, pivots in lps) == 262
-    assert classes.cache_info().misses == len(asked["fans"])
-    assert projected["calls"] == sum(len(walls(fan)) for fan in asked["fans"])
+    assert len(lps) == toricfano.mori._class_is_extremal.cache_info().misses == 110
+    assert sum(rows for rows, _, _ in lps) == 272
+    assert sum(pivots for _, _, pivots in lps) == 254
+    assert classes.cache_info().misses == len(asked["fans"]) == 54
+    for fan in asked["fans"]:
+        table = classes(fan)[0]
+        assert list(table) == [w.wall_rays for w in walls(fan)]
+
+
+def test_class_table_matches_curve_class(differential_fans):
+    """The class table against the slow path it replaces: each class is the
+    full ``curve_class`` read on the rays outside cone 0, the distinct
+    classes are listed in wall order, and two classes are equal exactly
+    when ``is_positive_multiple`` holds on the full classes, for every pair
+    of walls (a wall class has 1 on its apexes, so it is primitive)."""
+    seen = {True: 0, False: 0}
+    for fan in differential_fans:
+        table, distinct = toricfano.mori._picard_classes(fan)
+        outside = [i for i in range(len(fan.rays)) if i not in fan.max_cones[0]]
+        full = {}
+        for w in walls(fan):
+            wall, dots = table[w.wall_rays]
+            assert wall == w
+            full[w] = curve_class(fan, w)
+            assert dots == tuple(full[w][i] for i in outside)
+        assert distinct == tuple(dict.fromkeys(dots for _, dots in table.values()))
+        for a in walls(fan):
+            for b in walls(fan):
+                same = table[a.wall_rays][1] == table[b.wall_rays][1]
+                assert same == is_positive_multiple(full[a], full[b]), (fan, a, b)
+                seen[same] += a != b
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_extremality_rejects_a_foreign_wall(p3, p1xp2, get_wall):
