@@ -49,6 +49,7 @@ from .intersect import (
     divisor_dot_curve,
     is_fano,
     point_blowup_is_fano,
+    point_blowups_are_fano,
     positivity,
     prime_divisor,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "is_smooth",
     "p1_bundle_fan",
     "point_blowup_is_fano",
+    "point_blowups_are_fano",
     "positivity",
     "prime_divisor",
     "projective_space_fan",

@@ -40,7 +40,7 @@ from .fan import (
     star_subdivide,
     walls,
 )
-from .intersect import is_fano, point_blowup_is_fano
+from .intersect import is_fano, point_blowups_are_fano
 from .mori import (
     _picard_classes,
     contraction_info,
@@ -475,11 +475,12 @@ def _identify_blowup_base(fan):
 def theorem1_check(fan):
     """Test every fixed point's blow-up for Fano, identify the input fan.
 
-    Each fixed point is decided exactly by :func:`point_blowup_is_fano`,
-    and whether the input is Fano is read, from one table of the least
-    facet degree per cone (``fan._least_facet_degrees``); no blow-up is
-    built, and no wall either until a blow-up is Fano.  At the first fixed
-    point whose blow-up is Fano, the input fan is identified once, with an
+    Every fixed point is decided exactly by one call of
+    :func:`point_blowups_are_fano`, and whether the input is Fano is read
+    separately, both from one table of the least facet degree per cone
+    (``fan._least_facet_degrees``); no blow-up is built, and no wall
+    either until a blow-up is Fano.  At the first fixed point whose
+    blow-up is Fano, the input fan is identified once, with an
     explicit witness, as projective space (then every fixed point works) or
     as the blow-up of projective space along a linear codimension-two
     subspace (then the fixed point must avoid the exceptional divisor), and
@@ -487,8 +488,9 @@ def theorem1_check(fan):
     local test is still recorded: every point blow-up of projective space
     is Fano, on the blown-up space only a fixed point on the exceptional
     divisor could be wrong and it is flagged, and any other fan fails the
-    identification.  Contradictions are recorded per fixed point, not
-    raised.
+    identification.  A Fano probe on a fan that is not Fano is a global
+    violation, since that is read apart from the probes.  Contradictions
+    are recorded per fixed point, not raised.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
@@ -498,8 +500,9 @@ def theorem1_check(fan):
     n = fan.dim
     probes = []
     any_fano = False
-    for ci, cone in enumerate(fan.max_cones):
-        if not point_blowup_is_fano(fan, cone):
+    fano = point_blowups_are_fano(fan)
+    for ci, (cone, blowup_fano) in enumerate(zip(fan.max_cones, fano)):
+        if not blowup_fano:
             probes.append(FixedPointProbe(ci, cone, False))
             continue
         if not any_fano:

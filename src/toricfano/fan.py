@@ -18,7 +18,9 @@ reading each neighbour's inverse off the known one's by one exchange step
 (``_exchanged_inverse``), so a complete fan costs one elimination.  The
 two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
 valid smooth fan into a valid smooth fan with the same support, so their
-output inherits the parent's verdict.
+output inherits the parent's verdict.  It skips the entry checks too
+(the types, the sorted cones), which its construction already meets; a
+fan built by ``Fan(...)`` or unpickled runs them.
 The loop that builds the output's cones records a plan: for each cone,
 the parent cone it keeps, or the parent cone and the column operation that
 read its inverse off that cone's.  With the plan go the parent's cone
@@ -27,11 +29,12 @@ cones; the output's validity pass applies the plan.  Whether a point
 blow-up is Fano is decided in ``intersect`` without building it, from
 the parent's least anticanonical degree per cone, which
 ``_least_facet_degrees`` reads off the pass's inverses without building
-the walls.
+the walls; one read of that table decides every fixed point of a fan.
 
 Fans are immutable and hashable; all operations are pure functions, cached
-where they are hot.  A pickled fan carries its three fields only, so fans
-can be shared freely between workers.
+where they are hot.  A pickled fan carries its three fields only, and is
+checked again when it is loaded, so fans can be shared freely between
+workers.
 """
 
 from functools import lru_cache
@@ -93,8 +96,7 @@ class Fan:
                 for i in c:
                     require_int(i, f"cone {ci} entry")
         object.__setattr__(self, "rays", rays)
-        # sorted cones; tuples already sorted are kept, so a surgery's child
-        # shares the cone tuples it keeps from its parent
+        # sorted cones; tuples already sorted are kept
         ordered = tuple(map(tuple, map(sorted, cones)))
         object.__setattr__(self, "max_cones", cones if ordered == cones else ordered)
         # the record's hash, the hash of the field tuple, computed once
@@ -104,7 +106,8 @@ class Fan:
         return self._hash
 
     def __reduce__(self):
-        # the fields only: what a surgery recorded of the parent stays behind
+        # the fields only: what a surgery recorded of the parent stays
+        # behind, and loading runs the entry checks through Fan(...)
         return Fan, (self.dim, self.rays, self.max_cones)
 
 
@@ -499,10 +502,21 @@ def _child(parent, rays, cones, plan):
     """The fan a surgery builds from ``parent``, recording ``plan``, one
     entry per cone, with the parent's completeness and cone inverses (the
     tuple its cached validity pass holds, not a copy); see ``Fan._origin``.
+
+    The child is trusted, as its verdict is: it skips ``Fan.__init__`` and
+    its entry checks, which the surgery's construction already meets.
+    ``rays`` is a tuple of int tuples, the parent's with an int ray sum
+    appended or a slice of them, and each cone is a sorted int tuple.  The
+    hash is the one ``__post_init__`` computes.
     """
-    child = Fan(parent.dim, rays, tuple(cones))
     _, _, complete, inverses = _analyze(parent)
-    object.__setattr__(child, "_origin", (complete, inverses, tuple(plan)))
+    dim, cones = parent.dim, tuple(cones)
+    child, set_ = object.__new__(Fan), object.__setattr__
+    set_(child, "dim", dim)
+    set_(child, "rays", rays)
+    set_(child, "max_cones", cones)
+    set_(child, "_hash", hash((dim, rays, cones)))
+    set_(child, "_origin", (complete, inverses, tuple(plan)))
     return child
 
 
@@ -564,7 +578,8 @@ def star_subdivide(fan, center):
             plan.append(ci)
             continue
         # swap the center ray at position k for w, the highest ray index,
-        # so w goes last: row k gains the other center rows and moves last
+        # so w goes last and the cone stays sorted, as _child trusts: row k
+        # gains the other center rows and moves last
         at = tuple(k for k, i in enumerate(cone) if i in center_set)
         for k in at:
             cones.append(cone[:k] + cone[k + 1 :] + (new_index,))
@@ -625,7 +640,8 @@ def blow_down(fan, ray, center):
             plan.append(ci)
         elif top not in cone:
             # row ray, less the other center rows, becomes the highest
-            # center ray, at its place in the sorted, shifted cone
+            # center ray, at its place in the shifted cone, sorted here
+            # because _child trusts it
             merged = sorted(shift(top if i == ray else i) for i in cone)
             cones.append(tuple(merged))
             at = tuple(k for k, i in enumerate(cone) if i in center_set)

@@ -5,7 +5,8 @@ exactly when it meets every invariant curve strictly positively, so both
 the ample and the Fano test are one exact scan over the walls.  Whether a
 point blow-up is Fano needs only the anticanonical degree of each wall,
 which ``fan._least_facet_degrees`` reads per maximal cone without building
-the walls; :func:`is_fano`, the wall scan, is its oracle in the tests.
+the walls, so one read of that table decides every fixed point of a fan;
+:func:`is_fano`, the wall scan, is its oracle in the tests.
 """
 
 from functools import lru_cache
@@ -97,8 +98,9 @@ def is_fano(fan):
     return all(anticanonical_degree(fan, w) > 0 for w in walls(fan))
 
 
-def point_blowup_is_fano(fan, cone):
-    """True when blowing up the fixed point of ``cone`` gives a Fano fan.
+def point_blowups_are_fano(fan):
+    """Per maximal cone, in order, whether blowing up its fixed point gives
+    a Fano fan.
 
     Decided from the parent, without building the blow-up.  Let cone =
     {v_1..v_n} and w = v_1 + ... + v_n the new ray.
@@ -114,14 +116,27 @@ def point_blowup_is_fano(fan, cone):
       n - 2 rays = 0 and degree n - 1 > 0.
 
     So the blow-up is Fano exactly when the fan is Fano and each of the
-    cone's n facet walls has degree > n - 1.  Both read the cached table
-    ``fan._least_facet_degrees``, one least facet degree per maximal cone:
-    its least entry is positive exactly when the fan is Fano, and the
-    cone's entry must exceed n - 1.  A sweep over every fixed point builds
-    the table once and no wall.  Each entry of ``cone`` must be an int
-    (else TypeError, as for a center of ``star_subdivide``), and the sorted
-    entries must be a maximal cone of the fan (else ValueError; a repeated
-    index never is).
+    cone's n facet walls has degree > n - 1.  Both come from one read of
+    the cached table ``fan._least_facet_degrees``, one least facet degree per
+    maximal cone: its least entry is positive exactly when the fan is
+    Fano, and the cone's entry must exceed n - 1.  No wall is built.
+    Raises InvalidFanError unless the fan is smooth and complete.
+    """
+    table = _least_facet_degrees(fan)
+    if min(table) <= 0:
+        return (False,) * len(table)
+    bound = fan.dim - 1
+    return tuple(degree > bound for degree in table)
+
+
+def point_blowup_is_fano(fan, cone):
+    """True when blowing up the fixed point of ``cone`` gives a Fano fan:
+    the entry of :func:`point_blowups_are_fano` at the cone's index.
+
+    Each entry of ``cone`` must be an int (else TypeError, as for a center
+    of ``star_subdivide``), and the sorted entries must be a maximal cone of
+    the fan (else ValueError; a repeated index never is).  A sweep over
+    every fixed point reads :func:`point_blowups_are_fano` once instead.
     """
     cone = tuple(cone)
     # one type pass; only on failure does require_int name the entry (or
@@ -129,9 +144,9 @@ def point_blowup_is_fano(fan, cone):
     if set(map(type, cone)) != {int}:
         for k, i in enumerate(cone):
             require_int(i, f"cone entry {k}")
-    table = _least_facet_degrees(fan)  # raises unless smooth and complete
+    fano = point_blowups_are_fano(fan)  # raises unless smooth and complete
     try:
         ci = fan.max_cones.index(tuple(sorted(cone)))
     except ValueError:
         raise ValueError("center is not a maximal cone of the fan") from None
-    return table[ci] > fan.dim - 1 and min(table) > 0
+    return fano[ci]

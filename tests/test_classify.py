@@ -19,6 +19,7 @@ from toricfano import (
     is_smooth,
     p1_bundle_fan,
     point_blowup_is_fano,
+    point_blowups_are_fano,
     projective_space_fan,
     random_corpus,
     simplify_pair,
@@ -403,7 +404,11 @@ def test_local_fano_test_is_double_checked(monkeypatch):
     # blown-up space a fixed point on the exceptional divisor is flagged
     import toricfano.classify
 
-    monkeypatch.setattr(toricfano.classify, "point_blowup_is_fano", lambda f, c: True)
+    monkeypatch.setattr(
+        toricfano.classify,
+        "point_blowups_are_fano",
+        lambda f: (True,) * len(f.max_cones),
+    )
     report = theorem1_check(p1_bundle_fan(3, 2))
     assert all(p.blowup_fano for p in report.probes)
     assert all(
@@ -508,19 +513,25 @@ def test_theorem1_identifies_each_fan_once(monkeypatch):
 
 def test_analyze_divisor_builds_no_fan(monkeypatch):
     """Operation budget: recognising every divisor of the catalog reads the
-    fan's cones and walls and constructs no quotient fan."""
+    fan's cones and walls and constructs no quotient fan, neither through
+    ``Fan(...)`` nor as a surgery's child, which skips ``__post_init__``."""
     import toricfano.fan
 
     entries = [entry for n in range(3, 7) for entry in catalog(n)]
     clear_caches()
     built = {"fans": 0}
-    post_init = toricfano.fan.Fan.__post_init__
+    post_init, child = toricfano.fan.Fan.__post_init__, toricfano.fan._child
 
     def counting_post_init(fan):
         built["fans"] += 1
         post_init(fan)
 
+    def counting_child(*args):
+        built["fans"] += 1
+        return child(*args)
+
     monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
+    monkeypatch.setattr(toricfano.fan, "_child", counting_child)
     recognized = sum(
         analyze_divisor(entry.fan, i).is_proj_space
         for entry in entries
@@ -693,3 +704,70 @@ def test_theorem1_builds_walls_only_for_the_fans_it_identifies(monkeypatch, corp
     # no corpus fan has n + 1 rays, so the one target is P^n blown up
     target = star_subdivide(projective_space_fan(corpus[0]), (0, 1))
     assert identified and identified <= compared <= identified | {target}
+
+
+@pytest.mark.parametrize(
+    "corpus", [(3, 200, 3, 42), (4, 50, 4, 7)], ids=["dim3", "dim4"]
+)
+def test_theorem1_probes_match_the_per_cone_test(corpus):
+    """Differential test: the sweep's one table read per fan gives every
+    fixed point the verdict ``point_blowup_is_fano`` gives its cone alone,
+    and both verdicts occur."""
+    verdicts = set()
+    for fan in random_corpus(*corpus):
+        probes = theorem1_check(fan).probes
+        assert [p.cone for p in probes] == list(fan.max_cones)
+        expected = [point_blowup_is_fano(fan, cone) for cone in fan.max_cones]
+        assert [p.blowup_fano for p in probes] == expected, fan
+        assert point_blowups_are_fano(fan) == tuple(expected)
+        verdicts.update(expected)
+    assert verdicts == {False, True}
+
+
+def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
+    """Operation budget: from cold caches, ``verify-theorem1 --corpus
+    4,50,4,7`` runs ``Fan``'s entry checks 4 times, on P^4, built for the
+    corpus and once per fan it identifies; the 127 star subdivisions skip
+    them.  Its 683 fixed points are decided by one ``point_blowups_are_fano``
+    read per fan and no ``point_blowup_is_fano`` call."""
+    import sys
+
+    import toricfano.cli
+    import toricfano.fan
+
+    clear_caches()
+    counts = dict.fromkeys(
+        ("checks", "children", "point_blowup_is_fano", "point_blowups_are_fano"), 0
+    )
+    post_init, child = toricfano.fan.Fan.__post_init__, toricfano.fan._child
+
+    def counting_post_init(fan):
+        counts["checks"] += 1
+        post_init(fan)
+
+    def counting_child(*args):
+        counts["children"] += 1
+        return child(*args)
+
+    monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
+    monkeypatch.setattr(toricfano.fan, "_child", counting_child)
+    # every binding of the two Fano tests in the package, wherever imported
+    for module_name, module in list(sys.modules.items()):
+        for name in ("point_blowup_is_fano", "point_blowups_are_fano"):
+            real = vars(module).get(name)
+            if module_name.partition(".")[0] == "toricfano" and real:
+
+                def counting(*args, real=real, name=name):
+                    counts[name] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    with redirect_stdout(io.StringIO()) as out:
+        assert toricfano.cli.run(["verify-theorem1", "--corpus", "4,50,4,7", "--json"]) == 0
+    assert counts == {
+        "checks": 4,
+        "children": 127,
+        "point_blowup_is_fano": 0,
+        "point_blowups_are_fano": 50,
+    }
+    assert out.getvalue().count('"cone_index"') == 683

@@ -41,6 +41,7 @@ from toricfano import (
     is_fano,
     is_smooth,
     point_blowup_is_fano,
+    point_blowups_are_fano,
     positivity,
     projective_space_fan,
     random_corpus,
@@ -148,6 +149,7 @@ NEEDS_SMOOTH_COMPLETE = {
     "theorem1_check": theorem1_check,
     "analyze_divisor": lambda f: analyze_divisor(f, 0),
     "point_blowup_is_fano": lambda f: point_blowup_is_fano(f, (0, 1, 2)),
+    "point_blowups_are_fano": point_blowups_are_fano,
 }
 
 
@@ -650,6 +652,20 @@ def check_record(child, parent_inverses):
         assert not isinstance(x, Fan) and not callable(x), x
 
 
+def check_trusted_child(child):
+    """A surgery's child, built without ``Fan``'s entry checks, against its
+    checked copy: equal, with the same hash, every cone sorted, every entry
+    a plain int, and a pickle round trip, which runs the checks, equal."""
+    checked = Fan(child.dim, child.rays, child.max_cones)
+    assert child == checked and hash(child) == hash(checked), child
+    assert all(list(cone) == sorted(cone) for cone in child.max_cones), child
+    assert type(child.rays) is tuple and type(child.max_cones) is tuple
+    for entries in child.rays + child.max_cones:
+        assert type(entries) is tuple
+        assert all(type(x) is int for x in entries), child
+    assert pickle.loads(pickle.dumps(child)) == child
+
+
 def check_inherited_inverses(child, parent_inverses):
     """A star subdivision's validity pass, which reads its inverses off its
     parent's, against the kernel's pass on the parentless rebuild, and each
@@ -658,6 +674,7 @@ def check_inherited_inverses(child, parent_inverses):
     ``_analyze(parent)[3]`` when the surgery ran."""
     rebuild = Fan(child.dim, child.rays, child.max_cones)
     assert rebuild._origin is None
+    check_trusted_child(child)
     check_record(child, parent_inverses)
     assert rebuild == child
     assert hash(rebuild) == hash(child)
@@ -695,6 +712,7 @@ class TestInheritedInverses:
                 child = star_subdivide(fan, center)
                 check_inherited_inverses(child, parent[3])
                 back = blow_down(child, len(fan.rays), center)
+                check_trusted_child(back)
                 assert back == fan and back.max_cones == fan.max_cones
                 assert _analyze(back) == parent, (fan, center)
                 subdivided += 1
@@ -914,6 +932,7 @@ def check_contracted_inverses(parent, parent_inverses, wall, result, removed):
     ``_analyze(parent)[3]`` when the surgery ran."""
     rebuild = Fan(result.dim, result.rays, result.max_cones)
     assert rebuild._origin is None
+    check_trusted_child(result)
     check_record(result, parent_inverses)
     assert rebuild == result
     assert hash(rebuild) == hash(result)
