@@ -450,25 +450,33 @@ class Theorem1Report:
         return tuple(p.cone_index for p in self.probes if p.blowup_fano)
 
 
+@lru_cache(maxsize=None)
+def _blowup_targets(n):
+    """P^n and B(P^n, linear P^(n-2)), the fans of catalog entries i and
+    ii, built once per dimension for every fan identified against them."""
+    pn = projective_space_fan(n)
+    return pn, star_subdivide(pn, (0, 1))
+
+
 def _identify_blowup_base(fan):
     """X as P^n or B(P^n, linear P^(n-2)): (conclusion, witness, exceptional ray).
 
-    The targets are the fans of catalog entries i and ii.  Projective space
-    has no exceptional ray; the blown-up space's is the preimage of the ray
-    that the target's star subdivision appends.  All three are None when
-    the fan is neither.
+    The targets are the fans of catalog entries i and ii
+    (:func:`_blowup_targets`).  Projective space has no exceptional ray;
+    the blown-up space's is the preimage of the ray that the target's star
+    subdivision appends.  All three are None when the fan is neither.
     """
     n = fan.dim
+    pn, blown = _blowup_targets(n)
     if len(fan.rays) == n + 1:
-        witness = fans_isomorphic(fan, projective_space_fan(n))
+        witness = fans_isomorphic(fan, pn)
         if witness is not None:
             return "projective-space", witness, None
     elif len(fan.rays) == n + 2:
-        target = star_subdivide(projective_space_fan(n), (0, 1))
-        witness = fans_isomorphic(fan, target)
+        witness = fans_isomorphic(fan, blown)
         if witness is not None:
             images = [lattice.matrix_apply(witness, r) for r in fan.rays]
-            return "blown-projective-space", witness, images.index(target.rays[-1])
+            return "blown-projective-space", witness, images.index(blown.rays[-1])
     return None, None, None
 
 

@@ -9,27 +9,36 @@ their inverse blow-downs along centers of every size, and fan
 isomorphism by wall propagation, which checks each anchor candidate on
 the cached walls and forms a matrix only for the one that succeeds.
 Fan surgery builds no walls.  Every change of basis reads one exact
-integer inverse per maximal cone, found once by the validity pass: the
-covering certificate, the wall relations and the isomorphism witness.
+integer inverse per maximal cone: the covering certificate, the wall
+relations and the isomorphism witness.  A cone whose rays are the rows of
+A keeps (the columns of |det| A^-1, det A), so a unimodular cone holds
+A^-1 itself, column k is the dual vector of its k-th ray, and moving a row
+of A moves a column.
 
 Only a fan that no surgery made gets the full validity pass.  It asks
-``kernel.inverse`` for one root cone and walks the facet graph from there,
-reading each neighbour's inverse off the known one's by one exchange step
+``kernel.inverse`` for one root cone, turns its ``(adj, det)`` rows into
+columns, and walks the facet graph from there, reading each neighbour's
+inverse off the known one's by one exchange step
 (``_exchanged_inverse``), so a complete fan costs one elimination.  The
 two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
 valid smooth fan into a valid smooth fan with the same support, so their
-output inherits the parent's verdict.  It skips the entry checks too
-(the types, the sorted cones), which its construction already meets; a
-fan built by ``Fan(...)`` or unpickled runs them.
+output inherits the parent's verdict, and ``ensure_valid`` reads it
+without building the output's inverses.  The output skips the entry
+checks too (the types, the sorted cones), which its construction already
+meets; a fan built by ``Fan(...)`` or unpickled runs them.
 The loop that builds the output's cones records a plan: for each cone,
 the parent cone it keeps, or the parent cone and the column operation that
 read its inverse off that cone's.  With the plan go the parent's cone
-inverses and whether the parent is complete, but not the parent or its
-cones; the output's validity pass applies the plan.  Whether a point
-blow-up is Fano is decided in ``intersect`` without building it, from
-the parent's least anticanonical degree per cone, which
-``_least_facet_degrees`` reads off the pass's inverses without building
-the walls; one read of that table decides every fixed point of a fan.
+inverses, its per-cone m-vectors and whether the parent is complete, but
+not the parent or its cones; the output applies the plan to the inverses
+only when they are read, as the parent of a further surgery or to build
+its walls.  Whether a point blow-up is Fano is decided in ``intersect``
+without building it, from the parent's least anticanonical degree per
+cone, which ``_least_facet_degrees`` reads off the cones' m-vectors, m =
+A^-1 (1, ..., 1), without building the walls; a surgery's output reads
+its m-vectors off its parent's through the plan, in O(n) per cone, and
+builds no inverse for it.  One read of that table decides every fixed
+point of a fan.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot.  A pickled fan carries its three fields only, and is
@@ -39,7 +48,7 @@ workers.
 
 from functools import lru_cache
 from itertools import combinations
-from operator import mul, neg
+from operator import mul, neg, sub
 
 from . import kernel, lattice
 from ._record import record
@@ -67,11 +76,13 @@ class Fan:
     rays: tuple
     max_cones: tuple
 
-    # (complete, inverses, plan) of a fan made by a surgery, else None: the
-    # parent's completeness and its cone inverses, and per cone of this fan
-    # either the index of the parent cone it keeps or the _moved_inverse
-    # arguments (ci, k, rows, c, to) that read its inverse off parent cone
-    # ci's; private state outside the fields, like _hash, so equality,
+    # (complete, inverses, ms, plan) of a fan made by a surgery, else None:
+    # the parent's completeness, its cone inverses and its per-cone
+    # m-vectors, and per cone of this fan either the index of the parent
+    # cone it keeps or the _moved_inverse arguments (ci, k, rows, c, to)
+    # that read its inverse, and its m-vector, off parent cone ci's; the
+    # verdict is read from here, and the inverses are built only when
+    # read.  Private state outside the fields, like _hash, so equality,
     # hash, repr and pickling ignore it
     _origin = None
 
@@ -177,89 +188,95 @@ def _covered_once(fan, inverses):
     p = [sum(col) for col in zip(*(fan.rays[i] for i in first))]
     for ci in range(1, len(fan.max_cones)):
         cone = fan.max_cones[ci]
-        adj, det = inverses[ci]
-        # p's k-th coordinate is (p . column k of adj) / det: the Cramer
-        # numerator over det; a negative one usually sits at a ray outside
-        # cone 0, so try those first
+        cols = inverses[ci][0]
+        # p's k-th coordinate is (p . column k) / |det|; a negative one
+        # usually sits at a ray outside cone 0, so try those first
         order = [k for k, i in enumerate(cone) if i not in first]
         order += [k for k, i in enumerate(cone) if i in first]
         for k in order:
-            if sum(a * row[k] for a, row in zip(p, adj)) * det < 0:
+            if sum(map(mul, p, cols[k])) < 0:
                 break
         else:
             return False
     return True
 
 
-def _moved_inverse(adj, det, k, rows, c, to):
-    """(adj, det) of a cone's matrix A after its row k gains c times each
+def _moved_inverse(cols, det, k, rows, c, to):
+    """(cols, det) of a cone's matrix A after its row k gains c times each
     other row j in ``rows`` and then moves to position ``to``.
 
     The row operation is A -> E A with det E = 1, and E^-1 subtracts what E
-    adds, so the adjugate has c times column k subtracted from each column
-    j.  Moving row k to position ``to`` permutes the rows by a cycle of
-    |to - k| transpositions: column k of the adjugate moves to ``to``, and
-    adj and det are multiplied by (-1)^|to - k|.
+    adds, so A^-1 E^-1 has c times column k subtracted from each column j:
+    s' column updates, s' = |rows - {k}|, with |det| unchanged.  Moving row
+    k to position ``to`` permutes the rows by a cycle of |to - k|
+    transpositions: column k moves to ``to``, and det is multiplied by
+    (-1)^|to - k|; |det| A^-1 does not change sign.
     """
-    odd = (to - k) % 2
-    out = []
-    for row in adj:
-        moved = list(row)
-        x = c * moved[k]
-        for j in rows:
-            if j != k:
-                moved[j] -= x
-        moved.insert(to, moved.pop(k))
-        out.append(tuple(map(neg, moved)) if odd else tuple(moved))
-    return tuple(out), -det if odd else det
+    out = list(cols)
+    pivot = cols[k]
+    step = pivot if c == 1 else tuple(c * x for x in pivot)
+    for j in rows:
+        if j != k:
+            out[j] = tuple(map(sub, out[j], step))
+    out.insert(to, out.pop(k))
+    return tuple(out), -det if (to - k) % 2 else det
 
 
-def _times(u, adj):
-    """The row vector u adj, summed over u's nonzero entries only (None when
-    u is zero): the coordinates of u in the cone's ray basis, times det."""
+def _coordinates(u, cols):
+    """The list of <u, column j> over the columns, summed over u's nonzero
+    entries only (None when u is zero): the coordinates of u in the cone's
+    ray basis, times |det|."""
     out = None
-    for x, row in zip(u, adj):
+    for i, x in enumerate(u):
         if x:
-            out = [x * r for r in row] if out is None else [
-                c + x * r for c, r in zip(out, row)
+            out = [x * col[i] for col in cols] if out is None else [
+                a + x * col[i] for a, col in zip(out, cols)
             ]
     return out
 
 
-def _exchanged_inverse(adj, det, k, mu, to):
-    """(adj, det) of a cone's matrix A after its row k is replaced by a row
-    u, given mu = u adj, and then moved to position ``to``.
+def _exchanged_inverse(cols, det, k, mu, to):
+    """(cols, det) of a cone's matrix A after its row k is replaced by a row
+    u, given mu = (<u, column j>), and then moved to position ``to``.
 
-    With lambda = mu / det, u = lambda A, so the new matrix is E A, where E
-    is the identity with row k replaced by lambda, and its det is det *
-    lambda_k = mu_k.  Its inverse A^-1 E^-1 has column k of A^-1 divided by
-    lambda_k, and lambda_j / lambda_k times that column subtracted from each
-    other column j; times mu_k, column k of the adjugate is kept and column
-    j becomes (mu_k adj_j - mu_j adj_k) / det.  That division is exact,
-    since the result is an adjugate; it is a product when det is +-1, and
-    a remainder raises ArithmeticError.  The move is ``_moved_inverse``'s:
-    column k moves to ``to``, and adj and det are multiplied by (-1)^|to -
-    k|.  ``_moved_inverse`` is the case mu = det (e_k + c sum_rows e_j).
+    With lambda = mu / |det|, u = lambda A, so the new matrix is E A, where
+    E is the identity with row k replaced by lambda, and its det is det *
+    lambda_k = sign(det) mu_k.  Its inverse A^-1 E^-1 has column k of A^-1
+    divided by lambda_k, and lambda_j / lambda_k times that column
+    subtracted from each other column j; times |mu_k|, with s the sign of
+    mu_k, column k becomes s C_k and column j (|mu_k| C_j - s mu_j C_k) /
+    |det|, C being the stored columns.  That division is exact, since the
+    result is |mu_k| A'^-1, an adjugate up to sign; a remainder raises
+    ArithmeticError.  When det and mu_k are both +-1 there is no division,
+    and a column with mu_j = 0 is kept as it is.  The move is
+    ``_moved_inverse``'s: column k moves to ``to``, and det is multiplied
+    by (-1)^|to - k|.  ``_moved_inverse`` is the case mu = |det| (e_k + c
+    sum_rows e_j).
     """
     d = mu[k]
-    sign = -1 if (to - k) % 2 else 1
-    unit, scale = det in (1, -1), sign * det
-    out = []
-    for row in adj:
-        x = row[k]
-        if unit:
-            moved = [scale * (d * a - m * x) for a, m in zip(row, mu)]
-        else:
-            moved = []
-            for a, m in zip(row, mu):
-                q, rem = divmod(d * a - m * x, det)
-                if rem:
-                    raise ArithmeticError("exchanged adjugate is not exact")
-                moved.append(sign * q)
-        moved[k] = sign * x
-        moved.insert(to, moved.pop(k))
-        out.append(tuple(moved))
-    return tuple(out), sign * d
+    sign, size = (1 if d > 0 else -1), abs(det)
+    scale, pivot = sign * d, cols[k]
+    out = list(cols)
+    for j, m in enumerate(mu):
+        if j == k:
+            continue
+        m *= sign
+        if size == scale == 1:
+            if m:
+                out[j] = tuple([a - m * b for a, b in zip(cols[j], pivot)])
+            continue
+        moved = []
+        for a, b in zip(cols[j], pivot):
+            q, rem = divmod(scale * a - m * b, size)
+            if rem:
+                raise ArithmeticError("exchanged inverse is not exact")
+            moved.append(q)
+        out[j] = tuple(moved)
+    if sign < 0:
+        out[k] = tuple(map(neg, pivot))
+    out.insert(to, out.pop(k))
+    new_det = d if det > 0 else -d
+    return tuple(out), -new_det if (to - k) % 2 else new_det
 
 
 @lru_cache(maxsize=None)
@@ -268,18 +285,24 @@ def _analyze(fan):
 
     Each maximal cone has its rays as the rows of A, and every later change
     of basis reads the inverse of A found here.  Returns (ValidationReport,
-    smooth, complete, inverses), where ``inverses[ci]`` is the ``(adj,
-    det)`` of cone ci when the report is valid.
+    smooth, complete, inverses), where ``inverses[ci]`` is ``(cols, det)``
+    for cone ci when the report is valid: det is det A and ``cols`` the
+    columns of |det| A^-1, so a unimodular cone holds A^-1 itself, and
+    column k is the dual vector of the cone's k-th ray, times |det|.
 
     A fan made by a surgery inherits its parent's verdict, by the lemma
     each surgery's docstring states: the surgery ran only on a valid smooth
     parent, and the result is a valid smooth fan with the parent's
-    support, so it is complete exactly when the parent is.  Its inverses
-    come from the plan the surgery recorded with the parent's inverses: a
-    kept cone shares its parent cone's ``(adj, det)``, and a moved cone's
-    is read off its parent cone's by :func:`_moved_inverse`, with no
-    elimination; the adjugate and determinant are unique, so they are the
-    kernel's.  No ancestor is analysed or even reachable.
+    support, so it is complete exactly when the parent is.  So
+    :func:`ensure_valid` and the tests on it read that verdict off
+    ``Fan._origin`` and never come here; only a caller that reads the
+    inverses does, when the fan is a surgery's parent or its walls are
+    built.  Its inverses come from the plan the surgery recorded with the
+    parent's inverses: a kept cone shares its parent cone's ``(cols,
+    det)``, and a moved cone's is read off its parent cone's by
+    :func:`_moved_inverse`, with no elimination; |det| A^-1 and det are
+    unique, so they are the kernel's.  No ancestor is analysed or even
+    reachable.
 
     Any other fan gets the full pass.  The entry checks run in bulk: one
     ``all`` or set test each for the rays' dimensions and primitivity,
@@ -288,18 +311,19 @@ def _analyze(fan):
     Only a test that fails runs its per-entry loop, to name every offending
     ray or cone in index order.  Then the cones are inverted by a walk of
     the facet graph (Reid's move across a wall): only the first cone not
-    yet reached is inverted by :func:`kernel.inverse`, and every cone
-    across a facet of an inverted cone is read off it by
-    :func:`_exchanged_inverse`, its apex u giving mu = u adj.  mu_k, at
-    the position of the apex it replaces, is the cone's det up to sign, so
-    mu_k = 0 leaves a singular cone unreached, and the kernel, asked for it
-    as a later root, finds it singular.  A complete fan, or any connected
+    yet reached is inverted by :func:`kernel.inverse`, whose ``(adj,
+    det)`` rows are turned into columns there, and every cone across a
+    facet of an inverted cone is read off it by :func:`_exchanged_inverse`,
+    its apex u giving mu = (<u, column j>).  mu_k, at the position of the
+    apex it replaces, is the cone's det up to sign, so mu_k = 0 leaves a
+    singular cone unreached, and the kernel, asked for it as a later root,
+    finds it singular.  A complete fan, or any connected
     one, asks the kernel once.  Overlaps are excluded by the
     covering-degree certificate of :func:`is_complete`; only when it fails
     does the O(C^2) overlap LP run, to name the overlapping pairs.
     """
     if fan._origin:
-        complete, inverses, plan = fan._origin
+        complete, inverses, _, plan = fan._origin
         return ValidationReport(()), True, complete, tuple(
             inverses[p] if type(p) is int else _moved_inverse(*inverses[p[0]], *p[1:])
             for p in plan
@@ -349,20 +373,25 @@ def _analyze(fan):
         if inverses[root] is not None or root in loose:
             continue
         try:
-            inverses[root] = kernel.inverse(tuple(map(rays.__getitem__, cone)))
+            adj, det = kernel.inverse(tuple(map(rays.__getitem__, cone)))
         except ValueError:
             faults[root] = f"cone {root} is not simplicial"
             continue
+        # adj = det A^-1, so its columns, negated when det < 0, are stored
+        cols = tuple(zip(*adj))
+        if det < 0:
+            cols = tuple(tuple(map(neg, col)) for col in cols)
+        inverses[root] = cols, det
         reached = [root]
         for ca in reached:
-            adj, det = inverses[ca]
+            cols, det = inverses[ca]
             known = cones[ca]
             for k in range(dim):
                 for cb, kb in facets[known[:k] + known[k + 1 :]]:
                     if inverses[cb] is None and cb not in loose:
-                        mu = _times(rays[cones[cb][kb]], adj)
+                        mu = _coordinates(rays[cones[cb][kb]], cols)
                         if mu and mu[k]:
-                            inverses[cb] = _exchanged_inverse(adj, det, k, mu, kb)
+                            inverses[cb] = _exchanged_inverse(cols, det, k, mu, kb)
                             reached.append(cb)
     problems.extend(filter(None, faults))
     used = set().union(*cones)
@@ -397,11 +426,15 @@ def _analyze(fan):
 
 def validate(fan):
     """Check every Fan invariant and report each violation with indices."""
-    return _analyze(fan)[0]
+    return ValidationReport(()) if fan._origin else _analyze(fan)[0]
 
 
 def ensure_valid(fan):
-    """Raise InvalidFanError naming every problem; else (smooth, complete)."""
+    """Raise InvalidFanError naming every problem; else (smooth, complete).
+    A surgery's output is valid and smooth, complete exactly when its
+    parent is, read off ``Fan._origin`` without building its inverses."""
+    if fan._origin:
+        return True, fan._origin[0]
     report, smooth, complete, _ = _analyze(fan)
     if not report.valid:
         raise InvalidFanError("; ".join(report.problems))
@@ -438,9 +471,10 @@ def walls(fan):
 
     The cone holding the lower apex of a wall has its rays as the rows of
     A, inverted once by the validity pass.  The coordinates of the other
-    apex u in that ray basis are u A^-1, the combination of the inverse's
-    rows weighted by u's entries, so only the rows at u's nonzero entries
-    are read.  Raises InvalidFanError unless the fan is smooth and complete.
+    apex u in that ray basis are u A^-1, whose j-th entry is u's dot
+    product with column j of A^-1; only the entries at u's nonzero
+    coordinates are read, and catalog rays are mostly unit vectors.  Raises
+    InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
     inverses = _analyze(fan)[3]
@@ -451,18 +485,18 @@ def walls(fan):
         if apex_a > apex_b:
             host, k, apex_a, apex_b = other, j, apex_b, apex_a
         # write apex_b in the basis of the cone holding apex_a; the fan is
-        # smooth, so det is +-1 and -A^-1 = -det * adj.  The negated
+        # smooth, so the stored columns are those of A^-1.  The negated
         # coordinates give the relation: the apex_a one must be 1 exactly,
         # the rest are the coefficients
-        adj, det = inverses[host]
+        cols = inverses[host][0]
         coeffs = None
-        for x, row in zip(rays[apex_b], adj):
+        for i, x in enumerate(rays[apex_b]):
             if x:
-                x *= -det
+                x = -x
                 coeffs = (
-                    [x * r for r in row]
+                    [x * col[i] for col in cols]
                     if coeffs is None
-                    else [c + x * r for c, r in zip(coeffs, row)]
+                    else [c + x * col[i] for c, col in zip(coeffs, cols)]
                 )
         if coeffs.pop(k) != 1:
             raise InvalidFanError("fan not smooth along wall")
@@ -475,21 +509,19 @@ def _least_facet_degrees(fan):
     """Per maximal cone, the least -K.C over the curves of its n facets.
 
     A cone with its rays v_i as the rows of A has m = A^-1 (1, ..., 1), the
-    point with <m, v_i> = 1 on each of its rays.  A facet whose wall has the
-    relation b + v_k + sum c_i v_i = 0, b the far apex, gives <m, b> = -1 -
-    sum c_i, so -K.C = 2 + sum c_i = 1 - <m, b> (Reid).  The fan is smooth,
-    so A^-1 = det * adj and <m, b> = det * sum_i b_i * sum(adj row i).  One
-    dot product per facet pair, from either of its cones, gives the degree
-    for both; no relation and no Wall is built.  The least entry is the
+    point with <m, v_i> = 1 on each of its rays (:func:`_cone_ms`).  A
+    facet whose wall has the relation b + v_k + sum c_i v_i = 0, b the far
+    apex, gives <m, b> = -1 - sum c_i, so -K.C = 2 + sum c_i = 1 - <m, b>
+    (Reid).  One dot product per facet pair, from either of its cones,
+    gives the degree for both; no relation and no Wall is built, and a
+    surgery's output builds no inverse either.  The least entry is the
     least degree of any wall, positive exactly when the fan is Fano, as
     ``intersect.is_fano`` finds by scanning ``walls``.  Raises
     InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
     cones, rays = fan.max_cones, fan.rays
-    ms = [
-        tuple(det * sum(row) for row in adj) for adj, det in _analyze(fan)[3]
-    ]
+    ms = _cone_ms(fan)
     degrees = [[] for _ in cones]
     for (ca, _), (cb, kb) in _facet_map(fan).values():
         degree = 1 - sum(map(mul, ms[ca], rays[cones[cb][kb]]))
@@ -498,10 +530,45 @@ def _least_facet_degrees(fan):
     return tuple(map(min, degrees))
 
 
+def _cone_ms(fan):
+    """Per maximal cone of a smooth fan, m = A^-1 (1, ..., 1), the sum of
+    the columns of A^-1.
+
+    A surgery's output reads its own off what the surgery recorded, in
+    O(n) per cone, and builds no inverse: a kept cone has its parent cone's
+    m, and a moved cone ``(ci, k, rows, c, to)`` has m - c s' C_k, C_k
+    being column k of parent cone ci's inverse and s' = |rows - {k}|, since
+    :func:`_moved_inverse` takes c C_k from s' columns and then only
+    reorders them.
+    """
+    origin = fan._origin
+    if not origin:
+        return _root_ms(fan)
+    _, inverses, ms, plan = origin
+    out = []
+    for p in plan:
+        if type(p) is int:
+            out.append(ms[p])
+        else:
+            ci, k, rows, c, _ = p
+            times, pivot = c * (len(rows) - (k in rows)), inverses[ci][0][k]
+            out.append(tuple([a - times * b for a, b in zip(ms[ci], pivot)]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _root_ms(fan):
+    """:func:`_cone_ms` of a fan that no surgery made, the column sums of
+    its validity pass's inverses, found once: such a fan, P^n say, can be
+    the parent of many surgeries."""
+    return tuple(tuple(map(sum, zip(*cols))) for cols, _ in _analyze(fan)[3])
+
+
 def _child(parent, rays, cones, plan):
     """The fan a surgery builds from ``parent``, recording ``plan``, one
-    entry per cone, with the parent's completeness and cone inverses (the
-    tuple its cached validity pass holds, not a copy); see ``Fan._origin``.
+    entry per cone, with the parent's completeness, its cone inverses (the
+    tuple its cached validity pass holds, not a copy) and its per-cone
+    m-vectors (:func:`_cone_ms`); see ``Fan._origin``.
 
     The child is trusted, as its verdict is: it skips ``Fan.__init__`` and
     its entry checks, which the surgery's construction already meets.
@@ -510,13 +577,14 @@ def _child(parent, rays, cones, plan):
     hash is the one ``__post_init__`` computes.
     """
     _, _, complete, inverses = _analyze(parent)
+    ms = _cone_ms(parent)
     dim, cones = parent.dim, tuple(cones)
     child, set_ = object.__new__(Fan), object.__setattr__
     set_(child, "dim", dim)
     set_(child, "rays", rays)
     set_(child, "max_cones", cones)
     set_(child, "_hash", hash((dim, rays, cones)))
-    set_(child, "_origin", (complete, inverses, tuple(plan)))
+    set_(child, "_origin", (complete, inverses, ms, tuple(plan)))
     return child
 
 
@@ -750,7 +818,8 @@ def fans_isomorphic(f, g):
     passes exactly when it is a fan isomorphism.  Only then is
     the witness formed: the matrix sending one generator tuple to the
     other, whose anchor inverse is the validity pass's inverse of cone 0,
-    transposed, because here the generators are the columns.  Candidates
+    transposed, because here the generators are the columns: its rows are
+    the stored columns.  Candidates
     are tried in ``g.max_cones`` x ``permutations`` order and pruning only
     skips non-isomorphisms, so the witness is the first isomorphism in that
     order.  Returns one witness matrix (tuple of rows) or None.
@@ -782,8 +851,8 @@ def fans_isomorphic(f, g):
             continue
         for perm in _orders(target, wanted, g_inv):
             if _propagates(walk, g_walls, anchor, perm):
-                adj, det = _analyze(f)[3][0]
-                anchor_inv = tuple(tuple(det * x for x in col) for col in zip(*adj))
+                # the columns of A^-1, that is the rows of its transpose
+                anchor_inv = _analyze(f)[3][0][0]
                 image_matrix = tuple(
                     tuple(g.rays[j][i] for j in perm) for i in range(n)
                 )

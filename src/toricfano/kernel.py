@@ -6,12 +6,14 @@ routine: the adjugate and determinant of a square matrix by fraction-free
 entries stay minors of the input.  The validity pass in ``fan``, its only
 caller, runs only on a fan with no parent: a parsed fan file, projective
 space or a P^1-bundle.  It calls the kernel for one root cone per
-connected piece of the facet graph, once for a complete fan, and reads
-every other cone's inverse off a neighbour's across their shared facet; a
-cone the walk finds singular is left to the kernel, which raises.  The
-output of a surgery, a star subdivision or a blow-down, reads its inverses
-off its parent's instead, and every other change of basis reads the
-validity pass's result.
+connected piece of the facet graph, once for a complete fan, turns the
+rows of its result into the columns of |det| A^-1 that ``fan`` stores,
+and reads every other cone's inverse off a neighbour's across their
+shared facet; a cone the walk finds singular is left to the kernel, which
+raises.  The output of a surgery, a star subdivision or a blow-down, reads
+its verdict off what the surgery recorded and its inverses off its
+parent's, and only when they are read; every other change of basis reads
+the validity pass's result.
 
 Cone matrices of smooth fans are mostly 0 and +-1, so the elimination
 pivots on a unit entry of the column when there is one, and while the

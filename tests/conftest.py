@@ -33,7 +33,6 @@ from toricfano.cli import (
     cmd_verify_theorem2,
 )
 from toricfano.fan import (
-    _analyze,
     _covered_once,
     _facet_map,
     _overlaps,
@@ -179,6 +178,14 @@ def bareiss_inverse(rows):
     return adj, sign * prev
 
 
+def as_stored(adj, det):
+    """The kernel's ``(adj, det)`` of A in the form the validity pass
+    stores: the columns of |det| A^-1, which are adj's columns, negated
+    when det < 0, and det."""
+    sign = 1 if det > 0 else -1
+    return tuple(tuple(sign * x for x in col) for col in zip(*adj)), det
+
+
 def per_entry_analysis(fan):
     """The oracle for the bulk entry checks of ``fan._analyze``: every ray
     and cone entry tested one by one, each cone inverted by
@@ -215,7 +222,7 @@ def per_entry_analysis(fan):
         if any(len(row) != fan.dim for row in rows):
             continue  # the ray's dimension is already reported
         try:
-            inverses.append(bareiss_inverse(rows))
+            inverses.append(as_stored(*bareiss_inverse(rows)))
         except ValueError:
             problems.append(f"cone {ci} is not simplicial")
     used = {i for cone in fan.max_cones for i in cone}
@@ -311,8 +318,9 @@ def brute_fans_isomorphic(f, g):
     if _brute_signature(f) != _brute_signature(g):
         return None
     n = f.dim
-    adj, det = _analyze(f)[3][0]
-    anchor_inv = tuple(tuple(det * x for x in col) for col in zip(*adj))
+    # the transpose of A^-1 for f's cone 0: its rows are the columns of
+    # A^-1, as stored, since the fan is smooth
+    anchor_inv = as_stored(*bareiss_inverse([f.rays[i] for i in f.max_cones[0]]))[0]
     g_ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_cone_set = set(g.max_cones)
     for target in g.max_cones:

@@ -542,15 +542,21 @@ def test_analyze_divisor_builds_no_fan(monkeypatch):
 
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):
-    """Operation budget: each cone's inverse is found once, and the kernel
-    is asked once per fan with no parent, here P^n, the root of the corpus:
-    the validity pass inverts its cone 0 and reads every other cone's
-    inverse off a neighbour's across their shared facet.  Every star
-    subdivision reads its inverses off its parent's, keeping the parent's
-    ``(adj, det)`` for a cone outside the star and deriving one for each
-    new cone.  The kernel keeps no memo, so each call counted through its
-    wrapper is one elimination.  No blow-up is built, so past the corpus
-    itself only the two targets are checked.  Both sweeps run cold."""
+    """Operation budget: each cone's inverse is found once, and only for a
+    fan whose inverses are read.  The kernel is asked once per fan with no
+    parent, here P^n, the root of the corpus: the validity pass inverts its
+    cone 0 and reads every other cone's inverse off a neighbour's across
+    their shared facet.  A star subdivision reads its verdict and its
+    degree table off what it recorded of its parent, so only a surgery's
+    parent, whose inverses its children record, and a fan that
+    ``fans_isomorphic`` compares, whose walls are built, are analysed: 35
+    and 57 validity passes (73 and 96 when every child built its
+    inverses).  Those derive theirs from their parent's, keeping the
+    parent's ``(cols, det)`` for a cone outside the star and deriving one
+    for each new cone: 117 and 326 (253 and 574).  The kernel keeps no
+    memo, so each call counted through its wrapper is one elimination.
+    Both sweeps run cold."""
+    import toricfano.classify
     import toricfano.fan
     import toricfano.kernel
 
@@ -558,10 +564,20 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     moved = toricfano.fan._moved_inverse
     exchanged = toricfano.fan._exchanged_inverse
     analyze = toricfano.fan._analyze.__wrapped__
-    for corpus, derived in (((3, 60, 3, 2024), 253), ((4, 50, 4, 7), 574)):
+    child = toricfano.fan._child
+    budgets = (((3, 60, 3, 2024), 117, 35), ((4, 50, 4, 7), 326, 57))
+    for corpus, derived, passes in budgets:
         clear_caches()
-        missed = []
+        missed, parents, compared = [], set(), set()
         calls = {"asked": 0, "derived": 0, "exchanged": 0}
+
+        def recording_child(parent, *args):
+            parents.add(parent)
+            return child(parent, *args)
+
+        def recording_isomorphic(f, g):
+            compared.update((f, g))
+            return fans_isomorphic(f, g)
 
         def counting_analyze(fan):
             missed.append(fan)
@@ -585,6 +601,8 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
         monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
         monkeypatch.setattr(toricfano.fan, "_moved_inverse", counting_moved)
         monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", counting_exchanged)
+        monkeypatch.setattr(toricfano.fan, "_child", recording_child)
+        monkeypatch.setattr(toricfano.classify, "fans_isomorphic", recording_isomorphic)
         for fan in random_corpus(*corpus):
             theorem1_check(fan)
         roots = [fan for fan in missed if fan._origin is None]
@@ -594,6 +612,8 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
         assert calls["asked"] == len(roots) == 1, corpus
         assert calls["exchanged"] == sum(len(fan.max_cones) - 1 for fan in roots)
         assert calls["derived"] == derived, corpus
+        assert len(missed) == passes, corpus
+        assert compared and set(missed) <= parents | compared, corpus
 
 
 def count_full_passes(monkeypatch, run):
@@ -726,10 +746,13 @@ def test_theorem1_probes_match_the_per_cone_test(corpus):
 
 def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
     """Operation budget: from cold caches, ``verify-theorem1 --corpus
-    4,50,4,7`` runs ``Fan``'s entry checks 4 times, on P^4, built for the
-    corpus and once per fan it identifies; the 127 star subdivisions skip
-    them.  Its 683 fixed points are decided by one ``point_blowups_are_fano``
-    read per fan and no ``point_blowup_is_fano`` call."""
+    4,50,4,7`` runs ``Fan``'s entry checks twice, on P^4, built for the
+    corpus and once for the two targets fans are identified against.  The
+    125 star subdivisions, 124 for the corpus and one target, skip them
+    (4 checks and 127 subdivisions when the targets were built for each
+    of the 3 identified fans).  Its 683 fixed points are decided by one
+    ``point_blowups_are_fano`` read per fan and no ``point_blowup_is_fano``
+    call."""
     import sys
 
     import toricfano.cli
@@ -765,8 +788,8 @@ def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
     with redirect_stdout(io.StringIO()) as out:
         assert toricfano.cli.run(["verify-theorem1", "--corpus", "4,50,4,7", "--json"]) == 0
     assert counts == {
-        "checks": 4,
-        "children": 127,
+        "checks": 2,
+        "children": 125,
         "point_blowup_is_fano": 0,
         "point_blowups_are_fano": 50,
     }

@@ -14,6 +14,7 @@ from operator import mul
 
 import pytest
 from conftest import (
+    as_stored,
     bareiss_inverse,
     brute_fans_isomorphic,
     clear_caches,
@@ -56,6 +57,8 @@ from toricfano.fan import (
     Wall,
     _analyze,
     _exchanged_inverse,
+    _facet_map,
+    _least_facet_degrees,
     _moved_inverse,
     _overlaps,
 )
@@ -640,16 +643,46 @@ class TestStarSubdivide:
 
 def check_record(child, parent_inverses):
     """What a surgery recorded stays lean: the parent's inverse tuple
-    itself, not a copy, and a plan of one entry per cone, each a parent
-    cone index or the five ``_moved_inverse`` arguments that follow a
-    parent cone's ``(adj, det)``; no Fan and no callable anywhere."""
-    complete, inverses, plan = child._origin
+    itself, not a copy, the parent's per-cone m-vectors, each the sum of
+    its cone's stored columns, and a plan of one entry per cone, each a
+    parent cone index or the five ``_moved_inverse`` arguments that follow
+    a parent cone's ``(cols, det)``; no Fan and no callable anywhere."""
+    complete, inverses, ms, plan = child._origin
     assert inverses is parent_inverses
+    assert type(ms) is tuple
+    assert ms == tuple(tuple(map(sum, zip(*cols))) for cols, _ in inverses)
     assert type(plan) is tuple and len(plan) == len(child.max_cones)
     assert all(type(p) is int or (type(p) is tuple and len(p) == 5) for p in plan)
     moved = [x for p in plan if type(p) is tuple for x in p]
-    for x in (complete, inverses, plan, *plan, *moved):
+    for x in (complete, inverses, ms, plan, *plan, *moved):
         assert not isinstance(x, Fan) and not callable(x), x
+
+
+def check_planned_degrees(child, own_inverses):
+    """Differential test of the least-facet-degree table a surgery's output
+    reads through its plan, its m-vectors read off its parent's, against
+    the slow path: each cone's m the sum of the columns of its own inverse,
+    from ``own_inverses``, and each of its facets' degree 1 - <m, b>, b the
+    apex across the facet, read from this cone's side.  Entry by entry the
+    tables are equal, the fast path asks for no validity pass, and the
+    least entry is positive exactly when ``is_fano`` holds.  An incomplete
+    output has no table."""
+    calls = _analyze.cache_info()
+    if not child._origin[0]:
+        with pytest.raises(InvalidFanError, match="fan must be complete"):
+            _least_facet_degrees.__wrapped__(child)
+        return
+    table = _least_facet_degrees.__wrapped__(child)
+    after = _analyze.cache_info()
+    assert (after.hits, after.misses) == (calls.hits, calls.misses), child
+    rays, cones = child.rays, child.max_cones
+    ms = [tuple(map(sum, zip(*cols))) for cols, _ in own_inverses]
+    degrees = [[] for _ in cones]
+    for (ca, ka), (cb, kb) in _facet_map(child).values():
+        degrees[ca].append(1 - sum(map(mul, ms[ca], rays[cones[cb][kb]])))
+        degrees[cb].append(1 - sum(map(mul, ms[cb], rays[cones[ca][ka]])))
+    assert table == tuple(map(min, degrees)), child
+    assert (min(table) > 0) == is_fano(child), child
 
 
 def check_trusted_child(child):
@@ -679,13 +712,15 @@ def check_inherited_inverses(child, parent_inverses):
     assert rebuild == child
     assert hash(rebuild) == hash(child)
     assert repr(rebuild) == repr(child)
+    full = _analyze.__wrapped__(rebuild)
+    check_planned_degrees(child, full[3])
     result = _analyze(child)
-    assert result == _analyze.__wrapped__(rebuild), child
+    assert result == full, child
     new_index = len(child.rays) - 1
     for cone, inverse in zip(child.max_cones, result[3]):
         if cone[-1] == new_index:
             rows = tuple(child.rays[i] for i in cone)
-            assert inverse == bareiss_inverse(rows), (child, cone)
+            assert inverse == as_stored(*bareiss_inverse(rows)), (child, cone)
 
 
 def faces(fan):
@@ -704,7 +739,10 @@ class TestInheritedInverses:
     def test_every_center_of_every_fan(self, differential_fans):
         """Every face of size at least 2 is a center, on each fan, and the
         blow-down along it undoes the blow-up: the same fan, cone order
-        included, whose pass, read off the child's, is the parent's."""
+        included, whose pass, read off the child's, is the parent's, and
+        whose degree table, read through its plan, is read off the
+        parent's inverses too.  Every blow-down moves a cone with c = -1
+        and k outside ``rows``, the removed ray not being a center ray."""
         subdivided = 0
         for fan in differential_fans:
             parent = _analyze(fan)
@@ -714,6 +752,10 @@ class TestInheritedInverses:
                 back = blow_down(child, len(fan.rays), center)
                 check_trusted_child(back)
                 assert back == fan and back.max_cones == fan.max_cones
+                moved = [p for p in back._origin[3] if type(p) is tuple]
+                assert moved
+                assert all(c == -1 and k not in rows for _, k, rows, c, _ in moved)
+                check_planned_degrees(back, parent[3])
                 assert _analyze(back) == parent, (fan, center)
                 subdivided += 1
             clear_caches()
@@ -777,7 +819,10 @@ def check_walked_inverses(fan, calls):
     )
     assert report.valid and complete, fan
     assert len(calls) == before + 1, fan
-    expected = [bareiss_inverse([fan.rays[i] for i in cone]) for cone in fan.max_cones]
+    expected = [
+        as_stored(*bareiss_inverse([fan.rays[i] for i in cone]))
+        for cone in fan.max_cones
+    ]
     assert list(inverses) == expected, fan
     assert smooth == all(det in (1, -1) for _, det in expected)
 
@@ -845,9 +890,9 @@ class TestWalkedInverses:
         calls = count_kernel_calls(monkeypatch)
         exchanged, dets = toricfano.fan._exchanged_inverse, []
 
-        def recording_exchanged(adj, det, *args):
+        def recording_exchanged(cols, det, *args):
             dets.append(det)
-            return exchanged(adj, det, *args)
+            return exchanged(cols, det, *args)
 
         monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", recording_exchanged)
         rng = random.Random(2323)
@@ -872,36 +917,39 @@ class TestWalkedInverses:
 
     def test_exchange_of_a_row_operation_is_the_moved_inverse(self):
         """``_moved_inverse`` is the exchange whose new row is row k plus c
-        times the rows in ``rows``: mu = det (e_k + c sum_rows e_j).  Both
-        also match the Bareiss oracle on the exchanged, moved matrix."""
+        times the rows in ``rows``: mu = |det| (e_k + c sum_rows e_j).
+        Both also match the Bareiss oracle on the exchanged, moved matrix,
+        in the stored form."""
         rng = random.Random(2424)
         checked = 0
         while checked < 2_000:
             n = rng.randint(2, 5)
             a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             try:
-                adj, det = bareiss_inverse(a)
+                cols, det = as_stored(*bareiss_inverse(a))
             except ValueError:
                 continue
             k, to, c = rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2, -3))
             rows = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
             lam = [int(j == k) + c * (j in rows and j != k) for j in range(n)]
-            moved = _moved_inverse(adj, det, k, rows, c, to)
-            assert _exchanged_inverse(adj, det, k, [det * x for x in lam], to) == moved
+            moved = _moved_inverse(cols, det, k, rows, c, to)
+            mu = [abs(det) * x for x in lam]
+            assert _exchanged_inverse(cols, det, k, mu, to) == moved
             new = [sum(x * row[i] for x, row in zip(lam, a)) for i in range(n)]
             exchanged = a[:k] + a[k + 1 :]
             exchanged.insert(to, new)
-            assert moved == bareiss_inverse(exchanged)
+            assert moved == as_stored(*bareiss_inverse(exchanged))
             # an arbitrary new row: the general exchange
             u = [rng.randint(-4, 4) for _ in range(n)]
-            mu = [sum(x * row[j] for x, row in zip(u, adj)) for j in range(n)]
+            mu = [sum(map(mul, u, col)) for col in cols]
             if mu[k]:
                 exchanged[to] = u
-                assert _exchanged_inverse(adj, det, k, mu, to) == bareiss_inverse(exchanged)
+                got = _exchanged_inverse(cols, det, k, mu, to)
+                assert got == as_stored(*bareiss_inverse(exchanged))
             checked += abs(det) > 1
 
     def test_an_inexact_exchange_raises(self):
-        # not an adjugate of det 2: the exchange leaves a remainder
+        # not |det| A^-1 for a det of 2: the exchange leaves a remainder
         with pytest.raises(ArithmeticError, match="not exact"):
             _exchanged_inverse(((1, 0), (0, 1)), 2, 0, (1, 1), 0)
 
@@ -937,14 +985,16 @@ def check_contracted_inverses(parent, parent_inverses, wall, result, removed):
     assert rebuild == result
     assert hash(rebuild) == hash(result)
     assert repr(rebuild) == repr(result)
+    full = _analyze.__wrapped__(rebuild)
+    check_planned_degrees(result, full[3])
     got = _analyze(result)
-    assert got == _analyze.__wrapped__(rebuild), result
+    assert got == full, result
     a, b = (i if i < removed else i - 1 for i in (wall.apex_a, wall.apex_b))
     merged = 0
     for cone, inverse in zip(result.max_cones, got[3]):
         if a in cone and b in cone:
             rows = tuple(result.rays[i] for i in cone)
-            assert inverse == bareiss_inverse(rows), (result, cone)
+            assert inverse == as_stored(*bareiss_inverse(rows)), (result, cone)
             merged += 1
     # each merge drops one cone of the parent
     assert merged == len(parent.max_cones) - len(result.max_cones) > 0
