@@ -14,12 +14,12 @@ witness is produced.  An invariant divisor is recognised as projective
 (n-1)-space by counting the maximal cones through its ray, and its
 degree and line are read off the walls through the ray; no quotient
 fan is built.  The blow-up verifier builds no blow-up either: each fixed
-point is decided from the least anticanonical degree of each cone's
-facet curves, read without building the walls, and the fan is
-identified once, against projective space or its blow-up along a linear
-codimension-two subspace.  Input outside a statement's hypotheses (a
-divisor that is not projective space, a fan that is not Fano, a dimension
-outside the range) raises :class:`OutsideStatement`, never a failed check.
+point is decided from its cone's m-vector and the rays outside the cone,
+with no wall built, and the fan is identified once, against projective
+space or its blow-up along a linear codimension-two subspace.  Input
+outside a statement's hypotheses (a divisor that is not projective
+space, a fan that is not Fano, a dimension outside the range) raises
+:class:`OutsideStatement`, never a failed check.
 """
 
 import random
@@ -30,7 +30,6 @@ from . import lattice
 from ._record import record
 from .fan import (
     Fan,
-    _least_facet_degrees,
     blow_down,
     ensure_smooth_complete,
     fans_isomorphic,
@@ -40,7 +39,7 @@ from .fan import (
     star_subdivide,
     walls,
 )
-from .intersect import is_fano, point_blowups_are_fano
+from .intersect import _blowup_verdicts, is_fano, point_blowups_are_fano
 from .mori import (
     _picard_classes,
     contraction_info,
@@ -485,8 +484,8 @@ def theorem1_check(fan):
 
     Every fixed point is decided exactly by one call of
     :func:`point_blowups_are_fano`, and whether the input is Fano is read
-    separately, both from one table of the least facet degree per cone
-    (``fan._least_facet_degrees``); no blow-up is built, and no wall
+    separately, both from one cached read of the cones' m-vectors
+    (``intersect._blowup_verdicts``); no blow-up is built, and no wall
     either until a blow-up is Fano.  At the first fixed point whose
     blow-up is Fano, the input fan is identified once, with an
     explicit witness, as projective space (then every fixed point works) or
@@ -530,7 +529,7 @@ def theorem1_check(fan):
         probes.append(
             FixedPointProbe(ci, cone, True, conclusion, witness, violation)
         )
-    input_fano = min(_least_facet_degrees(fan)) > 0
+    input_fano = _blowup_verdicts(fan)[0]
     global_violations = ()
     if any_fano and not input_fano:
         global_violations = (

@@ -32,13 +32,12 @@ read its inverse off that cone's.  With the plan go the parent's cone
 inverses, its per-cone m-vectors and whether the parent is complete, but
 not the parent or its cones; the output applies the plan to the inverses
 only when they are read, as the parent of a further surgery or to build
-its walls.  Whether a point blow-up is Fano is decided in ``intersect``
-without building it, from the parent's least anticanonical degree per
-cone, which ``_least_facet_degrees`` reads off the cones' m-vectors, m =
-A^-1 (1, ..., 1), without building the walls; a surgery's output reads
-its m-vectors off its parent's through the plan, in O(n) per cone, and
-builds no inverse for it.  One read of that table decides every fixed
-point of a fan.
+its walls.  Whether a fan and each of its point blow-ups are Fano is
+decided in ``intersect`` without building a blow-up, a wall or a facet
+map, from the cones' m-vectors, m = A^-1 (1, ..., 1), and the rays
+outside each cone (:func:`_cone_ms`); a surgery's output reads its
+m-vectors off its parent's through the plan, in O(n) per cone, and
+builds no inverse for them.  One read decides every fixed point of a fan.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot.  A pickled fan carries its three fields only, and is
@@ -502,32 +501,6 @@ def walls(fan):
             raise InvalidFanError("fan not smooth along wall")
         out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _least_facet_degrees(fan):
-    """Per maximal cone, the least -K.C over the curves of its n facets.
-
-    A cone with its rays v_i as the rows of A has m = A^-1 (1, ..., 1), the
-    point with <m, v_i> = 1 on each of its rays (:func:`_cone_ms`).  A
-    facet whose wall has the relation b + v_k + sum c_i v_i = 0, b the far
-    apex, gives <m, b> = -1 - sum c_i, so -K.C = 2 + sum c_i = 1 - <m, b>
-    (Reid).  One dot product per facet pair, from either of its cones,
-    gives the degree for both; no relation and no Wall is built, and a
-    surgery's output builds no inverse either.  The least entry is the
-    least degree of any wall, positive exactly when the fan is Fano, as
-    ``intersect.is_fano`` finds by scanning ``walls``.  Raises
-    InvalidFanError unless the fan is smooth and complete.
-    """
-    ensure_smooth_complete(fan)
-    cones, rays = fan.max_cones, fan.rays
-    ms = _cone_ms(fan)
-    degrees = [[] for _ in cones]
-    for (ca, _), (cb, kb) in _facet_map(fan).values():
-        degree = 1 - sum(map(mul, ms[ca], rays[cones[cb][kb]]))
-        degrees[ca].append(degree)
-        degrees[cb].append(degree)
-    return tuple(map(min, degrees))
 
 
 def _cone_ms(fan):

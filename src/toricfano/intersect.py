@@ -2,17 +2,19 @@
 
 On a smooth complete toric variety an invariant Cartier divisor is ample
 exactly when it meets every invariant curve strictly positively, so both
-the ample and the Fano test are one exact scan over the walls.  Whether a
-point blow-up is Fano needs only the anticanonical degree of each wall,
-which ``fan._least_facet_degrees`` reads per maximal cone without building
-the walls, so one read of that table decides every fixed point of a fan;
-:func:`is_fano`, the wall scan, is its oracle in the tests.
+the ample and the Fano test are one exact scan over the walls.  Whether
+the fan is Fano, and whether each point blow-up is, is also read without
+building any wall, from each maximal cone's m = A^-1 (1, ..., 1) and the
+rays outside the cone (``_blowup_verdicts``, proved at
+:func:`point_blowups_are_fano`), so one read decides every fixed point of
+a fan; :func:`is_fano`, the wall scan, is its oracle in the tests.
 """
 
 from functools import lru_cache
+from operator import mul
 
 from ._record import record
-from .fan import _least_facet_degrees, require_int, walls
+from .fan import _cone_ms, ensure_smooth_complete, require_int, walls
 
 
 @record
@@ -98,35 +100,72 @@ def is_fano(fan):
     return all(anticanonical_degree(fan, w) > 0 for w in walls(fan))
 
 
+@lru_cache(maxsize=None)
+def _blowup_verdicts(fan):
+    """(whether the fan is Fano, per maximal cone in order whether blowing
+    up its fixed point gives a Fano fan), read from each cone's m-vector
+    (``fan._cone_ms``) and the rays outside the cone alone: the fan is
+    Fano when <m, v_j> < 1 for every cone and ray v_j outside it, and a
+    cone's point blow-up when, besides, <m, v_j> < 2 - n for every ray v_j
+    outside that cone (see :func:`point_blowups_are_fano`).  The first ray with <m, v_j> >= 1
+    certifies that the fan is not Fano, and ends the scan.  Raises
+    InvalidFanError unless the fan is smooth and complete.
+    """
+    ensure_smooth_complete(fan)
+    verdicts, rays, bound = [], fan.rays, 2 - fan.dim
+    for cone, m in zip(fan.max_cones, _cone_ms(fan)):
+        blowup_fano = True
+        for j, ray in enumerate(rays):
+            if j not in cone:
+                value = sum(map(mul, m, ray))
+                if value >= bound:
+                    if value >= 1:
+                        return False, (False,) * len(fan.max_cones)
+                    blowup_fano = False
+        verdicts.append(blowup_fano)
+    return True, tuple(verdicts)
+
+
 def point_blowups_are_fano(fan):
     """Per maximal cone, in order, whether blowing up its fixed point gives
     a Fano fan.
 
-    Decided from the parent, without building the blow-up.  Let cone =
-    {v_1..v_n} and w = v_1 + ... + v_n the new ray.
+    Decided from the parent, without building the blow-up or any wall.
+    Let cone = {v_1..v_n}, A the matrix with these rows, m = A^-1 (1, ...,
+    1) the point with <m, v_i> = 1 on the cone's rays, and w = v_1 + ... +
+    v_n the new ray.
 
-    - A wall that is not a facet of the cone lies in two cones that the
-      subdivision keeps, so it keeps its relation and its degree.
-    - The facet opposite v_k, with relation b + v_k + sum c_i v_i = 0,
-      becomes a wall between {w} + facet and the cone across it.  Putting
-      v_k = w - sum_{i != k} v_i gives b + w + sum (c_i - 1) v_i = 0, so
-      its anticanonical degree 2 + sum c_i drops by n - 1.
-    - The new walls inside the cone, where {w} + cone - {v_i} meets
-      {w} + cone - {v_j}, have relation v_i + v_j - w + sum of the other
-      n - 2 rays = 0 and degree n - 1 > 0.
+    - Fano: -K is ample exactly when its support function, <m, .> on each
+      cone, is strictly convex, that is when <m, v_j> < 1 for every cone
+      and every ray v_j outside it (Fulton, Introduction to Toric
+      Varieties, 3.4).  The wall test is a special case: a wall with the
+      relation b + v_k + sum c_i v_i = 0, b the apex across the facet
+      opposite v_k, has <m, b> = -1 - sum c_i, so its degree -K.C = 2 +
+      sum c_i = 1 - <m, b> is positive exactly when <m, b> < 1.
+    - The blow-up is Fano if the fan is Fano and each of the cone's n
+      facet walls has degree > n - 1, that is <m, b> < 2 - n at each far
+      apex b.  A wall that is not a facet of the cone lies in two cones
+      that the subdivision keeps, so it keeps its relation and its degree.
+      The facet opposite v_k becomes a wall between {w} + facet and the
+      cone across it; putting v_k = w - sum_{i != k} v_i gives b + w +
+      sum (c_i - 1) v_i = 0, so its degree drops by n - 1.  The new walls
+      inside the cone, where {w} + cone - {v_i} meets {w} + cone - {v_j},
+      have relation v_i + v_j - w + sum of the other n - 2 rays = 0 and
+      degree n - 1 > 0.  So <m, v_j> < 2 - n for every ray v_j outside
+      the cone, far apexes included, is enough.
+    - Conversely, let the blow-up be Fano.  Then so is the fan, by the
+      facet argument above.  The new cone that swaps v_k for w has m_k =
+      m - (n - 1) C_k, C_k the dual vector of v_k (column k of A^-1),
+      since <m_k, w> = 1 forces <m_k, v_k> = 2 - n.  A ray v_j outside the
+      cone has an integral coordinate lambda_k = <C_k, v_j> <= -1 in the
+      cone's basis, being outside it, and then 1 > <m_k, v_j> = <m, v_j>
+      - (n - 1) lambda_k >= <m, v_j> + n - 1, so <m, v_j> < 2 - n.
 
-    So the blow-up is Fano exactly when the fan is Fano and each of the
-    cone's n facet walls has degree > n - 1.  Both come from one read of
-    the cached table ``fan._least_facet_degrees``, one least facet degree per
-    maximal cone: its least entry is positive exactly when the fan is
-    Fano, and the cone's entry must exceed n - 1.  No wall is built.
+    Both verdicts come from one cached read of the cones' m-vectors,
+    which a surgery's output reads off its parent's through the plan.
     Raises InvalidFanError unless the fan is smooth and complete.
     """
-    table = _least_facet_degrees(fan)
-    if min(table) <= 0:
-        return (False,) * len(table)
-    bound = fan.dim - 1
-    return tuple(degree > bound for degree in table)
+    return _blowup_verdicts(fan)[1]
 
 
 def point_blowup_is_fano(fan, cone):
@@ -148,5 +187,5 @@ def point_blowup_is_fano(fan, cone):
     try:
         ci = fan.max_cones.index(tuple(sorted(cone)))
     except ValueError:
-        raise ValueError("center is not a maximal cone of the fan") from None
+        raise ValueError("cone is not a maximal cone of the fan") from None
     return fano[ci]

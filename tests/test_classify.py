@@ -547,7 +547,7 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     parent, here P^n, the root of the corpus: the validity pass inverts its
     cone 0 and reads every other cone's inverse off a neighbour's across
     their shared facet.  A star subdivision reads its verdict and its
-    degree table off what it recorded of its parent, so only a surgery's
+    m-vectors off what it recorded of its parent, so only a surgery's
     parent, whose inverses its children record, and a fan that
     ``fans_isomorphic`` compares, whose walls are built, are analysed: 35
     and 57 validity passes (73 and 96 when every child built its
@@ -652,16 +652,17 @@ def count_full_passes(monkeypatch, run):
 
 @pytest.mark.parametrize(
     "corpus, facet_maps",
-    [((3, 60, 3, 2024), 54), ((4, 50, 4, 7), 53)],
+    [((3, 60, 3, 2024), 6), ((4, 50, 4, 7), 5)],
     ids=["dim3", "dim4"],
 )
 def test_theorem1_runs_one_full_validity_pass(monkeypatch, corpus, facet_maps):
     """Operation budget: building the corpus and sweeping it runs the full
     validity pass once, on P^n, the root every corpus fan descends from.
-    Besides that pass, facet maps are built by the least-facet-degree table
-    once per distinct corpus fan (48 on each corpus) and by ``walls`` once
-    per fan it identifies or identifies against (5 and 4): 1 + 48 + 5 and
-    1 + 48 + 4."""
+    Besides that pass, facet maps are built only by ``walls``, once per fan
+    the sweep identifies or identifies against (5 and 4): 1 + 5 and 1 + 4.
+    Every Fano verdict is read from the cones' m-vectors, with no facet
+    map (1 + 48 + 5 and 1 + 48 + 4 when a table of the least facet degree
+    per cone paired each corpus fan's facets)."""
 
     def sweep():
         for fan in random_corpus(*corpus):
@@ -694,9 +695,9 @@ def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
     ids=["dim3", "dim4"],
 )
 def test_theorem1_builds_walls_only_for_the_fans_it_identifies(monkeypatch, corpus, built):
-    """Operation budget: the cold sweep reads every anticanonical degree it
-    needs from the least-facet-degree table, so it asks no wall for one,
-    and builds walls only for the fans that ``fans_isomorphic`` compares: a
+    """Operation budget: the cold sweep reads every Fano verdict it needs
+    from the cones' m-vectors, so it asks no wall for a degree, and builds
+    walls only for the fans that ``fans_isomorphic`` compares: a
     fan with a Fano probe and the target it is identified against."""
     import toricfano.classify
     import toricfano.fan
@@ -730,7 +731,7 @@ def test_theorem1_builds_walls_only_for_the_fans_it_identifies(monkeypatch, corp
     "corpus", [(3, 200, 3, 42), (4, 50, 4, 7)], ids=["dim3", "dim4"]
 )
 def test_theorem1_probes_match_the_per_cone_test(corpus):
-    """Differential test: the sweep's one table read per fan gives every
+    """Differential test: the sweep's one verdict read per fan gives every
     fixed point the verdict ``point_blowup_is_fano`` gives its cone alone,
     and both verdicts occur."""
     verdicts = set()

@@ -57,11 +57,10 @@ from toricfano.fan import (
     Wall,
     _analyze,
     _exchanged_inverse,
-    _facet_map,
-    _least_facet_degrees,
     _moved_inverse,
     _overlaps,
 )
+from toricfano.intersect import _blowup_verdicts
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -658,31 +657,37 @@ def check_record(child, parent_inverses):
         assert not isinstance(x, Fan) and not callable(x), x
 
 
-def check_planned_degrees(child, own_inverses):
-    """Differential test of the least-facet-degree table a surgery's output
-    reads through its plan, its m-vectors read off its parent's, against
-    the slow path: each cone's m the sum of the columns of its own inverse,
-    from ``own_inverses``, and each of its facets' degree 1 - <m, b>, b the
-    apex across the facet, read from this cone's side.  Entry by entry the
-    tables are equal, the fast path asks for no validity pass, and the
-    least entry is positive exactly when ``is_fano`` holds.  An incomplete
-    output has no table."""
+def verdicts_from_ms(fan, ms):
+    """The slow statement of the point blow-up verdicts, from the m-vectors
+    ``ms`` of ``fan``'s cones: with t the largest <m, v_j> over the rays
+    outside a cone, the fan is Fano when every t < 1, and a cone's point
+    blow-up is Fano when the fan is and its t < 2 - n."""
+    tops = [
+        max(sum(map(mul, m, ray)) for j, ray in enumerate(fan.rays) if j not in cone)
+        for cone, m in zip(fan.max_cones, ms)
+    ]
+    fano = max(tops) < 1
+    return fano, tuple(fano and top < 2 - fan.dim for top in tops)
+
+
+def check_planned_verdicts(child, own_inverses):
+    """Differential test of the verdicts a surgery's output reads through
+    its plan, its m-vectors read off its parent's, against those of its
+    parentless rebuild, each cone's m the sum of the columns of its own
+    inverse, from ``own_inverses``.  They are equal, the fast path asks for
+    no validity pass, and its Fano verdict is ``is_fano``'s.  An incomplete
+    output has no verdict."""
     calls = _analyze.cache_info()
     if not child._origin[0]:
         with pytest.raises(InvalidFanError, match="fan must be complete"):
-            _least_facet_degrees.__wrapped__(child)
+            _blowup_verdicts.__wrapped__(child)
         return
-    table = _least_facet_degrees.__wrapped__(child)
+    verdicts = _blowup_verdicts.__wrapped__(child)
     after = _analyze.cache_info()
     assert (after.hits, after.misses) == (calls.hits, calls.misses), child
-    rays, cones = child.rays, child.max_cones
     ms = [tuple(map(sum, zip(*cols))) for cols, _ in own_inverses]
-    degrees = [[] for _ in cones]
-    for (ca, ka), (cb, kb) in _facet_map(child).values():
-        degrees[ca].append(1 - sum(map(mul, ms[ca], rays[cones[cb][kb]])))
-        degrees[cb].append(1 - sum(map(mul, ms[cb], rays[cones[ca][ka]])))
-    assert table == tuple(map(min, degrees)), child
-    assert (min(table) > 0) == is_fano(child), child
+    assert verdicts == verdicts_from_ms(child, ms), child
+    assert verdicts[0] == is_fano(child), child
 
 
 def check_trusted_child(child):
@@ -713,7 +718,7 @@ def check_inherited_inverses(child, parent_inverses):
     assert hash(rebuild) == hash(child)
     assert repr(rebuild) == repr(child)
     full = _analyze.__wrapped__(rebuild)
-    check_planned_degrees(child, full[3])
+    check_planned_verdicts(child, full[3])
     result = _analyze(child)
     assert result == full, child
     new_index = len(child.rays) - 1
@@ -740,7 +745,7 @@ class TestInheritedInverses:
         """Every face of size at least 2 is a center, on each fan, and the
         blow-down along it undoes the blow-up: the same fan, cone order
         included, whose pass, read off the child's, is the parent's, and
-        whose degree table, read through its plan, is read off the
+        whose blow-up verdicts, read through its plan, are those of the
         parent's inverses too.  Every blow-down moves a cone with c = -1
         and k outside ``rows``, the removed ray not being a center ray."""
         subdivided = 0
@@ -755,7 +760,7 @@ class TestInheritedInverses:
                 moved = [p for p in back._origin[3] if type(p) is tuple]
                 assert moved
                 assert all(c == -1 and k not in rows for _, k, rows, c, _ in moved)
-                check_planned_degrees(back, parent[3])
+                check_planned_verdicts(back, parent[3])
                 assert _analyze(back) == parent, (fan, center)
                 subdivided += 1
             clear_caches()
@@ -986,7 +991,7 @@ def check_contracted_inverses(parent, parent_inverses, wall, result, removed):
     assert hash(rebuild) == hash(result)
     assert repr(rebuild) == repr(result)
     full = _analyze.__wrapped__(rebuild)
-    check_planned_degrees(result, full[3])
+    check_planned_verdicts(result, full[3])
     got = _analyze(result)
     assert got == full, result
     a, b = (i if i < removed else i - 1 for i in (wall.apex_a, wall.apex_b))

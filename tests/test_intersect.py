@@ -1,4 +1,7 @@
+from operator import mul
+
 import pytest
+from conftest import bareiss_inverse
 
 from toricfano import (
     Fan,
@@ -17,7 +20,7 @@ from toricfano import (
     star_subdivide,
     walls,
 )
-from toricfano.fan import _least_facet_degrees
+from toricfano.intersect import _blowup_verdicts
 
 
 def test_dot_examples(p3, blowup_p3_point, get_wall):
@@ -158,27 +161,54 @@ def test_point_blowup_is_fano_matches_the_built_blowup(differential_fans):
     assert 0 < fano < sum(len(f.max_cones) for f in differential_fans)
 
 
-def test_least_facet_degrees_match_the_walls(differential_fans):
-    """Differential test of the table against the wall scan it replaces in
-    the Theorem-1 sweep: each entry is the least anticanonical degree over
-    the cone's facet walls, and the least entry is positive exactly when
-    ``is_fano`` says so."""
+def test_blowup_verdicts_match_the_walls(differential_fans):
+    """Differential test of the verdicts read from the cones' m-vectors
+    against the wall scan: the fan is Fano exactly when ``is_fano`` says
+    so, and a cone's point blow-up exactly when the fan is Fano and each
+    facet wall of the cone has anticanonical degree > n - 1."""
     fans = differential_fans + random_corpus(3, 60, 3, 2024)
-    fano = 0
+    fano = blowups = 0
     for fan in fans:
-        table = _least_facet_degrees(fan)
         by_facet = {w.wall_rays: w for w in walls(fan)}
-        assert table == tuple(
-            min(
+        expected = tuple(
+            is_fano(fan)
+            and all(
                 anticanonical_degree(fan, by_facet[cone[:k] + cone[k + 1 :]])
+                > fan.dim - 1
                 for k in range(fan.dim)
             )
             for cone in fan.max_cones
-        ), fan
-        assert (min(table) > 0) == is_fano(fan), fan
+        )
+        assert _blowup_verdicts(fan) == (is_fano(fan), expected), fan
         fano += is_fano(fan)
-    # both verdicts occur
-    assert 0 < fano < len(fans)
+        blowups += any(expected)
+    # both verdicts occur, on the fan and on its blow-ups
+    assert 0 < blowups < fano < len(fans)
+
+
+def test_a_ray_beyond_the_bound_forbids_the_blowup(differential_fans):
+    """The lemma behind the per-cone verdict: if some ray v_j outside a cone
+    has <m, v_j> >= 2 - n, m = A^-1 (1, ..., 1) from the Bareiss oracle,
+    then blowing up the cone's fixed point gives no Fano fan.  Both sides
+    of the lemma occur on Fano fans."""
+    seen = set()
+    for fan in differential_fans:
+        for cone in fan.max_cones:
+            adj, det = bareiss_inverse(tuple(fan.rays[i] for i in cone))
+            m = [sum(row) * det for row in adj]
+            assert abs(det) == 1 and all(
+                sum(map(mul, m, fan.rays[i])) == 1 for i in cone
+            ), (fan, cone)
+            beyond = any(
+                sum(map(mul, m, ray)) >= 2 - fan.dim
+                for j, ray in enumerate(fan.rays)
+                if j not in cone
+            )
+            if beyond:
+                assert not is_fano(star_subdivide(fan, cone)), (fan, cone)
+            if is_fano(fan):
+                seen.add(beyond)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize(
@@ -203,7 +233,7 @@ def test_point_blowup_is_fano_rejects_what_is_not_a_maximal_cone(p3, p1xp2):
     assert point_blowup_is_fano(p3, (2, 0, 1))  # any order of a cone's rays
     # a repeated index names the rays of a cone, but is not one
     for cone in ((0, 1, 2, 2), (0, 1, 1), (3, 3, 3), ()):
-        with pytest.raises(ValueError, match="not a maximal cone"):
+        with pytest.raises(ValueError, match="^cone is not a maximal cone of the fan$"):
             point_blowup_is_fano(p3, cone)
     # every facet of (2, 3, 4) is a wall, but (2, 3) joins the cones through
     # rays 0 and 1, not through 4
