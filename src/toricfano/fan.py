@@ -27,17 +27,20 @@ without building the output's inverses.  The output skips the entry
 checks too (the types, the sorted cones), which its construction already
 meets; a fan built by ``Fan(...)`` or unpickled runs them.
 The loop that builds the output's cones records a plan: for each cone,
-the parent cone it keeps, or the parent cone and the column operation that
-read its inverse off that cone's.  With the plan go the parent's cone
-inverses, its per-cone m-vectors and whether the parent is complete, but
-not the parent or its cones; the output applies the plan to the inverses
-only when they are read, as the parent of a further surgery or to build
-its walls.  Whether a fan and each of its point blow-ups are Fano is
+the parent cone it keeps, or the exchange that reads its inverse off
+that cone's, the walk's step across a wall with the new row written in
+the parent cone's basis.  So one update rule serves every cone inverse,
+walked or planned.  With the plan go the parent's cone inverses, its
+per-cone m-vectors and whether the parent is complete, but not the
+parent or its cones; the output applies the plan to the inverses only
+when they are read, as the parent of a further surgery or to build its
+walls.  Whether a fan and each of its point blow-ups are Fano is
 decided in ``intersect`` without building a blow-up, a wall or a facet
 map, from the cones' m-vectors, m = A^-1 (1, ..., 1), and the rays
 outside each cone (:func:`_cone_ms`); a surgery's output reads its
-m-vectors off its parent's through the plan, in O(n) per cone, and
-builds no inverse for them.  One read decides every fixed point of a fan.
+m-vectors off its parent's through the plan, by one rule for every
+exchange, in O(n) per cone, and builds no inverse for them.  One read
+decides every fixed point of a fan.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot.  A pickled fan carries its three fields only, and is
@@ -46,7 +49,7 @@ workers.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from operator import mul, neg, sub
 
 from . import kernel, lattice
@@ -78,11 +81,12 @@ class Fan:
     # (complete, inverses, ms, plan) of a fan made by a surgery, else None:
     # the parent's completeness, its cone inverses and its per-cone
     # m-vectors, and per cone of this fan either the index of the parent
-    # cone it keeps or the _moved_inverse arguments (ci, k, rows, c, to)
-    # that read its inverse, and its m-vector, off parent cone ci's; the
-    # verdict is read from here, and the inverses are built only when
-    # read.  Private state outside the fields, like _hash, so equality,
-    # hash, repr and pickling ignore it
+    # cone it keeps or the exchange (ci, k, mu, to), the _exchanged_inverse
+    # arguments that read its inverse, and its m-vector, off parent cone
+    # ci's, mu being the new row in that cone's basis; the verdict is read
+    # from here, and the inverses are built only when read.  Private state
+    # outside the fields, like _hash, so equality, hash, repr and pickling
+    # ignore it
     _origin = None
 
     def __init__(self, dim, rays, max_cones):
@@ -200,27 +204,6 @@ def _covered_once(fan, inverses):
     return True
 
 
-def _moved_inverse(cols, det, k, rows, c, to):
-    """(cols, det) of a cone's matrix A after its row k gains c times each
-    other row j in ``rows`` and then moves to position ``to``.
-
-    The row operation is A -> E A with det E = 1, and E^-1 subtracts what E
-    adds, so A^-1 E^-1 has c times column k subtracted from each column j:
-    s' column updates, s' = |rows - {k}|, with |det| unchanged.  Moving row
-    k to position ``to`` permutes the rows by a cycle of |to - k|
-    transpositions: column k moves to ``to``, and det is multiplied by
-    (-1)^|to - k|; |det| A^-1 does not change sign.
-    """
-    out = list(cols)
-    pivot = cols[k]
-    step = pivot if c == 1 else tuple(c * x for x in pivot)
-    for j in rows:
-        if j != k:
-            out[j] = tuple(map(sub, out[j], step))
-    out.insert(to, out.pop(k))
-    return tuple(out), -det if (to - k) % 2 else det
-
-
 def _coordinates(u, cols):
     """The list of <u, column j> over the columns, summed over u's nonzero
     entries only (None when u is zero): the coordinates of u in the cone's
@@ -236,7 +219,9 @@ def _coordinates(u, cols):
 
 def _exchanged_inverse(cols, det, k, mu, to):
     """(cols, det) of a cone's matrix A after its row k is replaced by a row
-    u, given mu = (<u, column j>), and then moved to position ``to``.
+    u, given mu = (<u, column j>), and then moved to position ``to``.  This
+    is the one change of basis between neighbouring cones: the validity
+    walk's move across a wall, and every moved cone of a surgery's plan.
 
     With lambda = mu / |det|, u = lambda A, so the new matrix is E A, where
     E is the identity with row k replaced by lambda, and its det is det *
@@ -246,36 +231,40 @@ def _exchanged_inverse(cols, det, k, mu, to):
     mu_k, column k becomes s C_k and column j (|mu_k| C_j - s mu_j C_k) /
     |det|, C being the stored columns.  That division is exact, since the
     result is |mu_k| A'^-1, an adjugate up to sign; a remainder raises
-    ArithmeticError.  When det and mu_k are both +-1 there is no division,
-    and a column with mu_j = 0 is kept as it is.  The move is
-    ``_moved_inverse``'s: column k moves to ``to``, and det is multiplied
-    by (-1)^|to - k|.  ``_moved_inverse`` is the case mu = |det| (e_k + c
-    sum_rows e_j).
+    ArithmeticError.  When det and mu_k are both +-1, as on every cone of a
+    smooth fan, there is no division: column j loses s mu_j C_k, and is
+    kept as it is when mu_j = 0.  Then row k moves to position ``to``, a
+    cycle of |to - k| transpositions: column k moves to ``to``, and det is
+    multiplied by (-1)^|to - k|; |det| A^-1 does not change sign.
     """
-    d = mu[k]
-    sign, size = (1 if d > 0 else -1), abs(det)
-    scale, pivot = sign * d, cols[k]
-    out = list(cols)
-    for j, m in enumerate(mu):
-        if j == k:
-            continue
-        m *= sign
-        if size == scale == 1:
-            if m:
-                out[j] = tuple([a - m * b for a, b in zip(cols[j], pivot)])
-            continue
-        moved = []
-        for a, b in zip(cols[j], pivot):
-            q, rem = divmod(scale * a - m * b, size)
-            if rem:
-                raise ArithmeticError("exchanged inverse is not exact")
-            moved.append(q)
-        out[j] = tuple(moved)
-    if sign < 0:
+    d, pivot, out = mu[k], cols[k], list(cols)
+    if d * det in (1, -1):
+        # s = d, so column j loses C_k when mu_j = d, else d mu_j C_k
+        for j, m in enumerate(mu):
+            if m and j != k:
+                if m == d:
+                    out[j] = tuple(map(sub, cols[j], pivot))
+                else:
+                    out[j] = tuple([a - d * m * b for a, b in zip(cols[j], pivot)])
+    else:
+        sign, size = (1 if d > 0 else -1), abs(det)
+        scale = sign * d
+        for j, m in enumerate(mu):
+            if j == k:
+                continue
+            m *= sign
+            moved = []
+            for a, b in zip(cols[j], pivot):
+                q, rem = divmod(scale * a - m * b, size)
+                if rem:
+                    raise ArithmeticError("exchanged inverse is not exact")
+                moved.append(q)
+            out[j] = tuple(moved)
+    if d < 0:
         out[k] = tuple(map(neg, pivot))
     out.insert(to, out.pop(k))
-    new_det = d if det > 0 else -d
-    return tuple(out), -new_det if (to - k) % 2 else new_det
+    det = d if det > 0 else -d
+    return tuple(out), -det if (to - k) % 2 else det
 
 
 @lru_cache(maxsize=None)
@@ -298,10 +287,10 @@ def _analyze(fan):
     inverses does, when the fan is a surgery's parent or its walls are
     built.  Its inverses come from the plan the surgery recorded with the
     parent's inverses: a kept cone shares its parent cone's ``(cols,
-    det)``, and a moved cone's is read off its parent cone's by
-    :func:`_moved_inverse`, with no elimination; |det| A^-1 and det are
-    unique, so they are the kernel's.  No ancestor is analysed or even
-    reachable.
+    det)``, and a moved cone's is read off its parent cone's by the walk's
+    own step, :func:`_exchanged_inverse`, with no elimination; |det| A^-1
+    and det are unique, so they are the kernel's.  No ancestor is analysed
+    or even reachable.
 
     Any other fan gets the full pass.  The entry checks run in bulk: one
     ``all`` or set test each for the rays' dimensions and primitivity,
@@ -324,8 +313,12 @@ def _analyze(fan):
     if fan._origin:
         complete, inverses, _, plan = fan._origin
         return ValidationReport(()), True, complete, tuple(
-            inverses[p] if type(p) is int else _moved_inverse(*inverses[p[0]], *p[1:])
-            for p in plan
+            [
+                inverses[p]
+                if type(p) is int
+                else _exchanged_inverse(*inverses[p[0]], *p[1:])
+                for p in plan
+            ]
         )
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
@@ -471,32 +464,24 @@ def walls(fan):
     The cone holding the lower apex of a wall has its rays as the rows of
     A, inverted once by the validity pass.  The coordinates of the other
     apex u in that ray basis are u A^-1, whose j-th entry is u's dot
-    product with column j of A^-1; only the entries at u's nonzero
-    coordinates are read, and catalog rays are mostly unit vectors.  Raises
+    product with column j of A^-1 (:func:`_coordinates`, which reads only
+    the entries at u's nonzero coordinates; catalog rays are mostly unit
+    vectors).  Negated, they are the relation, so each ray is negated
+    once, not once per wall, and the coordinates of -u are read.  Raises
     InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
     inverses = _analyze(fan)[3]
-    cones, rays = fan.max_cones, fan.rays
-    out = []
+    cones, out = fan.max_cones, []
+    minus = [tuple(map(neg, ray)) for ray in fan.rays]
     for facet, ((host, k), (other, j)) in sorted(_facet_map(fan).items()):
         apex_a, apex_b = cones[host][k], cones[other][j]
         if apex_a > apex_b:
             host, k, apex_a, apex_b = other, j, apex_b, apex_a
-        # write apex_b in the basis of the cone holding apex_a; the fan is
-        # smooth, so the stored columns are those of A^-1.  The negated
-        # coordinates give the relation: the apex_a one must be 1 exactly,
-        # the rest are the coefficients
-        cols = inverses[host][0]
-        coeffs = None
-        for i, x in enumerate(rays[apex_b]):
-            if x:
-                x = -x
-                coeffs = (
-                    [x * col[i] for col in cols]
-                    if coeffs is None
-                    else [c + x * col[i] for c, col in zip(coeffs, cols)]
-                )
+        # write -apex_b in the basis of the cone holding apex_a; the fan is
+        # smooth, so the stored columns are those of A^-1.  The apex_a
+        # coordinate must be 1 exactly, and the others are the coefficients
+        coeffs = _coordinates(minus[apex_b], inverses[host][0])
         if coeffs.pop(k) != 1:
             raise InvalidFanError("fan not smooth along wall")
         out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
@@ -509,10 +494,14 @@ def _cone_ms(fan):
 
     A surgery's output reads its own off what the surgery recorded, in
     O(n) per cone, and builds no inverse: a kept cone has its parent cone's
-    m, and a moved cone ``(ci, k, rows, c, to)`` has m - c s' C_k, C_k
-    being column k of parent cone ci's inverse and s' = |rows - {k}|, since
-    :func:`_moved_inverse` takes c C_k from s' columns and then only
-    reorders them.
+    m, and a moved cone, the exchange ``(ci, k, mu, to)`` of parent cone
+    ci, has m - ((sum mu - 1) / mu_k) C_k, C_k being column k of that
+    cone's inverse.  The rule holds for any exchange on a unimodular cone:
+    with E as in :func:`_exchanged_inverse` and mu = lambda, the new m is
+    A^-1 E^-1 (1, ..., 1), and E^-1 (1, ..., 1) is (1, ..., 1) less
+    (sum mu - 1) / mu_k at position k; the move to ``to`` only reorders
+    the columns.  Both cones are unimodular, so mu_k = +-1 and the
+    division is exact.
     """
     origin = fan._origin
     if not origin:
@@ -523,8 +512,8 @@ def _cone_ms(fan):
         if type(p) is int:
             out.append(ms[p])
         else:
-            ci, k, rows, c, _ = p
-            times, pivot = c * (len(rows) - (k in rows)), inverses[ci][0][k]
+            ci, k, mu, _ = p
+            times, pivot = (sum(mu) - 1) // mu[k], inverses[ci][0][k]
             out.append(tuple([a - times * b for a, b in zip(ms[ci], pivot)]))
     return tuple(out)
 
@@ -600,9 +589,11 @@ def star_subdivide(fan, center):
     This function checks each premise, so the result inherits the parent's
     verdict.  The loop that builds the cones records a plan for their
     inverses: a cone outside the star keeps its parent cone's, and a new
-    cone's is read off its parent cone's by a column operation.  The result
-    records the plan with the parent's completeness and inverses, not the
-    parent.
+    cone that swaps the center ray at position k for w is the exchange
+    ``(ci, k, mu, dim - 1)`` of its parent cone ci, where mu, w written in
+    that cone's basis, is the indicator of the center's positions, shared
+    by the cone's new cones.  The result records the plan with the
+    parent's completeness and inverses, not the parent.
     """
     center = _checked_center(fan, center)
     center_set = set(center)
@@ -619,12 +610,12 @@ def star_subdivide(fan, center):
             plan.append(ci)
             continue
         # swap the center ray at position k for w, the highest ray index,
-        # so w goes last and the cone stays sorted, as _child trusts: row k
-        # gains the other center rows and moves last
-        at = tuple(k for k, i in enumerate(cone) if i in center_set)
-        for k in at:
+        # so w goes last and the cone stays sorted, as _child trusts: w is
+        # the sum of the center rows, mu the indicator of their positions
+        mu = tuple([1 if i in center_set else 0 for i in cone])
+        for k in compress(range(len(cone)), mu):
             cones.append(cone[:k] + cone[k + 1 :] + (new_index,))
-            plan.append((ci, k, at, 1, last))
+            plan.append((ci, k, mu, last))
     return _child(fan, fan.rays + (w,), cones, plan)
 
 
@@ -651,9 +642,12 @@ def blow_down(fan, ray, center):
     This function checks each premise, so the result inherits the parent's
     verdict.  The loop that builds the cones records a plan for their
     inverses: a cone without ray keeps its parent cone's, since the shift
-    keeps its row order, and a merged cone's is read off that of the cone
-    of its group that misses the highest center ray.  The result records
-    the plan with the parent's completeness and inverses, not the parent.
+    keeps its row order, and a merged cone is an exchange ``(ci, k, mu,
+    to)`` of the cone ci of its group that misses the highest center ray v:
+    row k, the removed ray, becomes v, so mu, v written in that cone's
+    basis, is 1 at k and -1 at each center ray the cone holds, and ``to``
+    is v's place in the merged cone.  The result records the plan with the
+    parent's completeness and inverses, not the parent.
     """
     center = _checked_center(fan, center)
     if require_int(ray, "ray index") not in range(len(fan.rays)):
@@ -685,8 +679,8 @@ def blow_down(fan, ray, center):
             # because _child trusts it
             merged = sorted(shift(top if i == ray else i) for i in cone)
             cones.append(tuple(merged))
-            at = tuple(k for k, i in enumerate(cone) if i in center_set)
-            plan.append((ci, cone.index(ray), at, -1, merged.index(shift(top))))
+            mu = tuple(1 if i == ray else -(i in center_set) for i in cone)
+            plan.append((ci, cone.index(ray), mu, merged.index(shift(top))))
         # the group's other cones are dropped; the merged cone covers them
     return _child(fan, fan.rays[:ray] + fan.rays[ray + 1 :], cones, plan)
 

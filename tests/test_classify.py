@@ -553,15 +553,15 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     and 57 validity passes (73 and 96 when every child built its
     inverses).  Those derive theirs from their parent's, keeping the
     parent's ``(cols, det)`` for a cone outside the star and deriving one
-    for each new cone: 117 and 326 (253 and 574).  The kernel keeps no
-    memo, so each call counted through its wrapper is one elimination.
-    Both sweeps run cold."""
+    for each new cone by the walk's exchange step: 117 and 326 (253 and
+    574), so the exchanges are the root's 3 and 4 walk steps plus those,
+    120 and 330.  The kernel keeps no memo, so each call counted through
+    its wrapper is one elimination.  Both sweeps run cold."""
     import toricfano.classify
     import toricfano.fan
     import toricfano.kernel
 
     inverse = toricfano.kernel.inverse
-    moved = toricfano.fan._moved_inverse
     exchanged = toricfano.fan._exchanged_inverse
     analyze = toricfano.fan._analyze.__wrapped__
     child = toricfano.fan._child
@@ -569,7 +569,7 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     for corpus, derived, passes in budgets:
         clear_caches()
         missed, parents, compared = [], set(), set()
-        calls = {"asked": 0, "derived": 0, "exchanged": 0}
+        calls = {"asked": 0, "exchanged": 0}
 
         def recording_child(parent, *args):
             parents.add(parent)
@@ -587,10 +587,6 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
             calls["asked"] += 1
             return inverse(rows)
 
-        def counting_moved(*args):
-            calls["derived"] += 1
-            return moved(*args)
-
         def counting_exchanged(*args):
             calls["exchanged"] += 1
             return exchanged(*args)
@@ -599,7 +595,6 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
             toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
         )
         monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
-        monkeypatch.setattr(toricfano.fan, "_moved_inverse", counting_moved)
         monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", counting_exchanged)
         monkeypatch.setattr(toricfano.fan, "_child", recording_child)
         monkeypatch.setattr(toricfano.classify, "fans_isomorphic", recording_isomorphic)
@@ -610,8 +605,10 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
         # the other cones of that fan are read off their neighbours'
         assert [fan.dim for fan in roots] == [corpus[0]]
         assert calls["asked"] == len(roots) == 1, corpus
-        assert calls["exchanged"] == sum(len(fan.max_cones) - 1 for fan in roots)
-        assert calls["derived"] == derived, corpus
+        # P^n's n + 1 cones: one from the kernel, n walk steps
+        walked = sum(len(fan.max_cones) - 1 for fan in roots)
+        assert walked == corpus[0], corpus
+        assert calls["exchanged"] == walked + derived, corpus
         assert len(missed) == passes, corpus
         assert compared and set(missed) <= parents | compared, corpus
 

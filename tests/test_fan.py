@@ -56,8 +56,11 @@ from toricfano.classify import p1_bundle_fan
 from toricfano.fan import (
     Wall,
     _analyze,
+    _child,
+    _cone_ms,
+    _coordinates,
     _exchanged_inverse,
-    _moved_inverse,
+    _facet_map,
     _overlaps,
 )
 from toricfano.intersect import _blowup_verdicts
@@ -569,6 +572,31 @@ class TestWalls:
         for fan in differential_fans:
             assert walls(fan) == cramer_walls(fan), fan
 
+    def test_relations_match_the_bareiss_oracle(self, differential_fans):
+        """On every fan of the two corpora and of ``catalog(3..6)``: C n / 2
+        walls, one per facet, each relation exact, and its coefficients
+        those of apex_b written in the basis of the cone holding apex_a,
+        read from the Bareiss oracle's inverse of that cone."""
+        checked = 0
+        for fan in differential_fans:
+            ws = walls(fan)
+            assert 2 * len(ws) == len(fan.max_cones) * fan.dim, fan
+            facets = {c[:k] + c[k + 1 :] for c in fan.max_cones for k in range(fan.dim)}
+            assert [w.wall_rays for w in ws] == sorted(facets), fan
+            cones = set(fan.max_cones)
+            for w in ws:
+                assert wall_relation_holds(fan, w), (fan, w)
+                cone = tuple(sorted(w.wall_rays + (w.apex_a,)))
+                assert cone in cones, (fan, w)
+                cols, det = as_stored(*bareiss_inverse([fan.rays[i] for i in cone]))
+                assert det in (1, -1), (fan, cone)
+                u = fan.rays[w.apex_b]
+                coords = {i: sum(map(mul, u, col)) for i, col in zip(cone, cols)}
+                assert coords.pop(w.apex_a) == -1, (fan, w)
+                assert w.coeffs == tuple(-coords[i] for i in w.wall_rays), (fan, w)
+                checked += 1
+        assert checked == 4_848
+
     def test_p3_walls(self, p3, get_wall):
         ws = walls(p3)
         assert len(ws) == 6
@@ -644,14 +672,20 @@ def check_record(child, parent_inverses):
     """What a surgery recorded stays lean: the parent's inverse tuple
     itself, not a copy, the parent's per-cone m-vectors, each the sum of
     its cone's stored columns, and a plan of one entry per cone, each a
-    parent cone index or the five ``_moved_inverse`` arguments that follow
-    a parent cone's ``(cols, det)``; no Fan and no callable anywhere."""
+    parent cone index or the exchange ``(ci, k, mu, to)``, the
+    ``_exchanged_inverse`` arguments that follow a parent cone's ``(cols,
+    det)``, with mu a tuple of n ints; no Fan and no callable anywhere."""
     complete, inverses, ms, plan = child._origin
     assert inverses is parent_inverses
     assert type(ms) is tuple
     assert ms == tuple(tuple(map(sum, zip(*cols))) for cols, _ in inverses)
     assert type(plan) is tuple and len(plan) == len(child.max_cones)
-    assert all(type(p) is int or (type(p) is tuple and len(p) == 5) for p in plan)
+    for p in plan:
+        assert type(p) is int or (type(p) is tuple and len(p) == 4), p
+        if type(p) is tuple:
+            mu = p[2]
+            assert type(mu) is tuple and len(mu) == child.dim, p
+            assert all(type(x) is int for x in mu), p
     moved = [x for p in plan if type(p) is tuple for x in p]
     for x in (complete, inverses, ms, plan, *plan, *moved):
         assert not isinstance(x, Fan) and not callable(x), x
@@ -746,8 +780,9 @@ class TestInheritedInverses:
         blow-down along it undoes the blow-up: the same fan, cone order
         included, whose pass, read off the child's, is the parent's, and
         whose blow-up verdicts, read through its plan, are those of the
-        parent's inverses too.  Every blow-down moves a cone with c = -1
-        and k outside ``rows``, the removed ray not being a center ray."""
+        parent's inverses too.  Every blow-down moves a cone by the
+        exchange whose new row, the highest center ray, is the removed ray
+        at k less the s - 1 center rays the cone holds."""
         subdivided = 0
         for fan in differential_fans:
             parent = _analyze(fan)
@@ -759,7 +794,9 @@ class TestInheritedInverses:
                 assert back == fan and back.max_cones == fan.max_cones
                 moved = [p for p in back._origin[3] if type(p) is tuple]
                 assert moved
-                assert all(c == -1 and k not in rows for _, k, rows, c, _ in moved)
+                for _, k, mu, _ in moved:
+                    assert mu[k] == 1 and mu.count(-1) == len(center) - 1, mu
+                    assert mu.count(0) == fan.dim - len(center), mu
                 check_planned_verdicts(back, parent[3])
                 assert _analyze(back) == parent, (fan, center)
                 subdivided += 1
@@ -920,16 +957,31 @@ class TestWalkedInverses:
         assert validate(fan).problems == ("cone 1 is not simplicial",)
         assert [sorted(map(fan.rays.index, rows)) for rows in calls] == [[0, 1, 2], [1, 3, 4]]
 
-    def test_exchange_of_a_row_operation_is_the_moved_inverse(self):
-        """``_moved_inverse`` is the exchange whose new row is row k plus c
-        times the rows in ``rows``: mu = |det| (e_k + c sum_rows e_j).
-        Both also match the Bareiss oracle on the exchanged, moved matrix,
-        in the stored form."""
+    def test_exchange_matches_the_oracle_and_the_m_rule(self):
+        """The exchange of row k for a new row, then moved to ``to``,
+        matches the Bareiss oracle on the exchanged, moved matrix, in the
+        stored form: for a surgery's row operation, row k plus c times the
+        other rows in ``rows``, which is mu = |det| (e_k + c sum_rows e_j),
+        and for an arbitrary new row u.  When |det| = 1 and mu_k = +-1 the
+        sum of the new columns, the new cone's m-vector, is the rule
+        ``_cone_ms`` applies, m - ((sum mu - 1) / mu_k) C_k.  Half the
+        matrices are unimodular by construction, so both branches of the
+        exchange run often."""
         rng = random.Random(2424)
-        checked = 0
-        while checked < 2_000:
+        checked = unimodular = flipped = 0
+        while checked < 2_000 or unimodular < 3_000:
             n = rng.randint(2, 5)
-            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            else:
+                # row additions on a signed identity: det = +-1
+                a = [[int(i == j) for j in range(n)] for i in range(n)]
+                a[0][0] = rng.choice((1, -1))
+                for _ in range(2 * n):
+                    i, j = rng.sample(range(n), 2)
+                    c = rng.choice((1, -1, 2, -2))
+                    a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+                rng.shuffle(a)
             try:
                 cols, det = as_stored(*bareiss_inverse(a))
             except ValueError:
@@ -937,21 +989,54 @@ class TestWalkedInverses:
             k, to, c = rng.randrange(n), rng.randrange(n), rng.choice((1, -1, 2, -3))
             rows = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
             lam = [int(j == k) + c * (j in rows and j != k) for j in range(n)]
-            moved = _moved_inverse(cols, det, k, rows, c, to)
-            mu = [abs(det) * x for x in lam]
-            assert _exchanged_inverse(cols, det, k, mu, to) == moved
-            new = [sum(x * row[i] for x, row in zip(lam, a)) for i in range(n)]
-            exchanged = a[:k] + a[k + 1 :]
-            exchanged.insert(to, new)
-            assert moved == as_stored(*bareiss_inverse(exchanged))
+            operated = [sum(x * row[i] for x, row in zip(lam, a)) for i in range(n)]
             # an arbitrary new row: the general exchange
             u = [rng.randint(-4, 4) for _ in range(n)]
-            mu = [sum(map(mul, u, col)) for col in cols]
-            if mu[k]:
-                exchanged[to] = u
+            cases = [([abs(det) * x for x in lam], operated)]
+            cases.append(([sum(map(mul, u, col)) for col in cols], u))
+            for mu, new in cases:
+                if not mu[k]:
+                    continue
+                exchanged = a[:k] + a[k + 1 :]
+                exchanged.insert(to, new)
                 got = _exchanged_inverse(cols, det, k, mu, to)
                 assert got == as_stored(*bareiss_inverse(exchanged))
+                if abs(det) == 1 and mu[k] in (1, -1):
+                    m = tuple(map(sum, zip(*cols)))
+                    times = (sum(mu) - 1) // mu[k]
+                    rule = tuple(x - times * y for x, y in zip(m, cols[k]))
+                    assert tuple(map(sum, zip(*got[0]))) == rule, (a, mu, k)
+                    unimodular += 1
+                    flipped += mu[k] == -1
             checked += abs(det) > 1
+        assert flipped > 100
+
+    def test_a_plan_of_wall_crossings_reads_each_cone_back(self, differential_fans):
+        """The plan reader and the m-rule of ``_cone_ms`` hold for any
+        exchange on a unimodular cone, not only a surgery's, whose mu has
+        mu_k = 1 and entries in {-1, 0, 1}: a child recording each fan's
+        own cones, each read off the cone across its facet opposite
+        position ci mod n, with mu the far apex's coordinates there, has
+        the fan's own inverses and m-vectors.  Across a wall of a smooth
+        complete fan mu_k = -1."""
+        crossed = 0
+        for fan in differential_fans[::3]:
+            inverses = _analyze(fan)[3]
+            facets, plan = _facet_map(fan), []
+            for cb, cone in enumerate(fan.max_cones):
+                kb = cb % fan.dim
+                pair = facets[cone[:kb] + cone[kb + 1 :]]
+                ca, ka = pair[0] if pair[1][0] == cb else pair[1]
+                mu = tuple(_coordinates(fan.rays[cone[kb]], inverses[ca][0]))
+                assert mu[ka] == -1, (fan, cone)
+                plan.append((ca, ka, mu, kb))
+                crossed += 1
+            child = _child(fan, fan.rays, fan.max_cones, plan)
+            assert _cone_ms(child) == tuple(
+                tuple(map(sum, zip(*cols))) for cols, _ in inverses
+            ), fan
+            assert _analyze.__wrapped__(child)[3] == inverses, fan
+        assert crossed == 915
 
     def test_an_inexact_exchange_raises(self):
         # not |det| A^-1 for a det of 2: the exchange leaves a remainder
