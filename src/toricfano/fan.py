@@ -16,10 +16,10 @@ A^-1 itself, column k is the dual vector of its k-th ray, and moving a row
 of A moves a column.
 
 Only a fan that no surgery made gets the full validity pass.  It asks
-``kernel.inverse`` for one root cone, turns its ``(adj, det)`` rows into
-columns, and walks the facet graph from there, reading each neighbour's
-inverse off the known one's by one exchange step
-(``_exchanged_inverse``), so a complete fan costs one elimination.  The
+``kernel.inverse`` for one root cone, n exchange steps from the
+identity, and walks the facet graph from there, reading each
+neighbour's inverse off the known one's by the same step
+(``kernel.exchange``), so a complete fan asks the kernel once.  The
 two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
 valid smooth fan into a valid smooth fan with the same support, so their
 output inherits the parent's verdict, and ``ensure_valid`` reads it
@@ -50,7 +50,7 @@ workers.
 
 from functools import lru_cache
 from itertools import combinations, compress
-from operator import mul, neg, sub
+from operator import mul, neg
 
 from . import kernel, lattice
 from ._record import record
@@ -81,7 +81,7 @@ class Fan:
     # (complete, inverses, ms, plan) of a fan made by a surgery, else None:
     # the parent's completeness, its cone inverses and its per-cone
     # m-vectors, and per cone of this fan either the index of the parent
-    # cone it keeps or the exchange (ci, k, mu, to), the _exchanged_inverse
+    # cone it keeps or the exchange (ci, k, mu, to), the kernel.exchange
     # arguments that read its inverse, and its m-vector, off parent cone
     # ci's, mu being the new row in that cone's basis; the verdict is read
     # from here, and the inverses are built only when read.  Private state
@@ -204,69 +204,6 @@ def _covered_once(fan, inverses):
     return True
 
 
-def _coordinates(u, cols):
-    """The list of <u, column j> over the columns, summed over u's nonzero
-    entries only (None when u is zero): the coordinates of u in the cone's
-    ray basis, times |det|."""
-    out = None
-    for i, x in enumerate(u):
-        if x:
-            out = [x * col[i] for col in cols] if out is None else [
-                a + x * col[i] for a, col in zip(out, cols)
-            ]
-    return out
-
-
-def _exchanged_inverse(cols, det, k, mu, to):
-    """(cols, det) of a cone's matrix A after its row k is replaced by a row
-    u, given mu = (<u, column j>), and then moved to position ``to``.  This
-    is the one change of basis between neighbouring cones: the validity
-    walk's move across a wall, and every moved cone of a surgery's plan.
-
-    With lambda = mu / |det|, u = lambda A, so the new matrix is E A, where
-    E is the identity with row k replaced by lambda, and its det is det *
-    lambda_k = sign(det) mu_k.  Its inverse A^-1 E^-1 has column k of A^-1
-    divided by lambda_k, and lambda_j / lambda_k times that column
-    subtracted from each other column j; times |mu_k|, with s the sign of
-    mu_k, column k becomes s C_k and column j (|mu_k| C_j - s mu_j C_k) /
-    |det|, C being the stored columns.  That division is exact, since the
-    result is |mu_k| A'^-1, an adjugate up to sign; a remainder raises
-    ArithmeticError.  When det and mu_k are both +-1, as on every cone of a
-    smooth fan, there is no division: column j loses s mu_j C_k, and is
-    kept as it is when mu_j = 0.  Then row k moves to position ``to``, a
-    cycle of |to - k| transpositions: column k moves to ``to``, and det is
-    multiplied by (-1)^|to - k|; |det| A^-1 does not change sign.
-    """
-    d, pivot, out = mu[k], cols[k], list(cols)
-    if d * det in (1, -1):
-        # s = d, so column j loses C_k when mu_j = d, else d mu_j C_k
-        for j, m in enumerate(mu):
-            if m and j != k:
-                if m == d:
-                    out[j] = tuple(map(sub, cols[j], pivot))
-                else:
-                    out[j] = tuple([a - d * m * b for a, b in zip(cols[j], pivot)])
-    else:
-        sign, size = (1 if d > 0 else -1), abs(det)
-        scale = sign * d
-        for j, m in enumerate(mu):
-            if j == k:
-                continue
-            m *= sign
-            moved = []
-            for a, b in zip(cols[j], pivot):
-                q, rem = divmod(scale * a - m * b, size)
-                if rem:
-                    raise ArithmeticError("exchanged inverse is not exact")
-                moved.append(q)
-            out[j] = tuple(moved)
-    if d < 0:
-        out[k] = tuple(map(neg, pivot))
-    out.insert(to, out.pop(k))
-    det = d if det > 0 else -d
-    return tuple(out), -det if (to - k) % 2 else det
-
-
 @lru_cache(maxsize=None)
 def _analyze(fan):
     """The validity pass behind validate, is_smooth, is_complete and walls.
@@ -288,8 +225,8 @@ def _analyze(fan):
     built.  Its inverses come from the plan the surgery recorded with the
     parent's inverses: a kept cone shares its parent cone's ``(cols,
     det)``, and a moved cone's is read off its parent cone's by the walk's
-    own step, :func:`_exchanged_inverse`, with no elimination; |det| A^-1
-    and det are unique, so they are the kernel's.  No ancestor is analysed
+    own step, :func:`kernel.exchange`; |det| A^-1 and det are unique, so
+    they are those of the full pass.  No ancestor is analysed
     or even reachable.
 
     Any other fan gets the full pass.  The entry checks run in bulk: one
@@ -299,10 +236,10 @@ def _analyze(fan):
     Only a test that fails runs its per-entry loop, to name every offending
     ray or cone in index order.  Then the cones are inverted by a walk of
     the facet graph (Reid's move across a wall): only the first cone not
-    yet reached is inverted by :func:`kernel.inverse`, whose ``(adj,
-    det)`` rows are turned into columns there, and every cone across a
-    facet of an inverted cone is read off it by :func:`_exchanged_inverse`,
-    its apex u giving mu = (<u, column j>).  mu_k, at the position of the
+    yet reached is inverted by :func:`kernel.inverse`, whose result is
+    stored as it is, and every cone across a facet of an inverted cone is
+    read off it by :func:`kernel.exchange`, its apex u giving mu =
+    :func:`kernel.coordinates` (u, cols).  mu_k, at the position of the
     apex it replaces, is the cone's det up to sign, so mu_k = 0 leaves a
     singular cone unreached, and the kernel, asked for it as a later root,
     finds it singular.  A complete fan, or any connected
@@ -316,7 +253,7 @@ def _analyze(fan):
             [
                 inverses[p]
                 if type(p) is int
-                else _exchanged_inverse(*inverses[p[0]], *p[1:])
+                else kernel.exchange(*inverses[p[0]], *p[1:])
                 for p in plan
             ]
         )
@@ -365,15 +302,10 @@ def _analyze(fan):
         if inverses[root] is not None or root in loose:
             continue
         try:
-            adj, det = kernel.inverse(tuple(map(rays.__getitem__, cone)))
+            inverses[root] = kernel.inverse(tuple(map(rays.__getitem__, cone)))
         except ValueError:
             faults[root] = f"cone {root} is not simplicial"
             continue
-        # adj = det A^-1, so its columns, negated when det < 0, are stored
-        cols = tuple(zip(*adj))
-        if det < 0:
-            cols = tuple(tuple(map(neg, col)) for col in cols)
-        inverses[root] = cols, det
         reached = [root]
         for ca in reached:
             cols, det = inverses[ca]
@@ -381,9 +313,9 @@ def _analyze(fan):
             for k in range(dim):
                 for cb, kb in facets[known[:k] + known[k + 1 :]]:
                     if inverses[cb] is None and cb not in loose:
-                        mu = _coordinates(rays[cones[cb][kb]], cols)
+                        mu = kernel.coordinates(rays[cones[cb][kb]], cols)
                         if mu and mu[k]:
-                            inverses[cb] = _exchanged_inverse(cols, det, k, mu, kb)
+                            inverses[cb] = kernel.exchange(cols, det, k, mu, kb)
                             reached.append(cb)
     problems.extend(filter(None, faults))
     used = set().union(*cones)
@@ -464,9 +396,9 @@ def walls(fan):
     The cone holding the lower apex of a wall has its rays as the rows of
     A, inverted once by the validity pass.  The coordinates of the other
     apex u in that ray basis are u A^-1, whose j-th entry is u's dot
-    product with column j of A^-1 (:func:`_coordinates`, which reads only
-    the entries at u's nonzero coordinates; catalog rays are mostly unit
-    vectors).  Negated, they are the relation, so each ray is negated
+    product with column j of A^-1 (:func:`kernel.coordinates`, which reads
+    only the entries at u's nonzero coordinates; catalog rays are mostly
+    unit vectors).  Negated, they are the relation, so each ray is negated
     once, not once per wall, and the coordinates of -u are read.  Raises
     InvalidFanError unless the fan is smooth and complete.
     """
@@ -481,23 +413,26 @@ def walls(fan):
         # write -apex_b in the basis of the cone holding apex_a; the fan is
         # smooth, so the stored columns are those of A^-1.  The apex_a
         # coordinate must be 1 exactly, and the others are the coefficients
-        coeffs = _coordinates(minus[apex_b], inverses[host][0])
+        coeffs = kernel.coordinates(minus[apex_b], inverses[host][0])
         if coeffs.pop(k) != 1:
             raise InvalidFanError("fan not smooth along wall")
         out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _cone_ms(fan):
     """Per maximal cone of a smooth fan, m = A^-1 (1, ..., 1), the sum of
-    the columns of A^-1.
+    the columns of A^-1, found once per fan: a fan can be the parent of
+    many surgeries and a fan whose Fano verdicts are read too.  A fan that
+    no surgery made sums the columns of its validity pass's inverses.
 
     A surgery's output reads its own off what the surgery recorded, in
     O(n) per cone, and builds no inverse: a kept cone has its parent cone's
     m, and a moved cone, the exchange ``(ci, k, mu, to)`` of parent cone
     ci, has m - ((sum mu - 1) / mu_k) C_k, C_k being column k of that
     cone's inverse.  The rule holds for any exchange on a unimodular cone:
-    with E as in :func:`_exchanged_inverse` and mu = lambda, the new m is
+    with E as in :func:`kernel.exchange` and mu = lambda, the new m is
     A^-1 E^-1 (1, ..., 1), and E^-1 (1, ..., 1) is (1, ..., 1) less
     (sum mu - 1) / mu_k at position k; the move to ``to`` only reorders
     the columns.  Both cones are unimodular, so mu_k = +-1 and the
@@ -505,7 +440,7 @@ def _cone_ms(fan):
     """
     origin = fan._origin
     if not origin:
-        return _root_ms(fan)
+        return tuple(tuple(map(sum, zip(*cols))) for cols, _ in _analyze(fan)[3])
     _, inverses, ms, plan = origin
     out = []
     for p in plan:
@@ -516,14 +451,6 @@ def _cone_ms(fan):
             times, pivot = (sum(mu) - 1) // mu[k], inverses[ci][0][k]
             out.append(tuple([a - times * b for a, b in zip(ms[ci], pivot)]))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _root_ms(fan):
-    """:func:`_cone_ms` of a fan that no surgery made, the column sums of
-    its validity pass's inverses, found once: such a fan, P^n say, can be
-    the parent of many surgeries."""
-    return tuple(tuple(map(sum, zip(*cols))) for cols, _ in _analyze(fan)[3])
 
 
 def _child(parent, rays, cones, plan):
@@ -783,10 +710,11 @@ def fans_isomorphic(f, g):
     step.  A smooth complete fan is fixed up to GL(n, Z) by its cones and
     wall coefficients and its facet graph is connected, so a candidate
     passes exactly when it is a fan isomorphism.  Only then is
-    the witness formed: the matrix sending one generator tuple to the
-    other, whose anchor inverse is the validity pass's inverse of cone 0,
-    transposed, because here the generators are the columns: its rows are
-    the stored columns.  Candidates
+    the witness formed: the matrix W sending one generator tuple to the
+    other.  Here the generators are the columns, of A^T for f's cone 0
+    and of G for its image, so W = G (A^T)^-1, and row i of W is row i of
+    G written in the rows of A^-1 (:func:`kernel.coordinates` on the
+    validity pass's stored columns of cone 0, transposed).  Candidates
     are tried in ``g.max_cones`` x ``permutations`` order and pruning only
     skips non-isomorphisms, so the witness is the first isomorphism in that
     order.  Returns one witness matrix (tuple of rows) or None.
@@ -799,10 +727,9 @@ def fans_isomorphic(f, g):
         or len(f.max_cones) != len(g.max_cones)
     ):
         return None
-    n = f.dim
     if f == g:
         # the first candidate, cone 0 onto itself in order, gives I
-        return _identity(n)
+        return _identity(f.dim)
     f_walls, f_inv, f_invariants = _iso_record(f)
     g_walls, g_inv, g_invariants = _iso_record(g)
     if f_invariants != g_invariants:
@@ -818,16 +745,11 @@ def fans_isomorphic(f, g):
             continue
         for perm in _orders(target, wanted, g_inv):
             if _propagates(walk, g_walls, anchor, perm):
-                # the columns of A^-1, that is the rows of its transpose
-                anchor_inv = _analyze(f)[3][0][0]
-                image_matrix = tuple(
-                    tuple(g.rays[j][i] for j in perm) for i in range(n)
-                )
+                # W = G (A^T)^-1: row i of W is G's row i written in the
+                # rows of A^-1, read off the stored columns transposed
+                inverse_rows = tuple(zip(*_analyze(f)[3][0][0]))
                 return tuple(
-                    tuple(
-                        sum(image_matrix[i][k] * anchor_inv[k][j] for k in range(n))
-                        for j in range(n)
-                    )
-                    for i in range(n)
+                    tuple(kernel.coordinates(row, inverse_rows))
+                    for row in zip(*map(g.rays.__getitem__, perm))
                 )
     return None

@@ -1,27 +1,21 @@
 """Exact integer linear algebra over arbitrary-precision Python ints.
 
-Every decision in the package is an exact sign test, so the kernel has one
-routine: the adjugate and determinant of a square matrix by fraction-free
-(Bareiss) Gauss-Jordan elimination, whose divisions are exact and whose
-entries stay minors of the input.  The validity pass in ``fan``, its only
-caller, runs only on a fan with no parent: a parsed fan file, projective
-space or a P^1-bundle.  It calls the kernel for one root cone per
-connected piece of the facet graph, once for a complete fan, turns the
-rows of its result into the columns of |det| A^-1 that ``fan`` stores,
-and reads every other cone's inverse off a neighbour's across their
-shared facet; a cone the walk finds singular is left to the kernel, which
-raises.  The output of a surgery, a star subdivision or a blow-down, reads
-its verdict off what the surgery recorded and its inverses off its
-parent's, and only when they are read; every other change of basis reads
-the validity pass's result.
+Every decision in the package is an exact sign test, and every inverse is
+read by one routine, the exchange step (:func:`exchange`): a square
+matrix A is kept as (the columns of |det| A^-1, det A), and exchanging
+one row of A for a new row, given that row's coordinates in A's rows
+(:func:`coordinates`), updates the columns with divisions that are exact.
+This is Reid's move across a wall from one maximal cone to the next, and
+``fan`` reads every cone inverse with it: the validity walk's step, and
+every moved cone of a surgery's plan.  :func:`inverse` is the same step n
+times, from the identity, for the root cone of a fan with no parent.
 
-Cone matrices of smooth fans are mostly 0 and +-1, so the elimination
-pivots on a unit entry of the column when there is one, and while the
-pivot and the previous pivot are both 1 a Bareiss step is plain integer
-elimination.  The pivot rule does not change the result: for a
-nonsingular matrix the adjugate and determinant are unique, and every
-route of the elimination ends at them.
+The kernel keeps no memo and no state between calls.  ``backend_name``
+and ``available_backends`` name the one pure kernel for the benchmark's
+report.
 """
+
+from operator import neg, sub
 
 
 def backend_name():
@@ -32,70 +26,101 @@ def available_backends():
     return ("pure",)
 
 
-def inverse(rows):
-    """Adjugate and determinant of a square integer matrix.
+def coordinates(u, cols):
+    """The list of <u, column j> over the columns, summed over u's nonzero
+    entries only (None when u is zero): the coordinates of u in the rows of
+    A, times |det|, when ``cols`` are the stored columns of A."""
+    out = None
+    for i, x in enumerate(u):
+        if x:
+            out = [x * col[i] for col in cols] if out is None else [
+                a + x * col[i] for a, col in zip(out, cols)
+            ]
+    return out
 
-    One fraction-free Gauss-Jordan pass on [A | I], eliminating column k above
-    and below the pivot row.  The pivot is a +-1 entry of column k at or
-    below row k when there is one, else the first nonzero entry there; the
-    pivot row is swapped into place, and a -1 pivot row is negated.  Each
-    swap and negation flips ``sign`` and applies to the whole row, so the
-    block [A | I] only has its rows permuted and signed.  The general step
-    updates every entry as (entry * pivot - factor * pivot_row_entry) //
-    previous pivot, a Bareiss step whose division is exact because each
-    entry is a minor of the signed, permuted [A | I].  When the pivot and
-    the previous pivot are both 1 that step is entry - factor *
-    pivot_row_entry, so a row whose factor is 0 is left alone.  After the
-    last column the right block T satisfies T A = D I, where the last pivot
-    D is the determinant of the signed, permuted A; ``sign`` turns (T, D)
-    into the adjugate and det of A.  These are unique, so the pivot choice
-    cannot change the result.  ``rows`` is a sequence of integer rows.
-    Returns (adj, det) with A adj = det I.  Raises ValueError when A
-    is singular.
+
+def exchange(cols, det, k, mu, to):
+    """(cols, det) of a matrix A after its row k is replaced by a row u,
+    given mu = (<u, column j>), and then moved to position ``to``.  This is
+    the one change of basis between neighbouring cones: the validity walk's
+    move across a wall, every moved cone of a surgery's plan, and each step
+    of :func:`inverse`.
+
+    With lambda = mu / |det|, u = lambda A, so the new matrix is E A, where
+    E is the identity with row k replaced by lambda, and its det is det *
+    lambda_k = sign(det) mu_k.  Its inverse A^-1 E^-1 has column k of A^-1
+    divided by lambda_k, and lambda_j / lambda_k times that column
+    subtracted from each other column j; times |mu_k|, with s the sign of
+    mu_k, column k becomes s C_k and column j (|mu_k| C_j - s mu_j C_k) /
+    |det|, C being the stored columns.  That division is exact, since the
+    result is |mu_k| A'^-1, an adjugate up to sign; a remainder raises
+    ArithmeticError.  When det and mu_k are both +-1, as on every cone of a
+    smooth fan, there is no division: column j loses s mu_j C_k, and is
+    kept as it is when mu_j = 0.  Then row k moves to position ``to``, a
+    cycle of |to - k| transpositions: column k moves to ``to``, and det is
+    multiplied by (-1)^|to - k|; |det| A^-1 does not change sign.
+    """
+    d, pivot, out = mu[k], cols[k], list(cols)
+    if d * det in (1, -1):
+        # s = d, so column j loses C_k when mu_j = d, else d mu_j C_k
+        for j, m in enumerate(mu):
+            if m and j != k:
+                if m == d:
+                    out[j] = tuple(map(sub, cols[j], pivot))
+                else:
+                    out[j] = tuple([a - d * m * b for a, b in zip(cols[j], pivot)])
+    else:
+        sign, size = (1 if d > 0 else -1), abs(det)
+        scale = sign * d
+        for j, m in enumerate(mu):
+            if j == k:
+                continue
+            m *= sign
+            moved = []
+            for a, b in zip(cols[j], pivot):
+                q, rem = divmod(scale * a - m * b, size)
+                if rem:
+                    raise ArithmeticError("exchanged inverse is not exact")
+                moved.append(q)
+            out[j] = tuple(moved)
+    if d < 0:
+        out[k] = tuple(map(neg, pivot))
+    out.insert(to, out.pop(k))
+    det = d if det > 0 else -d
+    return tuple(out), -det if (to - k) % 2 else det
+
+
+def inverse(rows):
+    """(the columns of |det| A^-1, det A) of a square integer matrix A, its
+    rows ``rows``, by n exchanges from the identity.
+
+    Before step t the matrix holds rows[:t] at positions 0..t-1 and unit
+    rows below.  Row t is written in that basis, mu = coordinates(rows[t],
+    cols), and exchanged for the first unit row at a position k >= t where
+    mu_k = +-1, else the first where mu_k != 0, then moved to position t.
+    A step with det and mu_k both +-1 divides by nothing; preferring a
+    unit mu_k keeps every step on the cones of smooth fans that the tests
+    invert on that path.  When mu_k = 0 at every k >= t, rows[t] lies in
+    the span of rows[:t], and ValueError names the matrix singular.  The
+    result is unique, so the choice of k cannot change it.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square and non-empty")
-    width = 2 * n
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        for p in range(k, n):
-            if m[p][k] in (1, -1):
+    cols = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    det = 1
+    for t, row in enumerate(rows):
+        mu = coordinates(row, cols)
+        if mu is None:
+            raise ValueError("singular matrix")
+        for k in range(t, n):
+            if mu[k] in (1, -1):
                 break
         else:
-            for p in range(k, n):
-                if m[p][k]:
+            for k in range(t, n):
+                if mu[k]:
                     break
             else:
                 raise ValueError("singular matrix")
-        top = m[p]
-        if p != k:
-            m[k], m[p] = top, m[k]
-            sign = -sign
-        if top[k] == -1:
-            top[:] = [-x for x in top]
-            sign = -sign
-        pivot = top[k]
-        # no step reads the left block at or before column k again, so
-        # neither step updates it
-        if pivot == 1 and prev == 1:
-            for i in range(n):
-                row = m[i]
-                factor = row[k]
-                if factor and i != k:
-                    for j in range(k + 1, width):
-                        row[j] -= factor * top[j]
-        else:
-            for i in range(n):
-                if i == k:
-                    continue
-                row = m[i]
-                factor = row[k]
-                for j in range(k + 1, width):
-                    row[j] = (row[j] * pivot - factor * top[j]) // prev
-        prev = pivot
-    if sign == 1:
-        return tuple(tuple(row[n:]) for row in m), prev
-    return tuple(tuple([-x for x in row[n:]]) for row in m), -prev
+        cols, det = exchange(cols, det, k, mu, t)
+    return cols, det

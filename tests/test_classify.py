@@ -554,19 +554,22 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     inverses).  Those derive theirs from their parent's, keeping the
     parent's ``(cols, det)`` for a cone outside the star and deriving one
     for each new cone by the walk's exchange step: 117 and 326 (253 and
-    574), so the exchanges are the root's 3 and 4 walk steps plus those,
-    120 and 330.  The kernel keeps no memo, so each call counted through
-    its wrapper is one elimination.  Both sweeps run cold."""
+    574).  ``kernel.exchange`` is the one step behind every inverse: the
+    kernel's n steps from the identity for P^n's cone 0, P^n's n walk
+    steps and those, 3 + 3 + 117 = 123 and 4 + 4 + 326 = 334.  The kernel
+    keeps no memo, so each call counted through its wrapper is one root
+    inverted.  The m-vectors are read once per distinct fan, 73 and 96
+    (174 and 173 reads when only P^n's were cached).  Both sweeps run cold."""
     import toricfano.classify
     import toricfano.fan
     import toricfano.kernel
 
     inverse = toricfano.kernel.inverse
-    exchanged = toricfano.fan._exchanged_inverse
+    exchanged = toricfano.kernel.exchange
     analyze = toricfano.fan._analyze.__wrapped__
     child = toricfano.fan._child
-    budgets = (((3, 60, 3, 2024), 117, 35), ((4, 50, 4, 7), 326, 57))
-    for corpus, derived, passes in budgets:
+    budgets = (((3, 60, 3, 2024), 117, 35, 73), ((4, 50, 4, 7), 326, 57, 96))
+    for corpus, derived, passes, ms_read in budgets:
         clear_caches()
         missed, parents, compared = [], set(), set()
         calls = {"asked": 0, "exchanged": 0}
@@ -595,7 +598,7 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
             toricfano.fan, "_analyze", lru_cache(maxsize=None)(counting_analyze)
         )
         monkeypatch.setattr(toricfano.kernel, "inverse", counting_inverse)
-        monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", counting_exchanged)
+        monkeypatch.setattr(toricfano.kernel, "exchange", counting_exchanged)
         monkeypatch.setattr(toricfano.fan, "_child", recording_child)
         monkeypatch.setattr(toricfano.classify, "fans_isomorphic", recording_isomorphic)
         for fan in random_corpus(*corpus):
@@ -605,11 +608,12 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
         # the other cones of that fan are read off their neighbours'
         assert [fan.dim for fan in roots] == [corpus[0]]
         assert calls["asked"] == len(roots) == 1, corpus
-        # P^n's n + 1 cones: one from the kernel, n walk steps
+        # P^n's n + 1 cones: one from the kernel's n steps, n walk steps
         walked = sum(len(fan.max_cones) - 1 for fan in roots)
         assert walked == corpus[0], corpus
-        assert calls["exchanged"] == walked + derived, corpus
+        assert calls["exchanged"] == 2 * walked + derived, corpus
         assert len(missed) == passes, corpus
+        assert toricfano.fan._cone_ms.cache_info().misses == ms_read, corpus
         assert compared and set(missed) <= parents | compared, corpus
 
 

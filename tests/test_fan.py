@@ -58,12 +58,11 @@ from toricfano.fan import (
     _analyze,
     _child,
     _cone_ms,
-    _coordinates,
-    _exchanged_inverse,
     _facet_map,
     _overlaps,
 )
 from toricfano.intersect import _blowup_verdicts
+from toricfano.kernel import coordinates, exchange
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -673,7 +672,7 @@ def check_record(child, parent_inverses):
     itself, not a copy, the parent's per-cone m-vectors, each the sum of
     its cone's stored columns, and a plan of one entry per cone, each a
     parent cone index or the exchange ``(ci, k, mu, to)``, the
-    ``_exchanged_inverse`` arguments that follow a parent cone's ``(cols,
+    ``kernel.exchange`` arguments that follow a parent cone's ``(cols,
     det)``, with mu a tuple of n ints; no Fan and no callable anywhere."""
     complete, inverses, ms, plan = child._origin
     assert inverses is parent_inverses
@@ -926,17 +925,27 @@ class TestWalkedInverses:
             check_walked_inverses(relabel_fan(fan, rng), calls)
 
     def test_non_smooth_fans_divide_exactly(self, monkeypatch):
-        """Steps from a cone of |det| > 1 divide by it, exactly."""
-        import toricfano.fan
+        """Walk steps from a cone of |det| > 1 divide by it, exactly.  The
+        kernel's own exchanges, inverting a root, are not recorded."""
+        import toricfano.kernel
 
         calls = count_kernel_calls(monkeypatch)
-        exchanged, dets = toricfano.fan._exchanged_inverse, []
+        inverse, dets, rooting = toricfano.kernel.inverse, [], []
 
-        def recording_exchanged(cols, det, *args):
-            dets.append(det)
-            return exchanged(cols, det, *args)
+        def recording_exchange(cols, det, *args):
+            if not rooting:
+                dets.append(det)
+            return exchange(cols, det, *args)
 
-        monkeypatch.setattr(toricfano.fan, "_exchanged_inverse", recording_exchanged)
+        def rooting_inverse(rows):
+            rooting.append(rows)
+            try:
+                return inverse(rows)
+            finally:
+                rooting.pop()
+
+        monkeypatch.setattr(toricfano.kernel, "exchange", recording_exchange)
+        monkeypatch.setattr(toricfano.kernel, "inverse", rooting_inverse)
         rng = random.Random(2323)
         fans = [angle_fan(rng, rng.randint(3, 12)) for _ in range(200)]
         for weights in ((1, 1, 2), (1, 2, 3), (2, 3, 5), (1, 1, 1, 3), (1, 2, 3, 5)):
@@ -999,7 +1008,7 @@ class TestWalkedInverses:
                     continue
                 exchanged = a[:k] + a[k + 1 :]
                 exchanged.insert(to, new)
-                got = _exchanged_inverse(cols, det, k, mu, to)
+                got = exchange(cols, det, k, mu, to)
                 assert got == as_stored(*bareiss_inverse(exchanged))
                 if abs(det) == 1 and mu[k] in (1, -1):
                     m = tuple(map(sum, zip(*cols)))
@@ -1027,7 +1036,7 @@ class TestWalkedInverses:
                 kb = cb % fan.dim
                 pair = facets[cone[:kb] + cone[kb + 1 :]]
                 ca, ka = pair[0] if pair[1][0] == cb else pair[1]
-                mu = tuple(_coordinates(fan.rays[cone[kb]], inverses[ca][0]))
+                mu = tuple(coordinates(fan.rays[cone[kb]], inverses[ca][0]))
                 assert mu[ka] == -1, (fan, cone)
                 plan.append((ca, ka, mu, kb))
                 crossed += 1
@@ -1041,7 +1050,7 @@ class TestWalkedInverses:
     def test_an_inexact_exchange_raises(self):
         # not |det| A^-1 for a det of 2: the exchange leaves a remainder
         with pytest.raises(ArithmeticError, match="not exact"):
-            _exchanged_inverse(((1, 0), (0, 1)), 2, 0, (1, 1), 0)
+            exchange(((1, 0), (0, 1)), 2, 0, (1, 1), 0)
 
 
 def blow_downs(fan):

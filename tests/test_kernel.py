@@ -1,10 +1,11 @@
 """The exact integer kernel against a brute-force determinant oracle and
-against the Bareiss elimination without unit pivots."""
+against the plain Bareiss elimination, read in the stored form: the
+columns of |det| A^-1, and det A."""
 
 import random
 
 import pytest
-from conftest import bareiss_inverse, permutation_det
+from conftest import as_stored, bareiss_inverse, permutation_det
 
 from toricfano import kernel
 
@@ -44,12 +45,13 @@ def test_det_rejects_non_square():
             kernel.inverse(m)
 
 
-def assert_adjugate(m, adj, d):
+def assert_adjugate(m, cols, d):
+    """d is det m, and A times column j of the stored form is |d| e_j."""
     n = len(m)
     assert d == permutation_det(m)
     for i in range(n):
         for j in range(n):
-            assert sum(m[i][k] * adj[k][j] for k in range(n)) == d * (i == j)
+            assert sum(m[i][k] * cols[j][k] for k in range(n)) == abs(d) * (i == j)
 
 
 def test_inverse_is_the_adjugate():
@@ -79,16 +81,16 @@ def test_inverse_singular():
 def test_wrappers_fall_back_on_huge_entries():
     big = 10 ** 30
     m = ((big, 1), (1, big))
-    adj, d = kernel.inverse(m)
-    assert adj == ((big, -1), (-1, big)) and d == permutation_det(m)
-    assert_adjugate(m, adj, d)
+    cols, d = kernel.inverse(m)
+    assert cols == ((big, -1), (-1, big)) and d == permutation_det(m)
+    assert_adjugate(m, cols, d)
 
 
 def outcome(rows):
-    """(kernel result, oracle result), each a ValueError's message when it
-    raises."""
+    """(kernel result, oracle result in the stored form), each a
+    ValueError's message when it raises."""
     results = []
-    for fn in (kernel.inverse, bareiss_inverse):
+    for fn in (kernel.inverse, lambda m: as_stored(*bareiss_inverse(m))):
         try:
             results.append(fn(rows))
         except ValueError as err:
@@ -96,16 +98,26 @@ def outcome(rows):
     return tuple(results)
 
 
-def test_matches_the_bareiss_oracle_on_random_matrices():
+def test_matches_the_bareiss_oracle_on_random_matrices(monkeypatch):
+    """Small and huge entries, n up to 7; a step whose mu_k is not +-1, or
+    that starts from |det| > 1, takes the exchange's dividing path."""
+    exchange, dividing = kernel.exchange, []
+
+    def recording_exchange(cols, det, k, mu, to):
+        dividing.append(mu[k] * det not in (1, -1))
+        return exchange(cols, det, k, mu, to)
+
+    monkeypatch.setattr(kernel, "exchange", recording_exchange)
     rng = random.Random(1414)
     singular = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for _ in range(250):
-            m = random_matrix(rng, n, rng.choice((1, 1, 2, 5)))
+            m = random_matrix(rng, n, rng.choice((1, 1, 2, 5, 10**20)))
             got, expected = outcome(m)
             assert got == expected, m
             singular += expected == "singular matrix"
     assert singular > 50
+    assert sum(dividing) > 1_000 and dividing.count(False) > 1_000
 
 
 @pytest.mark.parametrize(
@@ -118,7 +130,8 @@ def test_matches_the_bareiss_oracle_on_random_matrices():
         # a zero leading entry
         ((0, 1), (1, 0)),
         ((0, 2, 1), (3, 0, 1), (1, 1, 0)),
-        # unimodular, with a column holding no unit entry: the general step
+        # unimodular, with a column holding no unit entry: the exchange's
+        # dividing path
         ((2, 3), (3, 5)),
         ((5, 2), (7, 3)),
         ((2, 3, 0), (3, 5, 0), (4, 6, 1)),
@@ -143,11 +156,22 @@ def test_matches_the_bareiss_oracle_on_chosen_matrices(m):
         assert_adjugate(m, *got)
 
 
-def test_matches_the_bareiss_oracle_on_every_cone(differential_fans):
+def test_matches_the_bareiss_oracle_on_every_cone(differential_fans, monkeypatch):
+    """Every cone is smooth, and preferring a unit mu_k keeps each of the
+    kernel's steps off the exchange's dividing path (16 of its 9,696 steps
+    take it when the first nonzero mu_k is taken instead)."""
+    exchange, dividing = kernel.exchange, []
+
+    def recording_exchange(cols, det, k, mu, to):
+        dividing.append(mu[k] * det not in (1, -1))
+        return exchange(cols, det, k, mu, to)
+
+    monkeypatch.setattr(kernel, "exchange", recording_exchange)
     for fan in differential_fans:
         for cone in fan.max_cones:
             rows = tuple(fan.rays[i] for i in cone)
-            assert kernel.inverse(rows) == bareiss_inverse(rows), rows
+            assert kernel.inverse(rows) == as_stored(*bareiss_inverse(rows)), rows
+    assert len(dividing) == 9_696 and not any(dividing)
 
 
 def test_singular_matrix_raises_on_every_call():
