@@ -97,12 +97,9 @@ def inverse(rows):
     Before step t the matrix holds rows[:t] at positions 0..t-1 and unit
     rows below.  Row t is written in that basis, mu = coordinates(rows[t],
     cols), and exchanged for the first unit row at a position k >= t where
-    mu_k = +-1, else the first where mu_k != 0, then moved to position t.
-    A step with det and mu_k both +-1 divides by nothing; preferring a
-    unit mu_k keeps every step on the cones of smooth fans that the tests
-    invert on that path.  When mu_k = 0 at every k >= t, rows[t] lies in
-    the span of rows[:t], and ValueError names the matrix singular.  The
-    result is unique, so the choice of k cannot change it.
+    mu_k != 0, then moved to position t.  When mu_k = 0 at every k >= t,
+    rows[t] lies in the span of rows[:t], and ValueError names the matrix
+    singular.  The result is unique, so the choice of k cannot change it.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -114,13 +111,9 @@ def inverse(rows):
         if mu is None:
             raise ValueError("singular matrix")
         for k in range(t, n):
-            if mu[k] in (1, -1):
+            if mu[k]:
                 break
         else:
-            for k in range(t, n):
-                if mu[k]:
-                    break
-            else:
-                raise ValueError("singular matrix")
+            raise ValueError("singular matrix")
         cols, det = exchange(cols, det, k, mu, t)
     return cols, det

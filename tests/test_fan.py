@@ -719,6 +719,8 @@ def check_planned_verdicts(child, own_inverses):
     after = _analyze.cache_info()
     assert (after.hits, after.misses) == (calls.hits, calls.misses), child
     ms = [tuple(map(sum, zip(*cols))) for cols, _ in own_inverses]
+    # uncached: an equal fan met earlier would answer from the cache
+    assert list(_cone_ms.__wrapped__(child)) == ms, child
     assert verdicts == verdicts_from_ms(child, ms), child
     assert verdicts[0] == is_fano(child), child
 
@@ -1041,7 +1043,7 @@ class TestWalkedInverses:
                 plan.append((ca, ka, mu, kb))
                 crossed += 1
             child = _child(fan, fan.rays, fan.max_cones, plan)
-            assert _cone_ms(child) == tuple(
+            assert _cone_ms.__wrapped__(child) == tuple(
                 tuple(map(sum, zip(*cols))) for cols, _ in inverses
             ), fan
             assert _analyze.__wrapped__(child)[3] == inverses, fan
