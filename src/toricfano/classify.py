@@ -30,6 +30,7 @@ from . import lattice
 from ._record import record
 from .fan import (
     Fan,
+    _iso_record,
     blow_down,
     ensure_smooth_complete,
     fans_isomorphic,
@@ -139,7 +140,10 @@ def analyze_divisor(fan, ray_index):
     is projective (n-1)-space exactly when the ray lies in exactly n
     maximal cones.  The degree is the coefficient of the ray in any wall
     relation through it; every such wall must agree, since all lines in the
-    divisor are equivalent.  The first of them is kept as the line wall.
+    divisor are equivalent, so the ray's sorted coefficients, read off the
+    fan's per-ray wall table (``fan._iso_record``), must have equal first
+    and last entries.  The first wall through the ray is kept as the line
+    wall.
     The index must be an int; the cache is typed, so 1.0 or True is never
     answered from the entry of 1.
     """
@@ -150,16 +154,11 @@ def analyze_divisor(fan, ray_index):
         raise ValueError("ray index out of range")
     if sum(ray_index in cone for cone in fan.max_cones) != fan.dim:
         return DivisorAnalysis(ray_index, False)
-    d = None
-    first = None
-    for w in walls(fan):
-        if ray_index in w.wall_rays:
-            coeff = w.coeffs[w.wall_rays.index(ray_index)]
-            if first is None:
-                first, d = w, coeff
-            elif coeff != d:
-                raise ClassificationViolation("line class not well-defined")
-    return DivisorAnalysis(ray_index, True, d, curve_class(fan, first), first)
+    coeffs = _iso_record(fan)[0][ray_index][1]
+    if coeffs[0] != coeffs[-1]:
+        raise ClassificationViolation("line class not well-defined")
+    first = next(w for w in walls(fan) if ray_index in w.wall_rays)
+    return DivisorAnalysis(ray_index, True, coeffs[0], curve_class(fan, first), first)
 
 
 def find_transverse_extremal(fan, ray_index):

@@ -6,8 +6,8 @@ sorted tuple of ray indices.  This module owns validation, smoothness and
 completeness tests (one covering certificate), wall (invariant curve)
 enumeration with exact wall relations, star-subdivision blow-ups and
 their inverse blow-downs along centers of every size, and fan
-isomorphism by wall propagation, which checks each anchor candidate on
-the cached walls and forms a matrix only for the one that succeeds.
+isomorphism by an anchored search, whose every candidate is a matrix
+checked on the rays and cones, so the witness is its own certificate.
 Fan surgery builds no walls.  Every change of basis reads one exact
 integer inverse per maximal cone: the covering certificate, the wall
 relations and the isomorphism witness.  A cone whose rays are the rows of
@@ -614,44 +614,25 @@ def blow_down(fan, ray, center):
 
 @lru_cache(maxsize=None)
 def _iso_record(fan):
-    """What the isomorphism search reads of a smooth complete fan before it
-    searches: (facet -> Wall, per-ray invariants, their sorted multiset).
+    """Per ray of a smooth complete fan, its invariant: its valence and the
+    sorted multiset of its coefficients in the walls through it; with
+    them, their sorted multiset.
 
-    A ray's invariant is its valence and the sorted multiset of its
-    coefficients in the walls through it; a fan isomorphism preserves both,
-    so fans with unequal multisets are not isomorphic.  The walk a search
-    crosses is built by :func:`_walk`, only once a search is needed.
+    A fan isomorphism preserves both, so fans with unequal multisets are
+    not isomorphic, and a candidate image of a cone must match its rays'
+    invariants.  It is also the fan's per-ray wall table, which
+    ``classify.analyze_divisor`` reads.
     """
-    fan_walls = walls(fan)
     valence = [0] * len(fan.rays)
     for cone in fan.max_cones:
         for i in cone:
             valence[i] += 1
     coeffs = [[] for _ in fan.rays]
-    for w in fan_walls:
+    for w in walls(fan):
         for i, c in zip(w.wall_rays, w.coeffs):
             coeffs[i].append(c)
     inv = tuple((v, tuple(sorted(cs))) for v, cs in zip(valence, coeffs))
-    return {w.wall_rays: w for w in fan_walls}, inv, tuple(sorted(inv))
-
-
-def _walk(fan, by_facet):
-    """A spanning tree of the facet graph crossed from cone 0, one step
-    ``(facet, known apex, new apex, coeffs)`` per cone reached; ``by_facet``
-    is the fan's facet -> Wall map."""
-    walk = []
-    seen = {fan.max_cones[0]}
-    frontier = [fan.max_cones[0]]
-    for cone in frontier:
-        for k, known in enumerate(cone):
-            w = by_facet[cone[:k] + cone[k + 1 :]]
-            new = w.apex_b if known == w.apex_a else w.apex_a
-            reached = tuple(sorted(w.wall_rays + (new,)))
-            if reached not in seen:
-                seen.add(reached)
-                frontier.append(reached)
-                walk.append((w.wall_rays, known, new, w.coeffs))
-    return walk
+    return inv, tuple(sorted(inv))
 
 
 @lru_cache(maxsize=None)
@@ -672,27 +653,15 @@ def _orders(target, wanted, inv):
                 yield (t,) + tail
 
 
-def _propagates(walk, g_walls, anchor, order):
-    """Does cone 0 of f onto ``order`` extend across every step of f's walk?
-
-    Each step needs a wall of g on the image facet with the same aligned
-    coefficients and the image of the known apex as one apex; the other
-    apex is then the image of the new one.  The relations agree, so the
-    linear map of the anchor sends each new ray to that apex.
-    """
-    image = dict(zip(anchor, order))
-    for facet, known, new, coeffs in walk:
-        pairs = sorted(zip([image[i] for i in facet], coeffs))
-        w = g_walls.get(tuple(i for i, _ in pairs))
-        if w is None or w.coeffs != tuple(c for _, c in pairs):
-            return False
-        if image[known] == w.apex_a:
-            image[new] = w.apex_b
-        elif image[known] == w.apex_b:
-            image[new] = w.apex_a
-        else:
-            return False
-    return True
+def _maps_onto(w, f, g):
+    """Does the matrix ``w`` send every ray of ``f`` to a ray of ``g`` and
+    every maximal cone of ``f`` onto a maximal cone of ``g``?"""
+    index = {ray: i for i, ray in enumerate(g.rays)}
+    image = [index.get(lattice.matrix_apply(w, ray)) for ray in f.rays]
+    cones = set(g.max_cones)
+    return None not in image and all(
+        tuple(sorted(map(image.__getitem__, cone))) in cones for cone in f.max_cones
+    )
 
 
 def fans_isomorphic(f, g):
@@ -701,22 +670,27 @@ def fans_isomorphic(f, g):
     A fan is isomorphic to itself by the identity, built once per
     dimension.  Otherwise the per-ray invariants of :func:`_iso_record`
     come first: fans whose invariant multisets differ are not isomorphic,
-    and no search is made.  The search is anchored and propagates walls:
-    fix the first maximal cone of ``f``; for every maximal cone of ``g``
-    with the anchor's multiset of per-ray invariants and every ordering of
-    its rays whose invariants match the anchor's ray by ray, cross f's walk
-    (:func:`_walk`, built for this search), a spanning tree of its cones,
-    wall by wall, asking g for a wall with the same coefficients at each
-    step.  A smooth complete fan is fixed up to GL(n, Z) by its cones and
-    wall coefficients and its facet graph is connected, so a candidate
-    passes exactly when it is a fan isomorphism.  Only then is
-    the witness formed: the matrix W sending one generator tuple to the
-    other.  Here the generators are the columns, of A^T for f's cone 0
-    and of G for its image, so W = G (A^T)^-1, and row i of W is row i of
-    G written in the rows of A^-1 (:func:`kernel.coordinates` on the
-    validity pass's stored columns of cone 0, transposed).  Candidates
-    are tried in ``g.max_cones`` x ``permutations`` order and pruning only
-    skips non-isomorphisms, so the witness is the first isomorphism in that
+    and no search is made.  The search is anchored: fix the first maximal
+    cone of ``f``, its rays the rows of A; for every maximal cone of ``g``
+    with the anchor's multiset of per-ray invariants and every ordering
+    ``perm`` of its rays whose invariants match the anchor's ray by ray,
+    form the matrix W sending the anchor's generators to ``perm``'s.  The
+    generators are the columns, of A^T and of G, so W = G (A^T)^-1, and
+    row i of W is row i of G written in the rows of A^-1
+    (:func:`kernel.coordinates` on the validity pass's stored columns of
+    cone 0, transposed).  W is the candidate's certificate, checked by the
+    definition (:func:`_maps_onto`): every ray of f goes to a ray of g and
+    every cone of f onto a cone of g.  If so, W is a fan isomorphism:
+
+    - W is in GL(n, Z), since both cones are unimodular;
+    - W is injective, so with equal ray and cone counts the ray map and
+      the cone map are bijections;
+    - any isomorphism that sends cone 0 onto ``perm`` in that order is
+      linear and fixed on a basis, so it equals W.
+
+    An isomorphism preserves the per-ray invariants, so pruning only skips
+    non-isomorphisms, and candidates are tried in ``g.max_cones`` x
+    ``permutations`` order: the witness is the first isomorphism in that
     order.  Returns one witness matrix (tuple of rows) or None.
     """
     ensure_smooth_complete(f)
@@ -730,26 +704,25 @@ def fans_isomorphic(f, g):
     if f == g:
         # the first candidate, cone 0 onto itself in order, gives I
         return _identity(f.dim)
-    f_walls, f_inv, f_invariants = _iso_record(f)
-    g_walls, g_inv, g_invariants = _iso_record(g)
+    f_inv, f_invariants = _iso_record(f)
+    g_inv, g_invariants = _iso_record(g)
     if f_invariants != g_invariants:
         return None
-    walk = _walk(f, f_walls)
     anchor = f.max_cones[0]
     wanted = [f_inv[i] for i in anchor]
     multiset = sorted(wanted)
+    # the rows of A^-1: the stored columns of a unimodular cone, transposed
+    inverse_rows = tuple(zip(*_analyze(f)[3][0][0]))
     for target in g.max_cones:
         # a cone with other invariants has no order; _orders would find
         # that only position by position, through factorially many prefixes
         if sorted(map(g_inv.__getitem__, target)) != multiset:
             continue
         for perm in _orders(target, wanted, g_inv):
-            if _propagates(walk, g_walls, anchor, perm):
-                # W = G (A^T)^-1: row i of W is G's row i written in the
-                # rows of A^-1, read off the stored columns transposed
-                inverse_rows = tuple(zip(*_analyze(f)[3][0][0]))
-                return tuple(
-                    tuple(kernel.coordinates(row, inverse_rows))
-                    for row in zip(*map(g.rays.__getitem__, perm))
-                )
+            w = tuple(
+                tuple(kernel.coordinates(row, inverse_rows))
+                for row in zip(*map(g.rays.__getitem__, perm))
+            )
+            if _maps_onto(w, f, g):
+                return w
     return None

@@ -302,11 +302,12 @@ def relabel_fan(fan, rng):
 
 
 def brute_fans_isomorphic(f, g):
-    """The anchored brute force that wall propagation replaced, the oracle
-    for ``fans_isomorphic``: for every maximal cone of ``g`` and every
-    ordering of its rays, form the matrix sending the generators of f's
-    cone 0 to them and test whether it maps the ray set and the cone family
-    bijectively.  The first such matrix is the witness."""
+    """The anchored brute force, the oracle for ``fans_isomorphic``, which
+    checks the same candidate matrices after pruning them by per-ray
+    invariants: for every maximal cone of ``g`` and every ordering of its rays, form
+    the matrix sending the generators of f's cone 0 to them by its own
+    Bareiss inverse and products, and test whether it maps the ray set and
+    the cone family bijectively.  The first such matrix is the witness."""
     ensure_smooth_complete(f)
     ensure_smooth_complete(g)
     if (

@@ -59,6 +59,7 @@ from toricfano.fan import (
     _child,
     _cone_ms,
     _facet_map,
+    _maps_onto,
     _overlaps,
 )
 from toricfano.intersect import _blowup_verdicts
@@ -1325,6 +1326,22 @@ class TestContract:
         assert walls.cache_info().misses == 0
 
 
+def record_candidates(monkeypatch):
+    """A list that gains (matrix, verdict) for each candidate
+    ``fans_isomorphic`` checks from now on; ``monkeypatch`` restores the
+    check after the test."""
+    import toricfano.fan
+
+    maps_onto, checked = toricfano.fan._maps_onto, []
+
+    def recording(w, f, g):
+        checked.append((w, maps_onto(w, f, g)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(toricfano.fan, "_maps_onto", recording)
+    return checked
+
+
 class TestIsomorphism:
     def test_permuted_p3(self, p3):
         order = [3, 1, 0, 2]
@@ -1393,15 +1410,27 @@ class TestIsomorphism:
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert witness_is_valid(identity, fan, fan)
         assert not witness_is_valid(identity, fan, flopped)
+        # the candidate check's cone clause alone: the identity sends every
+        # ray onto a ray of the flop, and two cones onto no cone
+        assert _maps_onto(identity, fan, fan)
+        assert not _maps_onto(identity, fan, flopped)
         assert fans_isomorphic(fan, flopped) == brute_fans_isomorphic(fan, flopped)
 
-    def test_matches_brute_force_on_relabelled_copies(self, differential_fans):
+    def test_matches_brute_force_on_relabelled_copies(
+        self, monkeypatch, differential_fans
+    ):
+        """The witness is the matrix of the last candidate checked, which
+        passed; some candidates are rejected: 7 of the 297 checked."""
+        checked = record_candidates(monkeypatch)
         rng = random.Random(8)
         for fan in differential_fans:
             copy = relabel_fan(fan, rng)
             witness = fans_isomorphic(fan, copy)
             assert witness == brute_fans_isomorphic(fan, copy)
             assert witness_is_valid(witness, fan, copy)
+            if fan != copy:
+                assert checked[-1] == (witness, True)
+        assert not all(verdict for _, verdict in checked)
 
     def test_matches_brute_force_on_itself(self, differential_fans):
         for fan in differential_fans:
@@ -1411,7 +1440,11 @@ class TestIsomorphism:
             assert fans_isomorphic(fan, fan) == brute_fans_isomorphic(fan, fan)
             assert fans_isomorphic(fan, fan) == identity
 
-    def test_matches_brute_force_on_equal_shapes(self, differential_fans):
+    def test_matches_brute_force_on_equal_shapes(
+        self, monkeypatch, differential_fans
+    ):
+        """Some candidates are rejected: 8 of the 134 checked."""
+        checked = record_candidates(monkeypatch)
         groups = {}
         for fan in differential_fans:
             key = (fan.dim, len(fan.rays), len(fan.max_cones))
@@ -1425,39 +1458,34 @@ class TestIsomorphism:
                     if f != g:
                         seen[witness is not None] += 1
         assert seen[True] > 0 and seen[False] > 0
+        assert not all(verdict for _, verdict in checked)
 
     def test_itself_shares_one_identity_per_dimension(self, p3, blowup_p3_line):
         assert fans_isomorphic(p3, p3) is fans_isomorphic(blowup_p3_line, blowup_p3_line)
         assert fans_isomorphic(p3, p3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     @pytest.mark.parametrize(
-        "command, walks",
+        "command, candidates",
         [
             ([["verify-theorem2", "--dim", str(n), "--json"] for n in range(3, 7)], 14),
             ([["verify-theorem1", "--corpus", "4,50,4,7", "--json"]], 3),
         ],
         ids=["theorem2", "theorem1-dim4"],
     )
-    def test_builds_a_walk_only_for_a_search(self, monkeypatch, command, walks):
-        """Operation budget from cold caches: the walk of f is built only
-        when f and g have the same invariant multiset and differ, once per
-        such call.  Built with every fan's invariants, the walks were 50
-        and 4."""
+    def test_checks_candidates_only_for_a_search(
+        self, monkeypatch, command, candidates
+    ):
+        """Operation budget from cold caches: a candidate is checked only
+        when f and g have the same invariant multiset and differ, and on
+        these runs the first candidate of each such call is accepted."""
         import toricfano.cli
-        import toricfano.fan
 
         clear_caches()
-        walk, built = toricfano.fan._walk, []
-
-        def counting_walk(fan, by_facet):
-            built.append(fan)
-            return walk(fan, by_facet)
-
-        monkeypatch.setattr(toricfano.fan, "_walk", counting_walk)
+        checked = record_candidates(monkeypatch)
         for args in command:
             with redirect_stdout(io.StringIO()):
                 assert toricfano.cli.run(args) == 0
-        assert len(built) == walks
+        assert [verdict for _, verdict in checked] == [True] * candidates
 
     def test_skips_target_cones_with_other_invariants(self, monkeypatch):
         """Operation budget at n = 10: B(P^n, P^(n-2)), written as the point
@@ -1496,24 +1524,14 @@ class TestIsomorphism:
 
     def test_builds_a_witness_only_for_a_passing_candidate(self, monkeypatch):
         """Operation budget of the theorem-1 sweep over the dim-4 corpus from
-        cold caches: at most 18 candidates survive the invariant pruning, and
-        each one propagates, so one witness matrix is built per success.  The
+        cold caches: exactly 3 candidates survive the invariant pruning, and
+        each one is accepted, so one matrix is built per success.  The
         brute force built 1,241 matrices there."""
-        import toricfano.fan
-
         clear_caches()
-        outcomes = []
-        propagates = toricfano.fan._propagates
-
-        def recording_propagates(*args):
-            outcomes.append(propagates(*args))
-            return outcomes[-1]
-
-        monkeypatch.setattr(toricfano.fan, "_propagates", recording_propagates)
+        checked = record_candidates(monkeypatch)
         for fan in random_corpus(4, 50, 4, 7):
             theorem1_check(fan)
-        assert 0 < len(outcomes) <= 18
-        assert all(outcomes)
+        assert [verdict for _, verdict in checked] == [True] * 3
 
 
 def test_random_corpus_contract():
