@@ -94,6 +94,15 @@ class DivisorAnalysis:
     line_class: object = None
     line_wall: object = None
 
+    def __init__(
+        self, ray_index, is_proj_space, d=None, line_class=None, line_wall=None
+    ):
+        object.__setattr__(self, "ray_index", ray_index)
+        object.__setattr__(self, "is_proj_space", is_proj_space)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "line_class", line_class)
+        object.__setattr__(self, "line_wall", line_wall)
+
 
 @record
 class CatalogEntry:

@@ -20,6 +20,11 @@ Only a fan that no surgery made gets the full validity pass.  It asks
 identity, and walks the facet graph from there, reading each
 neighbour's inverse off the known one's by the same step
 (``kernel.exchange``), so a complete fan asks the kernel once.  The
+walk is the one facet pairing of such a fan: across every facet it
+reads the far apex in the near cone's basis once, which is the step's
+input on a tree edge, and that record is both the orientation
+certificate (the two apexes on opposite sides) and, on a smooth fan, the
+wall relation, so ``walls`` pairs no facet and solves nothing again.  The
 two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
 valid smooth fan into a valid smooth fan with the same support, so their
 output inherits the parent's verdict, and ``ensure_valid`` reads it
@@ -34,13 +39,14 @@ walked or planned.  With the plan go the parent's cone inverses, its
 per-cone m-vectors and whether the parent is complete, but not the
 parent or its cones; the output applies the plan to the inverses only
 when they are read, as the parent of a further surgery or to build its
-walls.  Whether a fan and each of its point blow-ups are Fano is
-decided in ``intersect`` without building a blow-up, a wall or a facet
-map, from the cones' m-vectors, m = A^-1 (1, ..., 1), and the rays
-outside each cone (:func:`_cone_ms`); a surgery's output reads its
-m-vectors off its parent's through the plan, by one rule for every
-exchange, in O(n) per cone, and builds no inverse for them.  One read
-decides every fixed point of a fan.
+walls, which pair its facets and read each relation over those inverses,
+with no exchange.  Whether a fan and each of
+its point blow-ups are Fano is decided in ``intersect`` without building
+a blow-up, a wall or a facet map, from the cones' m-vectors, m = A^-1
+(1, ..., 1), and the rays outside each cone (:func:`_cone_ms`); a
+surgery's output reads its m-vectors off its parent's through the plan,
+by one rule for every exchange, in O(n) per cone, and builds no inverse
+for them.  One read decides every fixed point of a fan.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot.  A pickled fan carries its three fields only, and is
@@ -50,7 +56,7 @@ workers.
 
 from functools import lru_cache
 from itertools import combinations, compress
-from operator import mul, neg
+from operator import attrgetter, mul, neg
 
 from . import kernel, lattice
 from ._record import record
@@ -186,22 +192,16 @@ def _overlaps(fan):
 
 
 def _covered_once(fan, inverses):
-    """True when p, the ray sum of cone 0, lies in no other closed cone."""
-    first = set(fan.max_cones[0])
-    p = [sum(col) for col in zip(*(fan.rays[i] for i in first))]
-    for ci in range(1, len(fan.max_cones)):
-        cone = fan.max_cones[ci]
-        cols = inverses[ci][0]
-        # p's k-th coordinate is (p . column k) / |det|; a negative one
-        # usually sits at a ray outside cone 0, so try those first
-        order = [k for k, i in enumerate(cone) if i not in first]
-        order += [k for k, i in enumerate(cone) if i in first]
-        for k in order:
-            if sum(map(mul, p, cols[k])) < 0:
-                break
-        else:
-            return False
-    return True
+    """True when p, the ray sum of cone 0, lies in no other closed cone.
+
+    p is in a closed simplicial cone exactly when its coordinates in the
+    cone's ray basis are all >= 0, and its k-th coordinate is p . column k
+    of the stored |det| A^-1, over |det|; so each other cone needs one
+    column with a negative product.  The columns are scanned in order."""
+    p = _ray_sum(fan, fan.max_cones[0])
+    return all(
+        any(sum(map(mul, p, col)) < 0 for col in cols) for cols, _ in inverses[1:]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -210,10 +210,16 @@ def _analyze(fan):
 
     Each maximal cone has its rays as the rows of A, and every later change
     of basis reads the inverse of A found here.  Returns (ValidationReport,
-    smooth, complete, inverses), where ``inverses[ci]`` is ``(cols, det)``
-    for cone ci when the report is valid: det is det A and ``cols`` the
-    columns of |det| A^-1, so a unimodular cone holds A^-1 itself, and
-    column k is the dual vector of the cone's k-th ray, times |det|.
+    smooth, complete, inverses, relations), where ``inverses[ci]`` is
+    ``(cols, det)`` for cone ci when the report is valid: det is det A and
+    ``cols`` the columns of |det| A^-1, so a unimodular cone holds A^-1
+    itself, and column k is the dual vector of the cone's k-th ray, times
+    |det|.  ``relations`` holds the walk's record (ca, k, cb, kb, mu) of
+    every facet it crossed: cone cb's apex at position kb faces cone ca's
+    at position k, and mu = :func:`kernel.coordinates` (that apex, cols of
+    ca) is the apex in ca's basis, times |det| of ca.  :func:`walls` reads
+    the walls off them; it is None on a surgery's output, which has no
+    walk.
 
     A fan made by a surgery inherits its parent's verdict, by the lemma
     each surgery's docstring states: the surgery ran only on a valid smooth
@@ -243,13 +249,18 @@ def _analyze(fan):
     apex it replaces, is the cone's det up to sign, so mu_k = 0 leaves a
     singular cone unreached, and the kernel, asked for it as a later root,
     finds it singular.  A complete fan, or any connected
-    one, asks the kernel once.  Overlaps are excluded by the
-    covering-degree certificate of :func:`is_complete`; only when it fails
-    does the O(C^2) overlap LP run, to name the overlapping pairs.
+    one, asks the kernel once.  The walk reads mu across every facet once,
+    from the cone it reaches first, whether or not it crosses there, and
+    records it: C n / 2 coordinate reads on a complete fan of C cones,
+    over the one facet map of the pass.  Overlaps are excluded by the covering-degree
+    certificate of :func:`is_complete`, which reads those records: mu_k <
+    0 on every facet, the two apexes on opposite sides of it; only when
+    it fails does the O(C^2) overlap LP run, to name the overlapping
+    pairs.
     """
     if fan._origin:
         complete, inverses, _, plan = fan._origin
-        return ValidationReport(()), True, complete, tuple(
+        planned = tuple(
             [
                 inverses[p]
                 if type(p) is int
@@ -257,9 +268,11 @@ def _analyze(fan):
                 for p in plan
             ]
         )
+        return ValidationReport(()), True, complete, planned, None
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
-        return ValidationReport(("dimension must be at least 2",)), False, False, ()
+        report = ValidationReport(("dimension must be at least 2",))
+        return report, False, False, (), ()
     problems = []
     if not rays:
         problems.append("fan has no rays")
@@ -297,7 +310,7 @@ def _analyze(fan):
         loose.add(ci)
     well_formed = not any(faults)
     facets = _facet_map(fan)
-    inverses = [None] * len(cones)
+    inverses, relations, done = [None] * len(cones), [], set()
     for root, cone in enumerate(cones):
         if inverses[root] is not None or root in loose:
             continue
@@ -308,15 +321,21 @@ def _analyze(fan):
             continue
         reached = [root]
         for ca in reached:
+            done.add(ca)
             cols, det = inverses[ca]
             known = cones[ca]
             for k in range(dim):
                 for cb, kb in facets[known[:k] + known[k + 1 :]]:
-                    if inverses[cb] is None and cb not in loose:
-                        mu = kernel.coordinates(rays[cones[cb][kb]], cols)
-                        if mu and mu[k]:
+                    if cb in done or cb in loose:
+                        continue
+                    # each facet's relation is read once, from the side
+                    # reached first, tree edge or not
+                    mu = kernel.coordinates(rays[cones[cb][kb]], cols)
+                    if mu and mu[k]:
+                        if inverses[cb] is None:
                             inverses[cb] = kernel.exchange(cols, det, k, mu, kb)
                             reached.append(cb)
+                        relations.append((ca, k, cb, kb, mu))
     problems.extend(filter(None, faults))
     used = set().union(*cones)
     if not used.issuperset(range(n_rays)):
@@ -330,22 +349,19 @@ def _analyze(fan):
             if cone_sets.setdefault(key, ci) != ci:
                 problems.append(f"cones {cone_sets[key]} and {ci} have the same rays")
     if problems:
-        return ValidationReport(tuple(problems)), False, False, ()
-    dets = [det for _, det in inverses]
-    paired = all(len(cones) == 2 for cones in facets.values())
-    # the apex at position k is on the side sign(det * (-1)^k) of its facet:
-    # opposite sides when the dets agree in sign exactly if ka + kb is odd
+        return ValidationReport(tuple(problems)), False, False, (), ()
+    paired = all(len(pair) == 2 for pair in facets.values())
+    # the far apex, mu in the near cone's basis, is across the facet from
+    # the near apex at k exactly when mu_k < 0
     if not (
         paired
-        and all(
-            (dets[ca] * dets[cb] > 0) == (ka + kb) % 2
-            for (ca, ka), (cb, kb) in facets.values()
-        )
+        and all(mu[k] < 0 for _, k, _, _, mu in relations)
         and _covered_once(fan, inverses)
     ):
         problems = _overlaps(fan)
-    smooth = all(d in (1, -1) for d in dets)
-    return ValidationReport(tuple(problems)), smooth, paired, tuple(inverses)
+    smooth = all(det in (1, -1) for _, det in inverses)
+    report = ValidationReport(tuple(problems))
+    return report, smooth, paired, tuple(inverses), tuple(relations)
 
 
 def validate(fan):
@@ -359,7 +375,7 @@ def ensure_valid(fan):
     parent is, read off ``Fan._origin`` without building its inverses."""
     if fan._origin:
         return True, fan._origin[0]
-    report, smooth, complete, _ = _analyze(fan)
+    report, smooth, complete = _analyze(fan)[:3]
     if not report.valid:
         raise InvalidFanError("; ".join(report.problems))
     return smooth, complete
@@ -375,8 +391,11 @@ def is_complete(fan):
 
     Reason: with every facet in two cones, their apexes on opposite sides,
     a generic path leaves one cone where it enters the next, so all generic
-    points lie in the same number of cones, the covering degree.  The ray
-    sum of cone 0 lies in no other cone of a valid fan, so the degree is 1.
+    points lie in the same number of cones, the covering degree.  The
+    validity pass certifies the sides from its record of each facet: the
+    far apex written in the near cone's basis has a negative coordinate,
+    mu_k < 0, at the near apex.  The ray sum of cone 0 lies in no other
+    cone of a valid fan (:func:`_covered_once`), so the degree is 1.
     """
     return ensure_valid(fan)[1]
 
@@ -393,30 +412,36 @@ def ensure_smooth_complete(fan):
 def walls(fan):
     """All walls with their exact integral relations, sorted by wall rays.
 
-    The cone holding the lower apex of a wall has its rays as the rows of
-    A, inverted once by the validity pass.  The coordinates of the other
-    apex u in that ray basis are u A^-1, whose j-th entry is u's dot
-    product with column j of A^-1 (:func:`kernel.coordinates`, which reads
-    only the entries at u's nonzero coordinates; catalog rays are mostly
-    unit vectors).  Negated, they are the relation, so each ray is negated
-    once, not once per wall, and the coordinates of -u are read.  Raises
+    A wall is a facet shared by cones ca and cb, and its relation is the
+    record (ca, k, cb, kb, mu) of :func:`_analyze`: mu, the apex of cb
+    written in the basis of ca, whose apex at k it faces.  The fan is
+    smooth, so mu is exact and |mu_k| = |det| of cb = 1, and the apexes
+    lie on opposite sides of the facet, so mu_k = -1: the far apex is
+    minus the near one plus sum_j mu_j times the facet rays, and the
+    coefficients are -mu with position k removed, the same from either
+    side.  On a fan that no surgery made, the sides are the validity
+    pass's certificate, mu_k < 0 on every record, and the records are the
+    pass's own; a surgery's output, which has no pass, has them by the
+    surgery's lemma, and pairs its facets here and reads each record, from
+    the facet's first cone, over its planned inverses.  Raises
     InvalidFanError unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
-    inverses = _analyze(fan)[3]
-    cones, out = fan.max_cones, []
-    minus = [tuple(map(neg, ray)) for ray in fan.rays]
-    for facet, ((host, k), (other, j)) in sorted(_facet_map(fan).items()):
-        apex_a, apex_b = cones[host][k], cones[other][j]
-        if apex_a > apex_b:
-            host, k, apex_a, apex_b = other, j, apex_b, apex_a
-        # write -apex_b in the basis of the cone holding apex_a; the fan is
-        # smooth, so the stored columns are those of A^-1.  The apex_a
-        # coordinate must be 1 exactly, and the others are the coefficients
-        coeffs = kernel.coordinates(minus[apex_b], inverses[host][0])
-        if coeffs.pop(k) != 1:
-            raise InvalidFanError("fan not smooth along wall")
-        out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
+    _, _, _, inverses, relations = _analyze(fan)
+    cones, rays, out = fan.max_cones, fan.rays, []
+    if relations is None:
+        relations = [
+            (ca, k, cb, kb, kernel.coordinates(rays[cones[cb][kb]], inverses[ca][0]))
+            for (ca, k), (cb, kb) in _facet_map(fan).values()
+        ]
+    for ca, k, cb, kb, mu in relations:
+        cone = cones[ca]
+        a, b = cone[k], cones[cb][kb]
+        if a > b:
+            a, b = b, a
+        coeffs = tuple(map(neg, mu[:k] + mu[k + 1 :]))
+        out.append(Wall(cone[:k] + cone[k + 1 :], a, b, coeffs))
+    out.sort(key=attrgetter("wall_rays"))
     return tuple(out)
 
 
@@ -465,7 +490,7 @@ def _child(parent, rays, cones, plan):
     appended or a slice of them, and each cone is a sorted int tuple.  The
     hash is the one ``__post_init__`` computes.
     """
-    _, _, complete, inverses = _analyze(parent)
+    _, _, complete, inverses, _ = _analyze(parent)
     ms = _cone_ms(parent)
     dim, cones = parent.dim, tuple(cones)
     child, set_ = object.__new__(Fan), object.__setattr__

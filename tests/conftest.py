@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -33,7 +34,7 @@ from toricfano.cli import (
     cmd_verify_theorem2,
 )
 from toricfano.fan import (
-    _covered_once,
+    Wall,
     _facet_map,
     _overlaps,
     ensure_smooth_complete,
@@ -189,7 +190,11 @@ def as_stored(adj, det):
 def per_entry_analysis(fan):
     """The oracle for the bulk entry checks of ``fan._analyze``: every ray
     and cone entry tested one by one, each cone inverted by
-    ``bareiss_inverse``.  Returns (problems, smooth, complete)."""
+    ``bareiss_inverse``.  Its covering certificate shares nothing with the
+    pass's: the sides of each facet by the det-parity rule (the pass reads
+    mu_k < 0 off its walk), and the ray sum of cone 0 written through every
+    column of each other cone's inverse.  Returns (problems, smooth,
+    complete)."""
     if fan.dim < 2:
         return ("dimension must be at least 2",), False, False
     problems = []
@@ -239,17 +244,44 @@ def per_entry_analysis(fan):
     dets = [det for _, det in inverses]
     facets = _facet_map(fan)
     paired = all(len(cones) == 2 for cones in facets.values())
-    if not (
-        paired
-        and all(
-            (dets[ca] * dets[cb] > 0) == (ka + kb) % 2
-            for (ca, ka), (cb, kb) in facets.values()
-        )
-        and _covered_once(fan, inverses)
-    ):
+    # the apex at position k is on the side sign(det * (-1)^k) of its facet:
+    # opposite sides when the dets agree in sign exactly if ka + kb is odd
+    opposite = all(
+        (dets[ca] * dets[cb] > 0) == (ka + kb) % 2
+        for (ca, ka), (cb, kb) in facets.values()
+    )
+    # p, the ray sum of cone 0, is in no other closed cone: each has a
+    # negative coordinate of p, read through every column of its inverse
+    p = [sum(col) for col in zip(*(fan.rays[i] for i in fan.max_cones[0]))]
+    covered_once = all(
+        min(sum(map(mul, p, col)) for col in cols) < 0 for cols, _ in inverses[1:]
+    )
+    if not (paired and opposite and covered_once):
         problems = _overlaps(fan)
     smooth = all(d in (1, -1) for d in dets)
     return tuple(problems), smooth, paired
+
+
+def oracle_walls(fan):
+    """The oracle for ``walls``, the algorithm the validity pass's records
+    replaced: ``_facet_map`` pairs the facets, and each wall's coefficients
+    are the coordinates of -apex_b in the ray basis of the cone holding the
+    lower apex, apex_a, from that cone's ``bareiss_inverse``, less the
+    apex_a coordinate, which is 1 on a smooth complete fan."""
+    ensure_smooth_complete(fan)
+    cones, out, inverses = fan.max_cones, [], {}
+    for facet, ((host, k), (other, j)) in sorted(_facet_map(fan).items()):
+        apex_a, apex_b = cones[host][k], cones[other][j]
+        if apex_a > apex_b:
+            host, k, apex_a, apex_b = other, j, apex_b, apex_a
+        if host not in inverses:
+            rows = [fan.rays[i] for i in cones[host]]
+            inverses[host] = as_stored(*bareiss_inverse(rows))[0]
+        coeffs = [-sum(map(mul, fan.rays[apex_b], col)) for col in inverses[host]]
+        if coeffs.pop(k) != 1:
+            raise ValueError("fan not smooth along wall")
+        out.append(Wall(facet, apex_a, apex_b, tuple(coeffs)))
+    return tuple(out)
 
 
 def wall_relation_holds(fan, wall):

@@ -677,8 +677,9 @@ def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
     validity pass once on each distinct catalog fan with no parent, P^n and
     the n P^1-bundles, 22 in all, and each pass asks the kernel once; the
     blow-ups and every blow-down that classification performs inherit
-    their parents' verdicts.  Facet maps are built once by each full pass
-    and by ``walls`` once per distinct fan whose walls are read: 22 + 54."""
+    their parents' verdicts.  Facet maps are built once by each full pass,
+    whose walk reads every wall relation, and by ``walls`` once per
+    distinct surgery output whose walls are read: 22 + 32."""
     import toricfano.cli
 
     def verify():
@@ -687,7 +688,7 @@ def test_theorem2_runs_one_full_validity_pass_per_parentless_fan(monkeypatch):
                 assert toricfano.cli.run(["verify-theorem2", "--dim", str(n), "--json"]) == 0
 
     assert sum(1 + n for n in range(3, 7)) == 22
-    assert count_full_passes(monkeypatch, verify) == (22, 22, 76)
+    assert count_full_passes(monkeypatch, verify) == (22, 22, 54)
 
 
 @pytest.mark.parametrize(

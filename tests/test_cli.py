@@ -21,7 +21,7 @@ from toricfano.cli import (
     run,
     write_fan,
 )
-from toricfano import Fan, projective_space_fan, validate
+from toricfano import Fan, projective_space_fan, random_corpus, validate
 
 
 @pytest.fixture
@@ -346,6 +346,44 @@ class TestReports:
             assert json.loads(capsys.readouterr().out)["findings"][0]["smooth"]
             assert len(calls) == k, path
         assert len(files) == sum(2 * n + 1 for n in range(3, 7)) == 40
+
+    def test_check_pairs_the_facets_of_a_parsed_fan_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Operation budget: ``check`` on a parsed smooth complete fan with C
+        cones in dimension n builds one facet map, the validity pass's, and
+        makes C n / 2 + n coordinate reads: one per facet, read by the walk
+        and kept for ``walls``, and n for the kernel's inverse of the root
+        cone.  Corpus fans of dimensions 3 and 4, written out and checked
+        from cold caches."""
+        import toricfano.fan
+        import toricfano.kernel
+
+        fans = random_corpus(3, 60, 3, 2024)[::12] + random_corpus(4, 50, 4, 7)[::10]
+        facet_map, coordinates = toricfano.fan._facet_map, toricfano.kernel.coordinates
+        counts = {"facet maps": 0, "coordinates": 0}
+
+        def counting_facet_map(fan):
+            counts["facet maps"] += 1
+            return facet_map(fan)
+
+        def counting_coordinates(u, cols):
+            counts["coordinates"] += 1
+            return coordinates(u, cols)
+
+        monkeypatch.setattr(toricfano.fan, "_facet_map", counting_facet_map)
+        monkeypatch.setattr(toricfano.kernel, "coordinates", counting_coordinates)
+        for k, fan in enumerate(fans):
+            path = tmp_path / f"fan{k}.json"
+            write_fan(fan, path)
+            clear_caches()
+            counts.update(dict.fromkeys(counts, 0))
+            assert run(["check", str(path), "--json"]) == 0
+            finding = json.loads(capsys.readouterr().out)["findings"][0]
+            assert finding["smooth"] and finding["complete"], path
+            cones, n = len(fan.max_cones), fan.dim
+            assert counts == {"facet maps": 1, "coordinates": cones * n // 2 + n}, path
+        assert len(fans) == 10
 
     def test_verify_theorem1_input(self, p3_file, capsys):
         assert run(["verify-theorem1", "--input", p3_file, "--json"]) == 0

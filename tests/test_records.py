@@ -137,6 +137,35 @@ def test_defaults():
     assert Theorem1Report(3, True, ()).global_violations == ()
 
 
+def test_divisor_analysis_construction_matches_the_generated_init():
+    """``DivisorAnalysis`` writes its own ``__init__``, as the records built
+    in hot loops do, since most analyses take the defaults.  Built by
+    position, by keyword or with defaults, it has the fields, hash and repr
+    that the record's generated ``__init__`` gives, and equals the analysis
+    built from those fields by position."""
+    namespace = {"__annotations__": dict(DivisorAnalysis.__annotations__)}
+    namespace.update(d=None, line_class=None, line_wall=None)
+    generated = _record.record(type("DivisorAnalysis", (), namespace))
+    assert DivisorAnalysis.__init__.__qualname__ == "DivisorAnalysis.__init__"
+    assert generated.__init__.__qualname__ == "record.<locals>.__init__"
+    calls = [
+        ((4, False), {}),
+        ((), {"ray_index": 4, "is_proj_space": False}),
+        ((4,), {"is_proj_space": False, "d": None}),
+        ((2, True, 1, (1, 1, 1), WALL), {}),
+        ((2, True), {"line_wall": WALL, "d": -1, "line_class": (0, 1)}),
+        ((), dict(zip(fields(DivisorAnalysis), (2, True, 1, (1, 1, 1), WALL)))),
+    ]
+    for args, kwargs in calls:
+        ours, theirs = DivisorAnalysis(*args, **kwargs), generated(*args, **kwargs)
+        values = tuple(getattr(theirs, name) for name in fields(DivisorAnalysis))
+        assert tuple(getattr(ours, name) for name in fields(DivisorAnalysis)) == values
+        assert hash(ours) == hash(theirs) == hash(values)
+        assert repr(ours) == repr(theirs)
+        assert ours == DivisorAnalysis(*values) and ours != theirs
+        assert vars(ours) == vars(theirs)
+
+
 def test_a_missing_field_is_named():
     with pytest.raises(TypeError, match="is_proj_space"):
         DivisorAnalysis(3)
