@@ -26,7 +26,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from . import lattice
+from . import kernel
 from ._record import record
 from .fan import (
     Fan,
@@ -482,7 +482,7 @@ def _identify_blowup_base(fan):
     elif len(fan.rays) == n + 2:
         witness = fans_isomorphic(fan, blown)
         if witness is not None:
-            images = [lattice.matrix_apply(witness, r) for r in fan.rays]
+            images = [tuple(kernel.coordinates(r, witness)) for r in fan.rays]
             return "blown-projective-space", witness, images.index(blown.rays[-1])
     return None, None, None
 

@@ -56,9 +56,10 @@ workers.
 
 from functools import lru_cache
 from itertools import combinations, compress
+from math import gcd
 from operator import attrgetter, mul, neg
 
-from . import kernel, lattice
+from . import kernel
 from ._record import record
 from ._simplex import in_nonneg_span
 
@@ -280,13 +281,13 @@ def _analyze(fan):
         problems.append("fan has no maximal cones")
     n_rays = len(rays)
     dims_ok = all(len(ray) == dim for ray in rays)
-    if not (dims_ok and all(map(lattice.is_primitive, rays))):
+    if not (dims_ok and all(gcd(*ray) == 1 for ray in rays)):
         for i, ray in enumerate(rays):
             if len(ray) != dim:
                 problems.append(f"ray {i} has dimension {len(ray)}, expected {dim}")
             elif not any(ray):
                 problems.append(f"ray {i} is zero")
-            elif not lattice.is_primitive(ray):
+            elif gcd(*ray) != 1:
                 problems.append(f"ray {i} not primitive")
     if len(set(rays)) != n_rays:
         seen = {}
@@ -680,9 +681,10 @@ def _orders(target, wanted, inv):
 
 def _maps_onto(w, f, g):
     """Does the matrix ``w`` send every ray of ``f`` to a ray of ``g`` and
-    every maximal cone of ``f`` onto a maximal cone of ``g``?"""
+    every maximal cone of ``f`` onto a maximal cone of ``g``?  The image
+    w·ray is ``kernel.coordinates`` with w's rows as its columns."""
     index = {ray: i for i, ray in enumerate(g.rays)}
-    image = [index.get(lattice.matrix_apply(w, ray)) for ray in f.rays]
+    image = [index.get(tuple(kernel.coordinates(ray, w))) for ray in f.rays]
     cones = set(g.max_cones)
     return None not in image and all(
         tuple(sorted(map(image.__getitem__, cone))) in cones for cone in f.max_cones

@@ -9,6 +9,9 @@ This is Reid's move across a wall from one maximal cone to the next, and
 ``fan`` reads every cone inverse with it: the validity walk's step, and
 every moved cone of a surgery's plan.  :func:`inverse` is the same step n
 times, from the identity, for the root cone of a fan with no parent.
+:func:`coordinates` is also the package's matrix-vector product: with the
+rows of W as ``cols``, it returns W·u, the image of a ray under an
+isomorphism witness.
 
 The kernel keeps no memo and no state between calls.  ``backend_name``
 and ``available_backends`` name the one pure kernel for the benchmark's
@@ -29,7 +32,8 @@ def available_backends():
 def coordinates(u, cols):
     """The list of <u, column j> over the columns, summed over u's nonzero
     entries only (None when u is zero): the coordinates of u in the rows of
-    A, times |det|, when ``cols`` are the stored columns of A."""
+    A, times |det|, when ``cols`` are the stored columns of A, and W·u when
+    they are the rows of a matrix W."""
     out = None
     for i, x in enumerate(u):
         if x:

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd
 from operator import mul
 
 import pytest
@@ -20,7 +21,7 @@ from toricfano import (
     random_corpus,
     star_subdivide,
 )
-from toricfano import lattice, walls
+from toricfano import walls
 from toricfano.cli import (
     _corpus_arg,
     cmd_catalog,
@@ -179,6 +180,12 @@ def bareiss_inverse(rows):
     return adj, sign * prev
 
 
+def apply_matrix(m, v):
+    """m·v by plain dot products, the oracles' own matrix image; the
+    package reads it through ``kernel.coordinates``, the code under test."""
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
 def as_stored(adj, det):
     """The kernel's ``(adj, det)`` of A in the form the validity pass
     stores: the columns of |det| A^-1, which are adj's columns, negated
@@ -207,7 +214,7 @@ def per_entry_analysis(fan):
             problems.append(f"ray {i} has dimension {len(ray)}, expected {fan.dim}")
         elif not any(ray):
             problems.append(f"ray {i} is zero")
-        elif not lattice.is_primitive(ray):
+        elif gcd(*ray) != 1:
             problems.append(f"ray {i} not primitive")
     seen = {}
     for i, ray in enumerate(fan.rays):
@@ -307,7 +314,7 @@ def witness_is_valid(witness, source, target):
     if permutation_det(witness) not in (1, -1):
         return False
     index = {ray: i for i, ray in enumerate(target.rays)}
-    mapped = [index.get(lattice.matrix_apply(witness, r)) for r in source.rays]
+    mapped = [index.get(apply_matrix(witness, r)) for r in source.rays]
     if None in mapped or sorted(mapped) != list(range(len(target.rays))):
         return False
     cones = set(target.max_cones)
@@ -370,7 +377,7 @@ def brute_fans_isomorphic(f, g):
             )
             mapped = []
             for ray in f.rays:
-                gi = g_ray_index.get(lattice.matrix_apply(m, ray))
+                gi = g_ray_index.get(apply_matrix(m, ray))
                 if gi is None:
                     break
                 mapped.append(gi)
@@ -396,29 +403,33 @@ def _brute_signature(fan):
 
 
 def divisor_star_fan(fan, ray_index):
-    """Fan of the invariant divisor V(ray) in the quotient lattice.
+    """Fan of the invariant divisor V(ray) in the quotient lattice N / Z·ray.
 
-    Collects the maximal cones through the ray, projects the other rays to
-    the quotient by the ray's span, and primitivizes the images.  For a
-    smooth complete ambient fan the result is again smooth and complete.
-    The oracle for ``analyze_divisor``'s cone count: V(ray) is a
-    projective space exactly when this fan has ``fan.dim`` rays.
+    Collects the maximal cones through the ray and maps the other rays to
+    the quotient through the unimodular basis of the first of them: each
+    ray's coordinates in that basis, from its ``bareiss_inverse``, less the
+    ray's own coordinate.  On a smooth fan the images are primitive, and
+    the result is again smooth and complete.  The oracle for
+    ``analyze_divisor``'s cone count: V(ray) is a projective space exactly
+    when this fan has ``fan.dim`` rays.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
         raise ValueError("divisor fans need ambient dimension at least 3")
     if not 0 <= ray_index < len(fan.rays):
         raise ValueError("ray index out of range")
-    v = fan.rays[ray_index]
     star = [cone for cone in fan.max_cones if ray_index in cone]
+    # the columns of A^-1 for the first cone, det A being +-1; the ray's
+    # own column is dropped, so it spans the kernel of the map
+    cols = list(as_stored(*bareiss_inverse([fan.rays[i] for i in star[0]]))[0])
+    del cols[star[0].index(ray_index)]
     images = {}
     order = []
     for cone in star:
         for i in cone:
             if i != ray_index and i not in images:
-                images[i] = lattice.primitivize(
-                    lattice.quotient_project(v, fan.rays[i])
-                )
+                images[i] = tuple(sum(map(mul, fan.rays[i], col)) for col in cols)
+                assert gcd(*images[i]) == 1, "divisor fan ray is not primitive"
                 order.append(i)
     ray_list = [images[i] for i in order]
     assert len(set(ray_list)) == len(ray_list), "divisor fan has two equal rays"
@@ -561,7 +572,7 @@ def blowup_route_probe(fan, ci, cone):
             own_exc = next(
                 i
                 for i, r in enumerate(fan.rays)
-                if lattice.matrix_apply(witness, r) == target_exc
+                if apply_matrix(witness, r) == target_exc
             )
             if own_exc in cone:
                 raise ClassificationViolation(

@@ -3,7 +3,7 @@ from contextlib import redirect_stdout
 from functools import lru_cache
 
 import pytest
-from conftest import blowup_route_probe, clear_caches, divisor_star_fan
+from conftest import apply_matrix, blowup_route_probe, clear_caches, divisor_star_fan
 
 from toricfano import (
     ClassificationViolation,
@@ -27,7 +27,6 @@ from toricfano import (
     theorem1_check,
     walls,
 )
-from toricfano import lattice
 from toricfano.fan import validate
 
 
@@ -233,9 +232,7 @@ class TestClassify:
     def test_witness_maps_rays(self, blowup_p3_point):
         result = classify_fano_with_divisor(blowup_p3_point, 4)
         target = entry_for(3, "iii", 1).fan
-        image = {
-            lattice.matrix_apply(result.witness, r) for r in blowup_p3_point.rays
-        }
+        image = {apply_matrix(result.witness, r) for r in blowup_p3_point.rays}
         assert image == set(target.rays)
 
     def test_rejects_non_fano(self):
@@ -335,7 +332,8 @@ class TestTheorem1:
 
 def test_the_bound_n_at_least_3_is_sharp():
     """In dimension 2 the blow-up criterion admits more than P^2 and its
-    point blow-up F_1: P^1 x P^1 and Bl_2 P^2 have Fano point blow-ups too.
+    point blow-up F_1: P^1 x P^1 and Bl_2 P^2 (dP7) have Fano point
+    blow-ups too.
 
     Up to three point blow-ups of P^2, P^1 x P^1 and F_1..F_3 give 48
     surfaces up to isomorphism, of which exactly the five smooth toric del
@@ -367,8 +365,16 @@ def test_the_bound_n_at_least_3_is_sharp():
         for f in del_pezzo
     ]
     assert counts == [(3, 3), (4, 4), (2, 4), (1, 5), (0, 6)]
-    with pytest.raises(UnsupportedDimension):
-        theorem1_check(p2)
+    # each fixed point's verdict is the built blow-up's, and P^1 x P^1 and
+    # dP7 are neither P^2 nor B(P^2, pt); theorem1_check refuses every one
+    for f in del_pezzo:
+        assert point_blowups_are_fano(f) == tuple(
+            is_fano(star_subdivide(f, c)) for c in f.max_cones
+        ), f
+        with pytest.raises(UnsupportedDimension):
+            theorem1_check(f)
+    for f in (p1_bundle_fan(2, 0), bl2):
+        assert fans_isomorphic(f, p2) is None and fans_isomorphic(f, bl1) is None
 
 
 def test_dim4_corpus_sweep():

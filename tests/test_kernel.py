@@ -5,7 +5,8 @@ columns of |det| A^-1, and det A."""
 import random
 
 import pytest
-from conftest import as_stored, bareiss_inverse, permutation_det
+from conftest import apply_matrix, as_stored, bareiss_inverse, permutation_det
+from hypothesis import given, strategies as st
 
 from toricfano import kernel
 
@@ -14,6 +15,33 @@ def random_matrix(rng, n, bound):
     return tuple(
         tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
     )
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """A matrix of 0 to 6 rows of length n and a vector of length n, with
+    small, sparse and huge entries."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-9, 9), st.just(0), st.integers(-(10**30), 10**30))
+    rows = draw(st.lists(st.tuples(*[entries] * n), max_size=6))
+    return tuple(rows), draw(st.tuples(*[entries] * n))
+
+
+@given(matrix_and_vector())
+def test_coordinates_is_the_matrix_vector_product(mv):
+    """With a matrix's rows as its columns, ``coordinates`` is the product
+    W·v, the matrix image that ``fan`` and ``classify`` read through it."""
+    w, v = mv
+    got = kernel.coordinates(v, w)
+    if any(v):
+        assert tuple(got) == apply_matrix(w, v)
+    else:
+        assert got is None
+
+
+def test_coordinates_of_the_zero_vector_is_none():
+    assert kernel.coordinates((0, 0, 0), ((1, 2, 3), (4, 5, 6))) is None
+    assert kernel.coordinates((0,), ((7,),)) is None
 
 
 def test_det_matches_permutation_oracle():
