@@ -18,7 +18,7 @@ point is decided from its cone's m-vector and the rays outside the cone,
 with no wall built, and the fan is identified once, against projective
 space or its blow-up along a linear codimension-two subspace.  Input
 outside a statement's hypotheses (a divisor that is not projective
-space, a fan that is not Fano, a dimension outside the range) raises
+space, a fan that is not Fano, a dimension below 3) raises
 :class:`OutsideStatement`, never a failed check.
 """
 
@@ -62,8 +62,8 @@ class OutsideStatement(ValueError):
 class UnsupportedDimension(OutsideStatement):
     """The statement or construction asked for is not made in this dimension.
 
-    Divisors, the classification and the blow-up criterion need n >= 3;
-    the catalog is built for 3 <= n <= 6.
+    Divisors, the catalog, the classification and the blow-up criterion
+    are stated for n >= 3, and made in every such dimension.
     """
 
 
@@ -292,8 +292,8 @@ def catalog(n):
     P(O + O(nu+1)) along a linear P^(n-2) inside the degree nu+1 divisor.
     Every entry records all its projective-space divisors with degrees.
     """
-    if not 3 <= n <= 6:
-        raise UnsupportedDimension("catalog is built for dimensions 3 through 6")
+    if n < 3:
+        raise UnsupportedDimension("the catalog is stated for dimension at least 3")
     entries = []
     pn = projective_space_fan(n)
     entries.append(
@@ -362,7 +362,6 @@ def classify_fano_with_divisor(fan, ray_index):
     """
     if fan.dim < 3:
         raise UnsupportedDimension("classification is stated for dimension at least 3")
-    catalog(fan.dim)  # fail fast where the catalog is not built, before any LP
     if not is_fano(fan):
         raise OutsideStatement("classification needs a Fano fan")
     return _classify(fan, ray_index, allow_simplify=True)
@@ -547,9 +546,14 @@ def theorem1_check(fan):
 
 
 def random_corpus(n, count, max_depth, seed):
-    """Seeded corpus of smooth complete fans: random subdivisions of P^n."""
-    if n not in (3, 4):
-        raise ValueError("corpus generation supports dimensions 3 and 4")
+    """Seeded corpus of smooth complete fans: random subdivisions of P^n.
+
+    Each fan is smooth and complete: a star subdivision's output inherits
+    that verdict from its parent, P^n at the root.  ``Fan`` needs n >= 2,
+    the one limit on the dimension.
+    """
+    if n < 2:
+        raise ValueError("corpus generation needs dimension at least 2")
     if not 0 <= count <= 1000:
         raise ValueError("count must be between 0 and 1000")
     if not 0 <= max_depth <= 4:
@@ -565,9 +569,5 @@ def random_corpus(n, count, max_depth, seed):
             size = rng.randint(2, n)
             center = tuple(sorted(rng.sample(cone, size)))
             fan = star_subdivide(fan, center)
-        if not (is_smooth(fan) and is_complete(fan)):
-            raise ClassificationViolation(
-                "star subdivision failed to preserve smoothness or completeness"
-            )
         fans.append(fan)
     return tuple(fans)

@@ -10,6 +10,7 @@ from toricfano import (
     OutsideStatement,
     UnsupportedDimension,
     analyze_divisor,
+    blow_down,
     catalog,
     classify_fano_with_divisor,
     fans_isomorphic,
@@ -196,10 +197,11 @@ class TestCatalog:
         assert len(catalog(n)) == 2 * n + 1
 
     def test_range(self):
-        with pytest.raises(ValueError):
+        """The catalog is stated for n >= 3 and built in every such n."""
+        with pytest.raises(UnsupportedDimension) as err:
             catalog(2)
-        with pytest.raises(ValueError):
-            catalog(7)
+        assert str(err.value) == "the catalog is stated for dimension at least 3"
+        assert len(catalog(7)) == 15
 
     def test_boundary_fano(self):
         assert is_fano(p1_bundle_fan(3, 2))
@@ -264,8 +266,8 @@ class TestClassify:
         assert not issubclass(ClassificationViolation, ValueError)
 
     def test_unsupported_dimension_runs_no_lp(self, monkeypatch):
-        """Above the catalog's range the classifier stops before any work:
-        no Mori extremality LP is solved."""
+        """Below dimension 3 the classifier stops before any work: no Mori
+        extremality LP is solved.  Dimension 7 classifies."""
         import toricfano.mori
 
         calls = []
@@ -278,9 +280,11 @@ class TestClassify:
         monkeypatch.setattr(toricfano.mori, "in_nonneg_span", counting)
         clear_caches()
         with pytest.raises(UnsupportedDimension) as err:
-            classify_fano_with_divisor(projective_space_fan(7), 0)
-        assert str(err.value) == "catalog is built for dimensions 3 through 6"
+            classify_fano_with_divisor(projective_space_fan(2), 0)
+        assert str(err.value) == "classification is stated for dimension at least 3"
         assert calls == []
+        result = classify_fano_with_divisor(projective_space_fan(7), 0)
+        assert (result.case_tag, result.nu) == ("i", None)
 
     def test_every_fano_corpus_divisor_classifies(self):
         matched = 0
@@ -375,6 +379,39 @@ def test_the_bound_n_at_least_3_is_sharp():
             theorem1_check(f)
     for f in (p1_bundle_fan(2, 0), bl2):
         assert fans_isomorphic(f, p2) is None and fans_isomorphic(f, bl1) is None
+
+
+def test_theorem1_follows_from_theorem2():
+    """The paper's deduction, n = 3..12.  If B_x(X) is Fano, its
+    exceptional divisor is a P^(n-1) of degree -1 whose ray is the sum of
+    its n neighbours, so B_x(X) is a catalog entry; blowing that divisor
+    down gives X.  Exactly two listed divisors qualify in every n, of
+    entry iii with nu = 1 and of entry iv with nu = 0, and they blow down
+    to P^n and B(P^n, P^(n-2)), with the merged cone's point off the
+    exceptional divisor and its blow-up Fano."""
+    for n in range(3, 13):
+        pn = projective_space_fan(n)
+        targets = {("iii", 1): pn, ("iv", 0): star_subdivide(pn, (0, 1))}
+        qualified = []
+        for entry in catalog(n):
+            fan = entry.fan
+            for ray, degree in entry.divisor_rays:
+                center = tuple(
+                    sorted({i for c in fan.max_cones if ray in c for i in c} - {ray})
+                )
+                total = tuple(map(sum, zip(*(fan.rays[i] for i in center))))
+                if degree != -1 or fan.rays[ray] != total:
+                    continue
+                assert len(center) == n
+                qualified.append((entry.case_tag, entry.nu))
+                base = blow_down(fan, ray, center)
+                target = targets[entry.case_tag, entry.nu]
+                assert fans_isomorphic(base, target) is not None
+                merged = tuple(i - (i > ray) for i in center)
+                probe = next(p for p in theorem1_check(base).probes if p.cone == merged)
+                assert probe.blowup_fano and probe.violation is None
+                assert fans_isomorphic(star_subdivide(base, merged), fan) is not None
+        assert qualified == [("iii", 1), ("iv", 0)], n
 
 
 def test_dim4_corpus_sweep():

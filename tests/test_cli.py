@@ -178,18 +178,25 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
 
     def test_unsupported_dimension_exits_2(self, tmp_path, capsys):
-        # the catalog stops at dimension 6, so classifying a P^7 divisor is
-        # unsupported, not failed; theorem 1 needs no catalog
-        path = str(tmp_path / "p7.json")
-        write_fan(projective_space_fan(7), path)
-        for argv in (["classify", path, "--ray", "0"], ["catalog", "--dim", "7"]):
+        # the statements need n >= 3: a P^2 divisor, or the catalog in
+        # dimension 2, is unsupported, not failed; dimension 7 verifies
+        p2, p7 = str(tmp_path / "p2.json"), str(tmp_path / "p7.json")
+        write_fan(projective_space_fan(2), p2)
+        write_fan(projective_space_fan(7), p7)
+        for argv, message in (
+            (["classify", p2, "--ray", "0"], "classification is stated for dimension at least 3"),
+            (["catalog", "--dim", "2"], "the catalog is stated for dimension at least 3"),
+        ):
             assert run(argv + ["--json"]) == 2
             report = json.loads(capsys.readouterr().out)
             assert report["status"] == "invalid-input"
-            assert report["findings"] == [
-                {"error": "catalog is built for dimensions 3 through 6"}
-            ]
-        assert run(["verify-theorem1", "--input", path, "--json"]) == 0
+            assert report["findings"] == [{"error": message}]
+        assert run(["classify", p7, "--ray", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["findings"][0]["case"] == "i"
+        assert run(["catalog", "--dim", "7", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["findings"]) == 15
+        assert run(["verify-theorem1", "--input", p7, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         identity = [[int(i == j) for j in range(7)] for i in range(7)]
         assert [(f["conclusion"], f["witness"]) for f in report["findings"]] == [
@@ -831,3 +838,24 @@ def test_theorem2_report_bytes_are_pinned(dim, digest, capsys):
     assert run(["verify-theorem2", "--dim", str(dim), "--json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", range(7, 13))
+def test_theorem2_verifies_past_dimension_6(dim, capsys):
+    assert run(["verify-theorem2", "--dim", str(dim), "--json"]) == 0
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert findings[0] == {
+        "check": "catalog-size", "expected": 2 * dim + 1, "actual": 2 * dim + 1, "ok": True
+    }
+    entries = [f for f in findings if f["check"] == "entry"]
+    assert len(entries) == 2 * dim + 1 and all(f["ok"] for f in entries)
+    assert findings[-1] == {"check": "pairwise-distinct", "ok": True}
+    assert len(findings) == 2 * dim + 3
+
+
+@pytest.mark.parametrize("dim, seed", [(5, 1), (6, 2), (7, 3), (8, 4)])
+def test_theorem1_corpus_verifies_past_dimension_4(dim, seed, capsys):
+    assert run(["verify-theorem1", "--corpus", f"{dim},20,3,{seed}", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert {f["fan"] for f in report["findings"]} == {f"corpus[{k}]" for k in range(20)}

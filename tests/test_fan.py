@@ -1607,3 +1607,7 @@ def test_random_corpus_contract():
     assert all(len(f.rays) <= 6 for f in fans)
     assert random_corpus(3, 10, 2, seed=1) == fans
     assert random_corpus(3, 1, 0, seed=99) == (projective_space_fan(3),)
+    # Fan needs dimension 2, the one limit on the corpus's dimension
+    assert random_corpus(2, 1, 0, seed=99) == (projective_space_fan(2),)
+    with pytest.raises(ValueError, match="dimension at least 2"):
+        random_corpus(1, 1, 0, seed=99)
