@@ -45,13 +45,10 @@ from .intersect import (
     DivisorPositivity,
     TDivisor,
     anticanonical_degree,
-    anticanonical_divisor,
     divisor_dot_curve,
     is_fano,
-    point_blowup_is_fano,
     point_blowups_are_fano,
     positivity,
-    prime_divisor,
 )
 from .mori import (
     ContractionInfo,
@@ -82,7 +79,6 @@ __all__ = [
     "Wall",
     "analyze_divisor",
     "anticanonical_degree",
-    "anticanonical_divisor",
     "blow_down",
     "catalog",
     "classify_fano_with_divisor",
@@ -97,10 +93,8 @@ __all__ = [
     "is_mori_extremal",
     "is_smooth",
     "p1_bundle_fan",
-    "point_blowup_is_fano",
     "point_blowups_are_fano",
     "positivity",
-    "prime_divisor",
     "projective_space_fan",
     "random_corpus",
     "simplify_pair",

@@ -295,12 +295,10 @@ def catalog(n):
     if n < 3:
         raise UnsupportedDimension("the catalog is stated for dimension at least 3")
     entries = []
-    pn = projective_space_fan(n)
+    pn, blown = _blowup_targets(n)
     entries.append(
         _entry("i", None, pn, {i: 1 for i in range(n + 1)}, f"P^{n}")
     )
-    # codimension-two center: the cone of two rays cuts out a linear P^(n-2)
-    blown = star_subdivide(pn, (0, 1))
     entries.append(
         _entry(
             "ii",
@@ -459,8 +457,11 @@ class Theorem1Report:
 @lru_cache(maxsize=None)
 def _blowup_targets(n):
     """P^n and B(P^n, linear P^(n-2)), the fans of catalog entries i and
-    ii, built once per dimension for every fan identified against them."""
+    ii, built once per dimension: :func:`catalog` reads its entries i and
+    ii from here, and every fan identified against them reads the same
+    two fans."""
     pn = projective_space_fan(n)
+    # codimension-two center: the cone of two rays cuts out a linear P^(n-2)
     return pn, star_subdivide(pn, (0, 1))
 
 

@@ -1,10 +1,12 @@
 """Command-line front end: fan file parsing, subcommand dispatch, reports.
 
-Fan files are JSON objects {"dim": n, "rays": [[int,..],..],
-"max_cones": [[idx,..],..]} with 0-based indices, primitive rays, and
-cones sorted ascending.  The parser checks only this JSON shape; the
-``Fan`` model rejects non-integer entries and ``validate`` reports every
-other problem, and their messages are the ones shown.  Reports are plain
+Fan files, read from a path, are JSON objects {"dim": n, "rays":
+[[int,..],..], "max_cones": [[idx,..],..]} with 0-based indices,
+primitive rays, and cones sorted ascending; a file whose text does not
+decode as UTF-8 JSON is malformed input.  The parser checks only this
+JSON shape; the ``Fan`` model rejects non-integer entries and
+``validate`` reports every other problem, and their messages are the
+ones shown.  Reports are plain
 text or, with --json, a single JSON document with deterministic
 (byte-identical) output.  Exit codes: 0 all assertions hold, 1 assertion
 failure, 2 a usage error (``UsageError``), malformed input, or input
@@ -41,22 +43,24 @@ class FanFormatError(ValueError):
     """A fan file does not follow the JSON contract."""
 
 
-def _read_json(source):
-    """The JSON document in a path or file object."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FanFormatError(f"malformed JSON: {err}") from None
+def _read_json(path):
+    """The JSON document in the file at ``path``.
+
+    Every way the text fails to decode is malformed input: bytes that are
+    not UTF-8, a document that is not JSON, an integer past the
+    interpreter's digit limit for conversion (each a ValueError), and
+    nesting deeper than the recursion limit.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as err:
+            raise FanFormatError(f"malformed JSON: {err}") from None
 
 
-def parse_fan(source):
-    """Parse and validate a fan file (path or file object)."""
-    data = _read_json(source)
+def parse_fan(path):
+    """Parse and validate the fan file at ``path``."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise FanFormatError("fan file must be a JSON object")
     extra = set(data) - {"dim", "rays", "max_cones"}
@@ -93,9 +97,10 @@ def fan_to_dict(fan):
     }
 
 
-def parse_divisor(source, fan):
-    """Parse a divisor file {"coeffs": [int, ...]} aligned with ray order."""
-    data = _read_json(source)
+def parse_divisor(path, fan):
+    """Parse the divisor file at ``path``, {"coeffs": [int, ...]} aligned
+    with ray order."""
+    data = _read_json(path)
     if not isinstance(data, dict) or set(data) != {"coeffs"}:
         raise FanFormatError('divisor file must be {"coeffs": [int, ...]}')
     coeffs = data["coeffs"]

@@ -96,12 +96,6 @@ class Fan:
     # ignore it
     _origin = None
 
-    def __init__(self, dim, rays, max_cones):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", max_cones)
-        self.__post_init__()
-
     def __post_init__(self):
         require_int(self.dim, "dim")
         # one type pass; only on failure does require_int name the entry

@@ -8,6 +8,11 @@ building any wall, from each maximal cone's m = A^-1 (1, ..., 1) and the
 rays outside the cone (``_blowup_verdicts``, proved at
 :func:`point_blowups_are_fano`), so one read decides every fixed point of
 a fan; :func:`is_fano`, the wall scan, is its oracle in the tests.
+:func:`point_blowups_are_fano` is the one entry point for point blow-ups:
+a single fixed point's verdict is its entry at the cone's index in
+``fan.max_cones``.  A divisor is ``TDivisor(coeffs)``, one integer per
+ray in ray order: the anticanonical divisor has every coefficient 1, and
+the prime divisor V(ray i) has 1 at i and 0 elsewhere.
 """
 
 from functools import lru_cache
@@ -32,21 +37,6 @@ class TDivisor:
                 for i, c in enumerate(self.coeffs)
             ),
         )
-
-
-def prime_divisor(fan, ray_index):
-    """The divisor V(ray_index); the index must be an int naming a ray."""
-    require_int(ray_index, "ray index")
-    if not 0 <= ray_index < len(fan.rays):
-        raise ValueError(
-            f"ray index {ray_index} is out of range for {len(fan.rays)} rays"
-        )
-    return TDivisor(tuple(int(i == ray_index) for i in range(len(fan.rays))))
-
-
-def anticanonical_divisor(fan):
-    """The anticanonical divisor: coefficient 1 on every ray."""
-    return TDivisor((1,) * len(fan.rays))
 
 
 def divisor_dot_curve(fan, divisor, wall):
@@ -167,25 +157,3 @@ def point_blowups_are_fano(fan):
     """
     return _blowup_verdicts(fan)[1]
 
-
-def point_blowup_is_fano(fan, cone):
-    """True when blowing up the fixed point of ``cone`` gives a Fano fan:
-    the entry of :func:`point_blowups_are_fano` at the cone's index.
-
-    Each entry of ``cone`` must be an int (else TypeError, as for a center
-    of ``star_subdivide``), and the sorted entries must be a maximal cone of
-    the fan (else ValueError; a repeated index never is).  A sweep over
-    every fixed point reads :func:`point_blowups_are_fano` once instead.
-    """
-    cone = tuple(cone)
-    # one type pass; only on failure does require_int name the entry (or
-    # accept it: an int subclass passes)
-    if set(map(type, cone)) != {int}:
-        for k, i in enumerate(cone):
-            require_int(i, f"cone entry {k}")
-    fano = point_blowups_are_fano(fan)  # raises unless smooth and complete
-    try:
-        ci = fan.max_cones.index(tuple(sorted(cone)))
-    except ValueError:
-        raise ValueError("cone is not a maximal cone of the fan") from None
-    return fano[ci]

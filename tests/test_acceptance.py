@@ -13,6 +13,7 @@ import pytest
 from conftest import wall_relation_holds, witness_is_valid
 
 from toricfano import (
+    TDivisor,
     analyze_divisor,
     anticanonical_degree,
     blow_down,
@@ -26,7 +27,6 @@ from toricfano import (
     is_fano,
     is_smooth,
     p1_bundle_fan,
-    prime_divisor,
     projective_space_fan,
     random_corpus,
     simplify_pair,
@@ -199,8 +199,10 @@ def test_criterion_6_blowdown_fano_formula():
                 ]
                 assert center_walls
                 wall = center_walls[0]
-                a = divisor_dot_curve(down, prime_divisor(down, plus_side), wall)
-                b = divisor_dot_curve(down, prime_divisor(down, 2), wall)
+                # the prime divisors V(plus_side) and V(2)
+                rays = range(len(down.rays))
+                a = divisor_dot_curve(down, TDivisor(tuple(int(i == plus_side) for i in rays)), wall)
+                b = divisor_dot_curve(down, TDivisor(tuple(int(i == 2) for i in rays)), wall)
                 assert a == analyze_divisor(down, plus_side).d
                 assert b == 1
                 assert (n - 1 + a + b > 0) == is_fano(down)

@@ -19,7 +19,6 @@ from toricfano import (
     is_fano,
     is_smooth,
     p1_bundle_fan,
-    point_blowup_is_fano,
     point_blowups_are_fano,
     projective_space_fan,
     random_corpus,
@@ -365,7 +364,7 @@ def test_the_bound_n_at_least_3_is_sharp():
         sum(fans_isomorphic(f, g) is not None for g in del_pezzo) == 1 for f in fano
     )
     counts = [
-        (sum(point_blowup_is_fano(f, c) for c in f.max_cones), len(f.max_cones))
+        (sum(is_fano(star_subdivide(f, c)) for c in f.max_cones), len(f.max_cones))
         for f in del_pezzo
     ]
     assert counts == [(3, 3), (4, 4), (2, 4), (1, 5), (0, 6)]
@@ -777,13 +776,13 @@ def test_theorem1_builds_walls_only_for_the_fans_it_identifies(monkeypatch, corp
 )
 def test_theorem1_probes_match_the_per_cone_test(corpus):
     """Differential test: the sweep's one verdict read per fan gives every
-    fixed point the verdict ``point_blowup_is_fano`` gives its cone alone,
-    and both verdicts occur."""
+    fixed point the verdict of the wall scan on its built blow-up, and both
+    verdicts occur."""
     verdicts = set()
     for fan in random_corpus(*corpus):
         probes = theorem1_check(fan).probes
         assert [p.cone for p in probes] == list(fan.max_cones)
-        expected = [point_blowup_is_fano(fan, cone) for cone in fan.max_cones]
+        expected = [is_fano(star_subdivide(fan, cone)) for cone in fan.max_cones]
         assert [p.blowup_fano for p in probes] == expected, fan
         assert point_blowups_are_fano(fan) == tuple(expected)
         verdicts.update(expected)
@@ -797,17 +796,14 @@ def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
     125 star subdivisions, 124 for the corpus and one target, skip them
     (4 checks and 127 subdivisions when the targets were built for each
     of the 3 identified fans).  Its 683 fixed points are decided by one
-    ``point_blowups_are_fano`` read per fan and no ``point_blowup_is_fano``
-    call."""
+    ``point_blowups_are_fano`` read per fan."""
     import sys
 
     import toricfano.cli
     import toricfano.fan
 
     clear_caches()
-    counts = dict.fromkeys(
-        ("checks", "children", "point_blowup_is_fano", "point_blowups_are_fano"), 0
-    )
+    counts = dict.fromkeys(("checks", "children", "point_blowups_are_fano"), 0)
     post_init, child = toricfano.fan.Fan.__post_init__, toricfano.fan._child
 
     def counting_post_init(fan):
@@ -820,23 +816,17 @@ def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
 
     monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
     monkeypatch.setattr(toricfano.fan, "_child", counting_child)
-    # every binding of the two Fano tests in the package, wherever imported
+    # every binding of the Fano verdict read in the package, wherever imported
     for module_name, module in list(sys.modules.items()):
-        for name in ("point_blowup_is_fano", "point_blowups_are_fano"):
-            real = vars(module).get(name)
-            if module_name.partition(".")[0] == "toricfano" and real:
+        real = vars(module).get("point_blowups_are_fano")
+        if module_name.partition(".")[0] == "toricfano" and real:
 
-                def counting(*args, real=real, name=name):
-                    counts[name] += 1
-                    return real(*args)
+            def counting(fan, real=real):
+                counts["point_blowups_are_fano"] += 1
+                return real(fan)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, "point_blowups_are_fano", counting)
     with redirect_stdout(io.StringIO()) as out:
         assert toricfano.cli.run(["verify-theorem1", "--corpus", "4,50,4,7", "--json"]) == 0
-    assert counts == {
-        "checks": 2,
-        "children": 125,
-        "point_blowup_is_fano": 0,
-        "point_blowups_are_fano": 50,
-    }
+    assert counts == {"checks": 2, "children": 125, "point_blowups_are_fano": 50}
     assert out.getvalue().count('"cone_index"') == 683

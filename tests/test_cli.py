@@ -174,6 +174,24 @@ class TestExitCodes:
         assert run(["check", path]) == 2
         assert run(["check", str(tmp_path / "missing.json")]) == 2
 
+    def test_undecodable_files_are_malformed_input(self, tmp_path, p3_file, capsys):
+        # text that is not UTF-8, an integer past the interpreter's digit
+        # limit for conversion, and nesting past the recursion limit
+        contents = {
+            "latin1.json": '{"coeffs": ["\u00e9"]}'.encode("latin-1"),
+            "digits.json": b"[" + b"7" * 5000 + b"]",
+            "nested.json": b"[" * 100_000,
+        }
+        for name, content in contents.items():
+            path = tmp_path / name
+            path.write_bytes(content)
+            for argv in (["check", str(path)], ["check", p3_file, "--divisor", str(path)]):
+                assert run([*argv, "--json"]) == 2, argv
+                report = json.loads(capsys.readouterr().out)
+                assert report["status"] == "invalid-input", argv
+                [finding] = report["findings"]
+                assert finding["error"].startswith("malformed JSON: "), argv
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -536,15 +554,14 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "invalid-input"
 
-    def test_divisor_round_trip(self):
+    def test_divisor_round_trip(self, tmp_path):
         from toricfano.cli import parse_divisor
-        from toricfano import anticanonical_divisor, projective_space_fan
-        import io
+        from toricfano import TDivisor, projective_space_fan
 
         fan = projective_space_fan(4)
-        divisor = anticanonical_divisor(fan)
-        payload = json.dumps({"coeffs": list(divisor.coeffs)})
-        assert parse_divisor(io.StringIO(payload), fan) == divisor
+        divisor = TDivisor((1,) * len(fan.rays))
+        path = write_json(tmp_path, "divisor.json", {"coeffs": list(divisor.coeffs)})
+        assert parse_divisor(path, fan) == divisor
 
     def test_mori_table(self, p3_file, capsys):
         assert run(["mori", p3_file, "--json"]) == 0

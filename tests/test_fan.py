@@ -30,9 +30,9 @@ from conftest import (
 from toricfano import (
     Fan,
     InvalidFanError,
+    TDivisor,
     UnsupportedDimension,
     analyze_divisor,
-    anticanonical_divisor,
     blow_down,
     catalog,
     classify_fano_with_divisor,
@@ -42,7 +42,6 @@ from toricfano import (
     is_extremal,
     is_fano,
     is_smooth,
-    point_blowup_is_fano,
     point_blowups_are_fano,
     positivity,
     projective_space_fan,
@@ -150,12 +149,11 @@ E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 NEEDS_SMOOTH_COMPLETE = {
     "walls": walls,
     "is_fano": is_fano,
-    "positivity": lambda f: positivity(f, anticanonical_divisor(f)),
+    "positivity": lambda f: positivity(f, TDivisor((1,) * len(f.rays))),
     "is_extremal": lambda f: is_extremal(f, Wall((0, 1), 2, 3, (0, 0))),
     "fans_isomorphic": lambda f: fans_isomorphic(f, projective_space_fan(3)),
     "theorem1_check": theorem1_check,
     "analyze_divisor": lambda f: analyze_divisor(f, 0),
-    "point_blowup_is_fano": lambda f: point_blowup_is_fano(f, (0, 1, 2)),
     "point_blowups_are_fano": point_blowups_are_fano,
 }
 

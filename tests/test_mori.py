@@ -13,7 +13,7 @@ import toricfano._simplex
 import toricfano.cli
 import toricfano.mori
 from toricfano import (
-    anticanonical_divisor,
+    TDivisor,
     catalog,
     contraction_info,
     curve_class,
@@ -48,7 +48,7 @@ def test_classes_annihilate_lattice_relations(p3, blowup_p3_point, p1xp2):
 
 def test_anticanonical_pairing(p3, blowup_p3_point):
     for fan in (p3, blowup_p3_point):
-        ones = anticanonical_divisor(fan)
+        ones = TDivisor((1,) * len(fan.rays))
         for w in walls(fan):
             assert pair(ones, curve_class(fan, w)) == anticanonical_degree(fan, w)
 
