@@ -551,7 +551,10 @@ def random_corpus(n, count, max_depth, seed):
 
     Each fan is smooth and complete: a star subdivision's output inherits
     that verdict from its parent, P^n at the root.  ``Fan`` needs n >= 2,
-    the one limit on the dimension.
+    the one limit on the dimension.  A chain step that repeats a (fan,
+    center) pair reuses the star subdivision built for it, so equal fans
+    share one object, and the inverses its further surgeries read per cone
+    are found once.
     """
     if n < 2:
         raise ValueError("corpus generation needs dimension at least 2")
@@ -561,7 +564,7 @@ def random_corpus(n, count, max_depth, seed):
         raise ValueError("max_depth must be between 0 and 4")
     rng = random.Random(seed)
     base = projective_space_fan(n)
-    fans = []
+    fans, built = [], {}
     for _ in range(count):
         fan = base
         depth = rng.randint(1, max_depth) if max_depth else 0
@@ -569,6 +572,9 @@ def random_corpus(n, count, max_depth, seed):
             cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
             size = rng.randint(2, n)
             center = tuple(sorted(rng.sample(cone, size)))
-            fan = star_subdivide(fan, center)
+            key = fan, center
+            fan = built.get(key)
+            if fan is None:
+                fan = built[key] = star_subdivide(*key)
         fans.append(fan)
     return tuple(fans)

@@ -13,11 +13,24 @@ failure, 2 a usage error (``UsageError``), malformed input, or input
 outside the statement checked (``OutsideStatement``: a divisor that is
 not projective space, a fan that is not Fano, or a dimension outside the
 command's range, ``UnsupportedDimension``); a reader that closes stdout
-early does not change them.  The command line is read by
-:func:`parse_args` against the ``COMMANDS`` table; options follow the
-subcommand and are spelled in full.
+early does not change them.  The whole report is formatted before
+anything is written: a report holding an integer past the interpreter's
+digit limit for conversion (an isomorphism witness can, though every
+input integer is within it) is replaced by an invalid-input report naming
+the limit.  The command line is read by :func:`parse_args` against the
+``COMMANDS`` table; options follow the subcommand and are spelled in full.
+
+:func:`run` switches the cyclic garbage collector off while the command
+runs and restores the caller's setting after.  The commands build only
+acyclic data (tuples, records, caches keyed by fans), which reference
+counting frees as it goes, so a collector pass finds nothing to free; it
+only walks the objects allocated so far, and a sweep that allocates many
+would trigger many such passes (8 on the ``4,50,4,7`` corpus).  Switched
+back on, the collector still owes one pass over what the command kept,
+and runs it at the caller's next allocation.
 """
 
+import gc
 import json
 import os
 import sys
@@ -601,7 +614,8 @@ def _help(name):
     return "\n".join([_usage(name), "", lead, *lines, "", tail]).rstrip() + "\n"
 
 
-def _emit(report, as_json, stream):
+def _emit(report, as_json):
+    """The report's whole text, as --json or plain text prints it."""
     if as_json:
         document = {
             "command": report.command,
@@ -609,19 +623,24 @@ def _emit(report, as_json, stream):
             "findings": report.findings,
             "witness": report.witness,
         }
-        stream.write(json.dumps(document, sort_keys=True))
-        stream.write("\n")
-        return
-    stream.write(f"command: {report.command}\n")
-    stream.write(f"status: {report.status}\n")
+        # a report is a tree of lists and dicts built here, never circular
+        return json.dumps(document, sort_keys=True, check_circular=False) + "\n"
+    lines = [f"command: {report.command}\n", f"status: {report.status}\n"]
     for record in report.findings:
         parts = [f"{key}={record[key]}" for key in sorted(record)]
-        stream.write("  " + " ".join(parts) + "\n")
+        lines.append("  " + " ".join(parts) + "\n")
     if report.witness is not None:
-        stream.write(f"witness: {report.witness}\n")
+        lines.append(f"witness: {report.witness}\n")
+    return "".join(lines)
 
 
-def run(argv=None):
+def _error_report(command, status, err):
+    report = Report(command, status=status)
+    report.findings.append({"error": str(err)})
+    return report
+
+
+def _execute(argv):
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except _Help as request:
@@ -633,13 +652,18 @@ def run(argv=None):
     try:
         report = args.handler(args)
     except (FanFormatError, InvalidFanError, OutsideStatement, OSError) as err:
-        report = Report(args.command, status="invalid-input")
-        report.findings.append({"error": str(err)})
+        report = _error_report(args.command, "invalid-input", err)
     except (ClassificationViolation, ValueError) as err:
-        report = Report(args.command, status="fail")
-        report.findings.append({"error": str(err)})
+        report = _error_report(args.command, "fail", err)
     try:
-        _emit(report, args.json, sys.stdout)
+        text = _emit(report, args.json)
+    except ValueError as err:
+        # an integer past the interpreter's digit limit for conversion
+        reason = f"report cannot be written: {err}"
+        report = _error_report(args.command, "invalid-input", reason)
+        text = _emit(report, args.json)
+    try:
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (``| head``); the verdict stands, and
@@ -648,6 +672,19 @@ def run(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return {"pass": 0, "fail": 1, "invalid-input": 2}[report.status]
+
+
+def run(argv=None):
+    """Run one command line and return its exit code, with the cyclic
+    garbage collector off (see the module docstring); the caller's setting
+    is restored, also when the command raises."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _execute(argv)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main():

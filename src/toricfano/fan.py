@@ -35,12 +35,15 @@ The loop that builds the output's cones records a plan: for each cone,
 the parent cone it keeps, or the exchange that reads its inverse off
 that cone's, the walk's step across a wall with the new row written in
 the parent cone's basis.  So one update rule serves every cone inverse,
-walked or planned.  With the plan go the parent's cone inverses, its
-per-cone m-vectors and whether the parent is complete, but not the
-parent or its cones; the output applies the plan to the inverses only
-when they are read, as the parent of a further surgery or to build its
-walls, which pair its facets and read each relation over those inverses,
-with no exchange.  Whether a fan and each of
+walked or planned.  With the plan go the parent's cone inverses, as
+they are read, its per-cone m-vectors and whether the parent is complete,
+but not the parent or its cones.  The output applies the plan per cone,
+only when that cone's inverse is read (:class:`_Inverses`): a kept cone
+shares its parent cone's entry, and a moved cone is one exchange on it,
+kept once found.  A further surgery reads only the cones it subdivides,
+walls, which pair the output's facets and read each relation over those
+inverses, read each facet's first cone, and an isomorphism search reads
+cone 0.  Whether a fan and each of
 its point blow-ups are Fano is decided in ``intersect`` without building
 a blow-up, a wall or a facet map, from the cones' m-vectors, m = A^-1
 (1, ..., 1), and the rays outside each cone (:func:`_cone_ms`); a
@@ -85,15 +88,15 @@ class Fan:
     rays: tuple
     max_cones: tuple
 
-    # (complete, inverses, ms, plan) of a fan made by a surgery, else None:
-    # the parent's completeness, its cone inverses and its per-cone
-    # m-vectors, and per cone of this fan either the index of the parent
-    # cone it keeps or the exchange (ci, k, mu, to), the kernel.exchange
-    # arguments that read its inverse, and its m-vector, off parent cone
-    # ci's, mu being the new row in that cone's basis; the verdict is read
-    # from here, and the inverses are built only when read.  Private state
-    # outside the fields, like _hash, so equality, hash, repr and pickling
-    # ignore it
+    # (complete, ms, inverses) of a fan made by a surgery, else None: the
+    # parent's completeness and per-cone m-vectors, and this fan's cone
+    # inverses, an _Inverses over the parent's and the plan, which holds
+    # per cone of this fan either the index of the parent cone it keeps or
+    # the exchange (ci, k, mu, to), the kernel.exchange arguments that read
+    # its inverse, and its m-vector, off parent cone ci's, mu being the new
+    # row in that cone's basis; the verdict is read from here, and each
+    # inverse is built only when read.  Private state outside the fields,
+    # like _hash, so equality, hash, repr and pickling ignore it
     _origin = None
 
     def __post_init__(self):
@@ -199,6 +202,41 @@ def _covered_once(fan, inverses):
     )
 
 
+class _Inverses:
+    """The cone inverses of a surgery's output, each ``(cols, det)`` read
+    on first use: ``parent`` holds the parent's, the tuple of a full
+    validity pass or the parent's own ``_Inverses``, and ``plan`` this
+    fan's cones, each a kept parent cone's index or the exchange ``(ci,
+    k, mu, to)`` on parent cone ci's entry.  A kept cone shares its parent
+    cone's entry, and a moved cone's is one :func:`kernel.exchange`; each
+    is kept once read.  Reading walks up the chain of parents to the first
+    entry known, then applies the plans back down, iteratively, so a long
+    chain takes no recursion.  It holds no ``Fan``."""
+
+    __slots__ = ("parent", "plan", "read")
+
+    def __init__(self, parent, plan):
+        self.parent, self.plan, self.read = parent, plan, [None] * len(plan)
+
+    def __getitem__(self, ci):
+        path, node = [], self
+        while type(node) is _Inverses:
+            entry = node.read[ci]
+            if entry is not None:
+                break
+            path.append((node, ci))
+            p = node.plan[ci]
+            ci, node = (p if type(p) is int else p[0]), node.parent
+        else:
+            entry = node[ci]
+        for node, ci in reversed(path):
+            p = node.plan[ci]
+            if type(p) is not int:
+                entry = kernel.exchange(*entry, *p[1:])
+            node.read[ci] = entry
+        return entry
+
+
 @lru_cache(maxsize=None)
 def _analyze(fan):
     """The validity pass behind validate, is_smooth, is_complete and walls.
@@ -221,14 +259,14 @@ def _analyze(fan):
     parent, and the result is a valid smooth fan with the parent's
     support, so it is complete exactly when the parent is.  So
     :func:`ensure_valid` and the tests on it read that verdict off
-    ``Fan._origin`` and never come here; only a caller that reads the
-    inverses does, when the fan is a surgery's parent or its walls are
-    built.  Its inverses come from the plan the surgery recorded with the
-    parent's inverses: a kept cone shares its parent cone's ``(cols,
-    det)``, and a moved cone's is read off its parent cone's by the walk's
-    own step, :func:`kernel.exchange`; |det| A^-1 and det are unique, so
-    they are those of the full pass.  No ancestor is analysed
-    or even reachable.
+    ``Fan._origin`` and never come here, and every reader of its inverses
+    (a further surgery, :func:`walls`, :func:`fans_isomorphic`) takes them
+    per cone from its :class:`_Inverses` (:func:`_inverses`).  Here every
+    cone is read through that same ``_Inverses``, off the plan the surgery
+    recorded: a kept cone shares its parent cone's ``(cols, det)``, and a
+    moved cone's is read off its parent cone's by the walk's own step,
+    :func:`kernel.exchange`; |det| A^-1 and det are unique, so they are
+    those of the full pass.  No ancestor is analysed or even reachable.
 
     Any other fan gets the full pass.  The entry checks run in bulk: one
     ``all`` or set test each for the rays' dimensions and primitivity,
@@ -254,15 +292,8 @@ def _analyze(fan):
     pairs.
     """
     if fan._origin:
-        complete, inverses, _, plan = fan._origin
-        planned = tuple(
-            [
-                inverses[p]
-                if type(p) is int
-                else kernel.exchange(*inverses[p[0]], *p[1:])
-                for p in plan
-            ]
-        )
+        complete, _, inverses = fan._origin
+        planned = tuple(map(inverses.__getitem__, range(len(fan.max_cones))))
         return ValidationReport(()), True, complete, planned, None
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
@@ -403,6 +434,13 @@ def ensure_smooth_complete(fan):
         raise InvalidFanError("fan must be complete")
 
 
+def _inverses(fan):
+    """The cone inverses of a valid fan, ``(cols, det)`` by cone index: a
+    surgery's output reads each on first use through its
+    :class:`_Inverses`, and any other fan holds its validity pass's."""
+    return fan._origin[2] if fan._origin else _analyze(fan)[3]
+
+
 @lru_cache(maxsize=None)
 def walls(fan):
     """All walls with their exact integral relations, sorted by wall rays.
@@ -418,17 +456,20 @@ def walls(fan):
     pass's certificate, mu_k < 0 on every record, and the records are the
     pass's own; a surgery's output, which has no pass, has them by the
     surgery's lemma, and pairs its facets here and reads each record, from
-    the facet's first cone, over its planned inverses.  Raises
-    InvalidFanError unless the fan is smooth and complete.
+    the facet's first cone, over that cone's planned inverse, so a cone
+    that is no facet's first is not read.  Raises InvalidFanError unless
+    the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
-    _, _, _, inverses, relations = _analyze(fan)
     cones, rays, out = fan.max_cones, fan.rays, []
-    if relations is None:
+    if fan._origin:
+        inverses = fan._origin[2]
         relations = [
             (ca, k, cb, kb, kernel.coordinates(rays[cones[cb][kb]], inverses[ca][0]))
             for (ca, k), (cb, kb) in _facet_map(fan).values()
         ]
+    else:
+        relations = _analyze(fan)[4]
     for ca, k, cb, kb, mu in relations:
         cone = cones[ca]
         a, b = cone[k], cones[cb][kb]
@@ -448,10 +489,11 @@ def _cone_ms(fan):
     no surgery made sums the columns of its validity pass's inverses.
 
     A surgery's output reads its own off what the surgery recorded, in
-    O(n) per cone, and builds no inverse: a kept cone has its parent cone's
-    m, and a moved cone, the exchange ``(ci, k, mu, to)`` of parent cone
-    ci, has m - ((sum mu - 1) / mu_k) C_k, C_k being column k of that
-    cone's inverse.  The rule holds for any exchange on a unimodular cone:
+    O(n) per cone, and builds none of its own inverses: a kept cone has
+    its parent cone's m, and a moved cone, the exchange ``(ci, k, mu, to)``
+    of parent cone ci, has m - ((sum mu - 1) / mu_k) C_k, C_k being column
+    k of that cone's inverse, read per cone, so only the parent cones it
+    moves are read.  The rule holds for any exchange on a unimodular cone:
     with E as in :func:`kernel.exchange` and mu = lambda, the new m is
     A^-1 E^-1 (1, ..., 1), and E^-1 (1, ..., 1) is (1, ..., 1) less
     (sum mu - 1) / mu_k at position k; the move to ``to`` only reorders
@@ -461,23 +503,24 @@ def _cone_ms(fan):
     origin = fan._origin
     if not origin:
         return tuple(tuple(map(sum, zip(*cols))) for cols, _ in _analyze(fan)[3])
-    _, inverses, ms, plan = origin
-    out = []
-    for p in plan:
+    _, ms, inverses = origin
+    parent, out = inverses.parent, []
+    for p in inverses.plan:
         if type(p) is int:
             out.append(ms[p])
         else:
             ci, k, mu, _ = p
-            times, pivot = (sum(mu) - 1) // mu[k], inverses[ci][0][k]
+            times, pivot = (sum(mu) - 1) // mu[k], parent[ci][0][k]
             out.append(tuple([a - times * b for a, b in zip(ms[ci], pivot)]))
     return tuple(out)
 
 
 def _child(parent, rays, cones, plan):
     """The fan a surgery builds from ``parent``, recording ``plan``, one
-    entry per cone, with the parent's completeness, its cone inverses (the
-    tuple its cached validity pass holds, not a copy) and its per-cone
-    m-vectors (:func:`_cone_ms`); see ``Fan._origin``.
+    entry per cone, with the parent's completeness, its per-cone m-vectors
+    (:func:`_cone_ms`) and its cone inverses, read per cone: the tuple
+    its cached validity pass holds, not a copy, or, on a surgery's output,
+    its :class:`_Inverses`; see ``Fan._origin``.
 
     The child is trusted, as its verdict is: it skips ``Fan.__init__`` and
     its entry checks, which the surgery's construction already meets.
@@ -485,15 +528,15 @@ def _child(parent, rays, cones, plan):
     appended or a slice of them, and each cone is a sorted int tuple.  The
     hash is the one ``__post_init__`` computes.
     """
-    _, _, complete, inverses, _ = _analyze(parent)
-    ms = _cone_ms(parent)
+    complete, ms = ensure_valid(parent)[1], _cone_ms(parent)
+    inverses = _Inverses(_inverses(parent), tuple(plan))
     dim, cones = parent.dim, tuple(cones)
     child, set_ = object.__new__(Fan), object.__setattr__
     set_(child, "dim", dim)
     set_(child, "rays", rays)
     set_(child, "max_cones", cones)
     set_(child, "_hash", hash((dim, rays, cones)))
-    set_(child, "_origin", (complete, inverses, ms, tuple(plan)))
+    set_(child, "_origin", (complete, ms, inverses))
     return child
 
 
@@ -501,9 +544,13 @@ def _checked_center(fan, center):
     """``center`` as a sorted tuple of distinct ray indices, for a surgery
     on a valid smooth fan: its entries are ints, at least two, each naming
     a ray of the fan."""
-    center = tuple(
-        sorted({require_int(i, f"center entry {k}") for k, i in enumerate(center)})
-    )
+    center = tuple(center)
+    # one type pass; only on failure does require_int name the entry (or
+    # accept it: an int subclass passes), as in Fan.__post_init__
+    if not all(type(i) is int for i in center):
+        for k, i in enumerate(center):
+            require_int(i, f"center entry {k}")
+    center = tuple(sorted(set(center)))
     if not is_smooth(fan):
         raise InvalidFanError("fan must be smooth")
     if len(center) < 2:
@@ -540,15 +587,12 @@ def star_subdivide(fan, center):
     ``(ci, k, mu, dim - 1)`` of its parent cone ci, where mu, w written in
     that cone's basis, is the indicator of the center's positions, shared
     by the cone's new cones.  The result records the plan with the
-    parent's completeness and inverses, not the parent.
+    parent's completeness and inverses, read per cone, not the parent.  The
+    cones are scanned once; a center in no cone leaves their count as it
+    was, and is rejected before the ray sum is tested.
     """
     center = _checked_center(fan, center)
     center_set = set(center)
-    if not any(map(center_set.issubset, fan.max_cones)):
-        raise ValueError("center is not a face of any maximal cone")
-    w = _ray_sum(fan, center)
-    if w in fan.rays:
-        raise InvalidFanError("the center's ray sum is already a ray of the fan")
     new_index, last = len(fan.rays), fan.dim - 1
     cones, plan = [], []
     for ci, cone in enumerate(fan.max_cones):
@@ -563,6 +607,12 @@ def star_subdivide(fan, center):
         for k in compress(range(len(cone)), mu):
             cones.append(cone[:k] + cone[k + 1 :] + (new_index,))
             plan.append((ci, k, mu, last))
+    # each cone through the center became at least two
+    if len(cones) == len(fan.max_cones):
+        raise ValueError("center is not a face of any maximal cone")
+    w = _ray_sum(fan, center)
+    if w in fan.rays:
+        raise InvalidFanError("the center's ray sum is already a ray of the fan")
     return _child(fan, fan.rays + (w,), cones, plan)
 
 
@@ -594,7 +644,7 @@ def blow_down(fan, ray, center):
     row k, the removed ray, becomes v, so mu, v written in that cone's
     basis, is 1 at k and -1 at each center ray the cone holds, and ``to``
     is v's place in the merged cone.  The result records the plan with the
-    parent's completeness and inverses, not the parent.
+    parent's completeness and inverses, read per cone, not the parent.
     """
     center = _checked_center(fan, center)
     if require_int(ray, "ray index") not in range(len(fan.rays)):
@@ -733,7 +783,7 @@ def fans_isomorphic(f, g):
     wanted = [f_inv[i] for i in anchor]
     multiset = sorted(wanted)
     # the rows of A^-1: the stored columns of a unimodular cone, transposed
-    inverse_rows = tuple(zip(*_analyze(f)[3][0][0]))
+    inverse_rows = tuple(zip(*_inverses(f)[0][0]))
     for target in g.max_cones:
         # a cone with other invariants has no order; _orders would find
         # that only position by position, through factorially many prefixes

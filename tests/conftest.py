@@ -88,6 +88,25 @@ def differential_fans():
     return fans + tuple(entry.fan for n in range(3, 7) for entry in catalog(n))
 
 
+def corpus_without_reuse(n, count, max_depth, seed):
+    """The oracle for ``random_corpus``: the same seeded chains of star
+    subdivisions of P^n, each step building its own subdivision, so no two
+    corpus fans share an object."""
+    import random
+
+    rng = random.Random(seed)
+    base = projective_space_fan(n)
+    fans = []
+    for _ in range(count):
+        fan = base
+        for _ in range(rng.randint(1, max_depth) if max_depth else 0):
+            cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
+            center = tuple(sorted(rng.sample(cone, rng.randint(2, n))))
+            fan = star_subdivide(fan, center)
+        fans.append(fan)
+    return tuple(fans)
+
+
 # Every ``lru_cache`` of the package, collected once, before any test runs:
 # a test that monkeypatches a cached function out of its module still has
 # the real function's cache cleared.

@@ -3,7 +3,13 @@ from contextlib import redirect_stdout
 from functools import lru_cache
 
 import pytest
-from conftest import apply_matrix, blowup_route_probe, clear_caches, divisor_star_fan
+from conftest import (
+    apply_matrix,
+    blowup_route_probe,
+    clear_caches,
+    corpus_without_reuse,
+    divisor_star_fan,
+)
 
 from toricfano import (
     ClassificationViolation,
@@ -585,23 +591,24 @@ def test_analyze_divisor_builds_no_fan(monkeypatch):
 
 def test_theorem1_inverts_each_cone_once(monkeypatch):
     """Operation budget: each cone's inverse is found once, and only for a
-    fan whose inverses are read.  The kernel is asked once per fan with no
+    cone whose inverse is read.  The kernel is asked once per fan with no
     parent, here P^n, the root of the corpus: the validity pass inverts its
     cone 0 and reads every other cone's inverse off a neighbour's across
-    their shared facet.  A star subdivision reads its verdict and its
-    m-vectors off what it recorded of its parent, so only a surgery's
-    parent, whose inverses its children record, and a fan that
-    ``fans_isomorphic`` compares, whose walls are built, are analysed: 35
-    and 57 validity passes (73 and 96 when every child built its
-    inverses).  Those derive theirs from their parent's, keeping the
-    parent's ``(cols, det)`` for a cone outside the star and deriving one
-    for each new cone by the walk's exchange step: 117 and 326 (253 and
-    574).  ``kernel.exchange`` is the one step behind every inverse: the
-    kernel's n steps from the identity for P^n's cone 0, P^n's n walk
-    steps and those, 3 + 3 + 117 = 123 and 4 + 4 + 326 = 334.  The kernel
-    keeps no memo, so each call counted through its wrapper is one root
-    inverted.  The m-vectors are read once per distinct fan, 73 and 96
-    (174 and 173 reads when only P^n's were cached).  Both sweeps run cold."""
+    their shared facet.  That is the one validity pass (35 and 57 when a
+    surgery's parent and a compared fan ran one over all its cones).  A
+    star subdivision reads its verdict and its m-vectors off what it
+    recorded of its parent, and its inverses per cone: a child's m-vectors
+    read the parent cones it subdivides, walls read each facet's first
+    cone, and ``fans_isomorphic`` reads cone 0.  A kept cone shares its
+    parent cone's ``(cols, det)``, and a new cone's is one exchange, the
+    walk's step, on its parent cone's, found once: 49 and 137 (117 and 326
+    when each parent's and each compared fan's inverses were all built).
+    ``kernel.exchange`` is the one step behind every inverse: the kernel's
+    n steps from the identity for P^n's cone 0, P^n's n walk steps and
+    those, 3 + 3 + 49 = 55 and 4 + 4 + 137 = 145.  The kernel keeps no
+    memo, so each call counted through its wrapper is one root inverted.
+    The m-vectors are read once per distinct fan, 73 and 96 (174 and 173
+    reads when only P^n's were cached).  Both sweeps run cold."""
     import toricfano.classify
     import toricfano.fan
     import toricfano.kernel
@@ -610,7 +617,7 @@ def test_theorem1_inverts_each_cone_once(monkeypatch):
     exchanged = toricfano.kernel.exchange
     analyze = toricfano.fan._analyze.__wrapped__
     child = toricfano.fan._child
-    budgets = (((3, 60, 3, 2024), 117, 35, 73), ((4, 50, 4, 7), 326, 57, 96))
+    budgets = (((3, 60, 3, 2024), 49, 1, 73), ((4, 50, 4, 7), 137, 1, 96))
     for corpus, derived, passes, ms_read in budgets:
         clear_caches()
         missed, parents, compared = [], set(), set()
@@ -789,14 +796,42 @@ def test_theorem1_probes_match_the_per_cone_test(corpus):
     assert verdicts == {False, True}
 
 
+@pytest.mark.parametrize(
+    "corpus, objects",
+    [
+        ((4, 50, 4, 7), 48),
+        ((3, 200, 3, 42), 133),
+        ((3, 60, 3, 2024), 48),
+        ((3, 5, 0, 1), 1),
+    ],
+    ids=["4,50,4,7", "3,200,3,42", "3,60,3,2024", "depth-0"],
+)
+def test_random_corpus_is_the_build_without_reuse(corpus, objects):
+    """A chain step that repeats a (fan, center) pair reuses the star
+    subdivision built for it, which changes no fan: the corpus equals, fan
+    by fan, the oracle that builds every step afresh, and each fan's
+    m-vectors, read through its plan, are the oracle fan's.  Equal corpus
+    fans share one object: 48 for the 50 fans of ``4,50,4,7``."""
+    from toricfano.fan import _cone_ms
+
+    shared, fresh = random_corpus(*corpus), corpus_without_reuse(*corpus)
+    assert len(shared) == len(fresh) == corpus[1]
+    for a, b in zip(shared, fresh):
+        assert a == b and a.max_cones == b.max_cones
+        assert _cone_ms.__wrapped__(a) == _cone_ms.__wrapped__(b), a
+    assert len(set(map(id, shared))) == len(set(shared)) == objects
+
+
 def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
     """Operation budget: from cold caches, ``verify-theorem1 --corpus
     4,50,4,7`` runs ``Fan``'s entry checks twice, on P^4, built for the
     corpus and once for the two targets fans are identified against.  The
-    125 star subdivisions, 124 for the corpus and one target, skip them
-    (4 checks and 127 subdivisions when the targets were built for each
-    of the 3 identified fans).  Its 683 fixed points are decided by one
-    ``point_blowups_are_fano`` read per fan."""
+    96 star subdivisions, 95 for the corpus and one target, skip them
+    (4 checks and 98 subdivisions when the targets were built for each of
+    the 3 identified fans).  The corpus's 124 chain steps repeat a (fan,
+    center) pair 29 times, and a repeat reuses the subdivision already
+    built (125 subdivisions when each step built its own).  Its 683 fixed
+    points are decided by one ``point_blowups_are_fano`` read per fan."""
     import sys
 
     import toricfano.cli
@@ -828,5 +863,5 @@ def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
             monkeypatch.setattr(module, "point_blowups_are_fano", counting)
     with redirect_stdout(io.StringIO()) as out:
         assert toricfano.cli.run(["verify-theorem1", "--corpus", "4,50,4,7", "--json"]) == 0
-    assert counts == {"checks": 2, "children": 125, "point_blowups_are_fano": 50}
+    assert counts == {"checks": 2, "children": 96, "point_blowups_are_fano": 50}
     assert out.getvalue().count('"cone_index"') == 683

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -297,6 +298,39 @@ class TestExitCodes:
         assert run(["iso", p3_file, str(blown), "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "fail"
+
+    def test_a_witness_past_the_digit_limit_is_invalid_input(self, tmp_path, capsys):
+        """Two P^2 files, images of P^2 under [[1, t], [0, 1]] and [[1, 0],
+        [t, 1]], t = 10^2500: every input integer is within the digit limit
+        for conversion, but the witness, the second map times the inverse
+        of the first, has an entry of 5,001 digits.  The report is formatted
+        whole before anything is written, so neither form prints a verdict
+        it cannot finish: each prints one invalid-input report naming the
+        limit, and exits 2."""
+        t = 10**2500
+        rays = ((1, 0), (0, 1), (-1, -1))
+        paths = []
+        for name, (a, b, c, d) in (("upper", (1, t, 0, 1)), ("lower", (1, 0, t, 1))):
+            images = [[a * x + b * y, c * x + d * y] for x, y in rays]
+            cones = [[0, 1], [1, 2], [0, 2]]
+            payload = {"dim": 2, "rays": images, "max_cones": cones}
+            paths.append(write_json(tmp_path, f"{name}.json", payload))
+        limit = str(sys.get_int_max_str_digits())
+        assert run(["iso", *paths, "--json"]) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["command"] == "iso" and report["status"] == "invalid-input"
+        assert report["witness"] is None
+        [finding] = report["findings"]
+        assert finding["error"].startswith("report cannot be written: ")
+        assert limit in finding["error"] and err == ""
+        assert run(["iso", *paths]) == 2
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[:2] == ["command: iso", "status: invalid-input"] and len(lines) == 3
+        assert lines[2].startswith("  error=report cannot be written: ")
+        assert limit in lines[2]
+        assert err == ""
 
 
 class TestReports:
@@ -644,6 +678,88 @@ def test_one_process_prints_what_fresh_processes_print(tmp_path, p3_file, capsys
     for argv, expected in zip(sequence, reused):
         proc = child_process([], argv, capture_output=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+
+def collector_passes_during(argv):
+    """(exit code, collector passes) of ``run(argv)``, stdout captured.
+    The count is read as soon as ``run`` returns, before the test
+    allocates anything the collector tracks, so a pass that the restored
+    collector owes for what the command allocated is not counted."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+            during = len(passes)
+    finally:
+        gc.callbacks.remove(count)
+    return code, during
+
+
+def test_no_collector_pass_runs_during_a_command():
+    """The commands build only acyclic data, which reference counting
+    frees, so ``run`` keeps the cyclic collector off: the corpus sweep,
+    whose allocations trigger 8 passes with the collector on, runs none,
+    nor does the catalog verifier.  The caller's setting comes back."""
+    clear_caches()
+    gc.collect()
+    assert gc.isenabled()
+    for argv in (
+        ["verify-theorem1", "--corpus", "4,50,4,7", "--json"],
+        ["verify-theorem2", "--dim", "4", "--json"],
+    ):
+        assert collector_passes_during(argv) == (0, 0), argv
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_run_restores_the_callers_collector_setting(collecting, p3_file, monkeypatch):
+    """``gc.isenabled()`` after ``run`` is what it was before, after a
+    report, a usage error and a handler that raises."""
+
+    def raising(args):
+        raise RuntimeError("handler failed")
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            assert run(["check", p3_file]) == 0
+            assert gc.isenabled() is collecting
+            assert run(["check"]) == 2
+            assert gc.isenabled() is collecting
+            monkeypatch.setattr(COMMANDS["check"], "handler", raising)
+            with pytest.raises(RuntimeError, match="handler failed"):
+                run(["check", p3_file])
+            assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_commands_leave_no_cycles(tmp_path, p3_file):
+    """With the collector off during a command, a reference cycle it made
+    would stay allocated until a later pass; there is none to find after
+    a sweep, the catalog verifier, check, mori, iso and an invalid input."""
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["verify-theorem1", "--corpus", "4,50,4,7", "--json"],
+        ["verify-theorem2", "--dim", "3"],
+        ["check", p3_file, "--json"],
+        ["mori", p3_file],
+        ["iso", p3_file, p3_file, "--json"],
+        ["check", missing],
+    ):
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            run(argv)
+        assert gc.collect() == 0, argv
 
 
 def oracle_parse(argv):

@@ -60,6 +60,7 @@ from toricfano.fan import (
     _cone_ms,
     _covered_once,
     _facet_map,
+    _Inverses,
     _maps_onto,
     _overlaps,
 )
@@ -669,16 +670,27 @@ class TestStarSubdivide:
 
 
 def check_record(child, parent_inverses):
-    """What a surgery recorded stays lean: the parent's inverse tuple
-    itself, not a copy, the parent's per-cone m-vectors, each the sum of
-    its cone's stored columns, and a plan of one entry per cone, each a
-    parent cone index or the exchange ``(ci, k, mu, to)``, the
+    """What a surgery recorded stays lean: the parent's per-cone m-vectors,
+    each the sum of its cone's stored columns, and the child's inverses,
+    an ``_Inverses`` over the parent's and a plan of one entry per cone,
+    each a parent cone index or the exchange ``(ci, k, mu, to)``, the
     ``kernel.exchange`` arguments that follow a parent cone's ``(cols,
-    det)``, with mu a tuple of n ints; no Fan and no callable anywhere."""
-    complete, inverses, ms, plan = child._origin
-    assert inverses is parent_inverses
+    det)``, with mu a tuple of n ints.  The parent's inverses are the tuple
+    of its validity pass itself, not a copy, or, on a surgery's output,
+    its own ``_Inverses``, which read the same entries.  No Fan and no
+    callable anywhere up the chain of parents."""
+    complete, ms, inverses = child._origin
+    assert type(inverses) is _Inverses
+    parent = inverses.parent
+    if type(parent) is tuple:
+        assert parent is parent_inverses
+    else:
+        assert type(parent) is _Inverses
+        read = [parent[ci] for ci in range(len(parent_inverses))]
+        assert read == list(parent_inverses)
     assert type(ms) is tuple
-    assert ms == tuple(tuple(map(sum, zip(*cols))) for cols, _ in inverses)
+    assert ms == tuple(tuple(map(sum, zip(*cols))) for cols, _ in parent_inverses)
+    plan = inverses.plan
     assert type(plan) is tuple and len(plan) == len(child.max_cones)
     for p in plan:
         assert type(p) is int or (type(p) is tuple and len(p) == 4), p
@@ -686,8 +698,12 @@ def check_record(child, parent_inverses):
             mu = p[2]
             assert type(mu) is tuple and len(mu) == child.dim, p
             assert all(type(x) is int for x in mu), p
-    moved = [x for p in plan if type(p) is tuple for x in p]
-    for x in (complete, inverses, ms, plan, *plan, *moved):
+    node, held = inverses, [complete, ms]
+    while type(node) is _Inverses:
+        held += [node.plan, *node.plan, *node.read]
+        held += [x for p in node.plan if type(p) is tuple for x in p]
+        node = node.parent
+    for x in held + [node]:
         assert not isinstance(x, Fan) and not callable(x), x
 
 
@@ -794,7 +810,7 @@ class TestInheritedInverses:
                 back = blow_down(child, len(fan.rays), center)
                 check_trusted_child(back)
                 assert back == fan and back.max_cones == fan.max_cones
-                moved = [p for p in back._origin[3] if type(p) is tuple]
+                moved = [p for p in back._origin[2].plan if type(p) is tuple]
                 assert moved
                 for _, k, mu, _ in moved:
                     assert mu[k] == 1 and mu.count(-1) == len(center) - 1, mu
@@ -1093,6 +1109,96 @@ class TestWalkedInverses:
             exchange(((1, 0), (0, 1)), 2, 0, (1, 1), 0)
 
 
+class TestPerConeInverses:
+    """A surgery's output reads each cone inverse on first use, through its
+    ``_Inverses``, and keeps it."""
+
+    @staticmethod
+    def read_one_at_a_time(fan, order):
+        """The cone inverses of ``fan``, read in ``order``, by cone."""
+        inverses = fan._origin[2]
+        read = dict.fromkeys(order)
+        for ci in order:
+            read[ci] = inverses[ci]
+        return tuple(read[ci] for ci in range(len(fan.max_cones)))
+
+    def test_any_order_reads_the_full_pass(self, differential_fans, monkeypatch):
+        """Three star subdivisions and the blow-down of the last, built
+        afresh for each order, so nothing is read yet; each output's cones
+        read one at a time, in order, in reverse and in a seeded random
+        order, are the full pass on the parentless rebuild, and so is
+        ``_analyze``'s tuple then.  A moved cone is exchanged once: reading
+        every cone again exchanges nothing."""
+        import toricfano.kernel
+
+        exchanged, calls = toricfano.kernel.exchange, []
+
+        def counting_exchange(*args):
+            calls.append(args)
+            return exchanged(*args)
+
+        monkeypatch.setattr(toricfano.kernel, "exchange", counting_exchange)
+        rng = random.Random(3535)
+        checked = 0
+        for fan in differential_fans[::4]:
+            steps, f = [], fan
+            for _ in range(3):
+                cone = rng.choice(f.max_cones)
+                center = tuple(rng.sample(cone, rng.randint(2, f.dim)))
+                steps.append((len(f.rays), center))
+                f = star_subdivide(f, center)
+
+            def chain():
+                out = [fan]
+                for _, center in steps:
+                    out.append(star_subdivide(out[-1], center))
+                ray, center = steps[-1]
+                out.append(blow_down(out[-1], ray, center))
+                return out[1:]
+
+            fulls = [
+                _analyze.__wrapped__(Fan(m.dim, m.rays, m.max_cones))[3] for m in chain()
+            ]
+            for kind in ("in order", "reversed", "shuffled"):
+                # the deepest output first, so its reads walk the whole chain
+                for member, full in reversed(list(zip(chain(), fulls))):
+                    cones = list(range(len(member.max_cones)))
+                    order = {
+                        "in order": cones,
+                        "reversed": cones[::-1],
+                        "shuffled": rng.sample(cones, len(cones)),
+                    }[kind]
+                    assert self.read_one_at_a_time(member, order) == full, (member, kind)
+                    before = len(calls)
+                    assert self.read_one_at_a_time(member, cones) == full
+                    assert len(calls) == before
+                    assert _analyze.__wrapped__(member)[3] == full
+                    checked += 1
+        assert checked == 876
+
+    def test_a_long_chain_read_cold_one_cone_at_a_time(self, p3):
+        """Reading one cone of the last of 60 blow-ups, none read before,
+        walks up the chain without recursion: well within 100 frames of
+        the test."""
+        rng = random.Random(3536)
+        fan = p3
+        for _ in range(60):
+            fan = star_subdivide(fan, rng.sample(rng.choice(fan.max_cones), 3))
+        rebuild = Fan(fan.dim, fan.rays, fan.max_cones)
+        full = _analyze.__wrapped__(rebuild)[3]
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            order = rng.sample(range(len(fan.max_cones)), len(fan.max_cones))
+            got = self.read_one_at_a_time(fan, order)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == full
+
+
 def blow_downs(fan):
     """(wall, result, removed ray) for every wall of the blow-down shape,
     one -1 and the rest 0, whose star pairs up, so that ``blow_down``
@@ -1261,11 +1367,15 @@ class TestParentReleased:
 
 class TestPickle:
     def test_pickled_corpus_is_the_rebuilds_size(self):
-        """A pickled fan carries its fields, not what its surgery recorded."""
+        """A pickled fan carries its fields, not what its surgery recorded.
+        Fans are compared one by one: equal corpus fans share one object,
+        which the corpus tuple's pickle writes once."""
         corpus = random_corpus(4, 50, 4, 7)
         rebuilds = tuple(Fan(f.dim, f.rays, f.max_cones) for f in corpus)
         assert all(f._origin is not None for f in corpus)
-        assert len(pickle.dumps(corpus)) == len(pickle.dumps(rebuilds))
+        assert [len(pickle.dumps(f)) for f in corpus] == [
+            len(pickle.dumps(f)) for f in rebuilds
+        ]
 
     def test_round_trip(self, differential_fans):
         for fan in differential_fans[::7] + (Fan(3, ((1, 0, 0),), ()),):
