@@ -48,8 +48,9 @@ its point blow-ups are Fano is decided in ``intersect`` without building
 a blow-up, a wall or a facet map, from the cones' m-vectors, m = A^-1
 (1, ..., 1), and the rays outside each cone (:func:`_cone_ms`); a
 surgery's output reads its m-vectors off its parent's through the plan,
-by one rule for every exchange, in O(n) per cone, and builds no inverse
-for them.  One read decides every fixed point of a fan.
+by one rule for every exchange, in O(n) per cone, and builds none of its
+own inverses for them, only those of the parent cones it moved.  One read
+decides every fixed point of a fan.
 
 Fans are immutable and hashable; all operations are pure functions, cached
 where they are hot.  A pickled fan carries its three fields only, and is
