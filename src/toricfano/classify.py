@@ -40,7 +40,7 @@ from .fan import (
     star_subdivide,
     walls,
 )
-from .intersect import _blowup_verdicts, is_fano, point_blowups_are_fano
+from .intersect import _blowup_verdicts, is_fano
 from .mori import (
     _picard_classes,
     contraction_info,
@@ -308,19 +308,21 @@ def catalog(n):
             f"B(P^{n}, linear P^{n - 2})",
         )
     )
-    for nu in range(n):
+    bundles = [p1_bundle_fan(n, nu) for nu in range(n)]
+    for nu, bundle in enumerate(bundles):
         entries.append(
             _entry(
                 "iii",
                 nu,
-                p1_bundle_fan(n, nu),
+                bundle,
                 {0: -nu, 1: nu},
                 f"P(O+O({nu})) over P^{n - 1}",
             )
         )
     for nu in range(n - 1):
-        # blow up a linear P^(n-2) inside V(ray 1), the divisor of degree nu+1
-        fan4 = star_subdivide(p1_bundle_fan(n, nu + 1), (1, 2))
+        # blow up a linear P^(n-2) inside V(ray 1), the divisor of degree
+        # nu+1, of entry iii's own fan
+        fan4 = star_subdivide(bundles[nu + 1], (1, 2))
         entries.append(
             _entry(
                 "iv",
@@ -413,45 +415,43 @@ def _classify(fan, ray_index, allow_simplify):
 
 @record
 class FixedPointProbe:
-    """Result of blowing up one fixed point (maximal cone)."""
+    """A fixed point (maximal cone ``fan.max_cones[cone_index]``) whose
+    blow-up is Fano, and what that says of the fan."""
 
     cone_index: int
-    cone: tuple
-    blowup_fano: bool
     conclusion: str | None  # projective-space | blown-projective-space
     witness: tuple | None
     violation: str | None
 
-    def __init__(
-        self, cone_index, cone, blowup_fano, conclusion=None, witness=None, violation=None
-    ):
-        object.__setattr__(self, "cone_index", cone_index)
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "blowup_fano", blowup_fano)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "violation", violation)
-
 
 @record
 class Theorem1Report:
+    """What :func:`theorem1_check` found on one fan.
+
+    ``blowup_fano`` is the verdict tuple of
+    :func:`point_blowups_are_fano`, one per maximal cone in order, and
+    ``fano_probes`` holds a probe for each cone whose verdict is true, in
+    cone order; a cone whose blow-up is not Fano has no probe.
+    """
+
     dim: int
     input_fano: bool
-    probes: tuple
+    blowup_fano: tuple
+    fano_probes: tuple
     global_violations: tuple = ()
 
     @property
     def violations(self):
         probe_level = tuple(
             f"cone {p.cone_index}: {p.violation}"
-            for p in self.probes
+            for p in self.fano_probes
             if p.violation
         )
         return probe_level + self.global_violations
 
     @property
     def fano_cone_indices(self):
-        return tuple(p.cone_index for p in self.probes if p.blowup_fano)
+        return tuple(p.cone_index for p in self.fano_probes)
 
 
 @lru_cache(maxsize=None)
@@ -490,22 +490,23 @@ def _identify_blowup_base(fan):
 def theorem1_check(fan):
     """Test every fixed point's blow-up for Fano, identify the input fan.
 
-    Every fixed point is decided exactly by one call of
-    :func:`point_blowups_are_fano`, and whether the input is Fano is read
-    separately, both from one cached read of the cones' m-vectors
-    (``intersect._blowup_verdicts``); no blow-up is built, and no wall
-    either until a blow-up is Fano.  At the first fixed point whose
-    blow-up is Fano, the input fan is identified once, with an
+    Every fixed point is decided exactly, and whether the input is Fano is
+    read with it, from one cached read of the cones' m-vectors
+    (``intersect._blowup_verdicts``, whose verdict tuple
+    :func:`point_blowups_are_fano` returns and the report keeps as
+    ``blowup_fano``); no blow-up is built, and no wall either until a
+    blow-up is Fano.  Only then is the input fan identified, once, with an
     explicit witness, as projective space (then every fixed point works) or
     as the blow-up of projective space along a linear codimension-two
     subspace (then the fixed point must avoid the exceptional divisor), and
-    every such fixed point reads that result.  So a wrong "Fano" from the
-    local test is still recorded: every point blow-up of projective space
-    is Fano, on the blown-up space only a fixed point on the exceptional
-    divisor could be wrong and it is flagged, and any other fan fails the
-    identification.  A Fano probe on a fan that is not Fano is a global
-    violation, since that is read apart from the probes.  Contradictions
-    are recorded per fixed point, not raised.
+    each such fixed point gets a probe that reads that result.  So a wrong
+    "Fano" from the local test is still recorded: every point blow-up of
+    projective space is Fano, on the blown-up space only a fixed point on
+    the exceptional divisor could be wrong and it is flagged, and any other
+    fan fails the identification.  A Fano probe on a fan that is not Fano
+    is a global violation, since the read gives the fan's verdict apart
+    from the cones'.  Contradictions are recorded per fixed point, not
+    raised.
     """
     ensure_smooth_complete(fan)
     if fan.dim < 3:
@@ -513,37 +514,31 @@ def theorem1_check(fan):
             "the blow-up criterion is stated for dimension at least 3"
         )
     n = fan.dim
+    input_fano, verdicts = _blowup_verdicts(fan)
     probes = []
-    any_fano = False
-    fano = point_blowups_are_fano(fan)
-    for ci, (cone, blowup_fano) in enumerate(zip(fan.max_cones, fano)):
-        if not blowup_fano:
-            probes.append(FixedPointProbe(ci, cone, False))
-            continue
-        if not any_fano:
-            any_fano = True
-            conclusion, witness, exceptional = _identify_blowup_base(fan)
-        violation = None
-        if witness is None:
-            violation = (
-                f"a point blow-up is Fano, but the fan is neither P^{n}"
-                f" nor B(P^{n}, linear P^{n - 2})"
-            )
-        elif exceptional in cone:
-            violation = (
-                "fixed point lies on the exceptional divisor yet its blow-up"
-                " is Fano"
-            )
-        probes.append(
-            FixedPointProbe(ci, cone, True, conclusion, witness, violation)
-        )
-    input_fano = _blowup_verdicts(fan)[0]
+    if True in verdicts:
+        conclusion, witness, exceptional = _identify_blowup_base(fan)
+        for ci, blowup_fano in enumerate(verdicts):
+            if not blowup_fano:
+                continue
+            violation = None
+            if witness is None:
+                violation = (
+                    f"a point blow-up is Fano, but the fan is neither P^{n}"
+                    f" nor B(P^{n}, linear P^{n - 2})"
+                )
+            elif exceptional in fan.max_cones[ci]:
+                violation = (
+                    "fixed point lies on the exceptional divisor yet its blow-up"
+                    " is Fano"
+                )
+            probes.append(FixedPointProbe(ci, conclusion, witness, violation))
     global_violations = ()
-    if any_fano and not input_fano:
+    if probes and not input_fano:
         global_violations = (
             "some point blow-up is Fano but the fan itself is not",
         )
-    return Theorem1Report(n, input_fano, tuple(probes), global_violations)
+    return Theorem1Report(n, input_fano, verdicts, tuple(probes), global_violations)
 
 
 def random_corpus(n, count, max_depth, seed):

@@ -369,21 +369,19 @@ def cmd_verify_theorem2(args):
 
 def _theorem1_findings(report, label, fan):
     t1 = theorem1_check(fan)
-    for probe in t1.probes:
-        record = {
-            "fan": label,
-            "cone_index": probe.cone_index,
-            "cone": list(probe.cone),
-            "blowup_fano": probe.blowup_fano,
-        }
-        if probe.blowup_fano:
-            record["conclusion"] = probe.conclusion
-            record["witness"] = _witness_rows(probe.witness)
+    findings, start = report.findings, len(report.findings)
+    for index, (cone, verdict) in enumerate(zip(fan.max_cones, t1.blowup_fano)):
+        findings.append(
+            {"fan": label, "cone_index": index, "cone": list(cone), "blowup_fano": verdict}
+        )
+    for probe in t1.fano_probes:
+        record = findings[start + probe.cone_index]
+        record["conclusion"] = probe.conclusion
+        record["witness"] = _witness_rows(probe.witness)
         if probe.violation:
             record["violation"] = probe.violation
-        report.findings.append(record)
     for violation in t1.global_violations:
-        report.findings.append({"fan": label, "violation": violation})
+        findings.append({"fan": label, "violation": violation})
     return not t1.violations
 
 

@@ -359,6 +359,31 @@ def relabel_fan(fan, rng):
     return Fan(fan.dim, rays, tuple(cones))
 
 
+def change_basis(fan, rng, bound, shears=8):
+    """An isomorphic copy under a random matrix of GL(n, Z): a product of
+    ``shears`` shears, each adding up to ``bound`` times one row to another,
+    with one row negated half the time; then the rays and the cones in
+    shuffled order.  Returns the copy and each original ray's index in it."""
+    n = fan.dim
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(shears):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1)) * rng.randint(1, bound)
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        m[k] = [-a for a in m[k]]
+    order = list(range(len(fan.rays)))
+    rng.shuffle(order)
+    new_index = [0] * len(order)
+    for new, old in enumerate(order):
+        new_index[old] = new
+    rays = tuple(apply_matrix(m, fan.rays[old]) for old in order)
+    cones = [tuple(new_index[i] for i in cone) for cone in fan.max_cones]
+    rng.shuffle(cones)
+    return Fan(fan.dim, rays, tuple(cones)), new_index
+
+
 def brute_fans_isomorphic(f, g):
     """The anchored brute force, the oracle for ``fans_isomorphic``, which
     checks the same candidate matrices after pruning them by per-ray
@@ -546,13 +571,14 @@ _BLOWUP_ORIGINS = {
 }
 
 
-def blowup_route_probe(fan, ci, cone):
+def blowup_route_probe(fan, ci):
     """The route by which ``theorem1_check`` once decided a Fano probe, the
-    oracle for identifying the fan directly: build the blow-up, require it
-    to be Fano by its own walls and its exceptional divisor to be a
-    projective space of degree -1, classify it, and map case (iii, 1) or
-    (iv, 0) to the conclusion and the catalog entry the fan must be."""
-    n = fan.dim
+    oracle for identifying the fan directly: build the blow-up at cone
+    ``ci``, require it to be Fano by its own walls and its exceptional
+    divisor to be a projective space of degree -1, classify it, and map
+    case (iii, 1) or (iv, 0) to the conclusion and the catalog entry the
+    fan must be."""
+    n, cone = fan.dim, fan.max_cones[ci]
     blown = star_subdivide(fan, cone)
     exceptional = len(blown.rays) - 1
     conclusion = witness = violation = None
@@ -600,7 +626,7 @@ def blowup_route_probe(fan, ci, cone):
                 )
     except ClassificationViolation as err:
         violation = str(err)
-    return FixedPointProbe(ci, cone, True, conclusion, witness, violation)
+    return FixedPointProbe(ci, conclusion, witness, violation)
 
 
 # The argparse parser the command line used before its table dispatcher,

@@ -90,17 +90,18 @@ def test_criterion_3_blowup_positive_direction():
             pn = projective_space_fan(n)
             report = theorem1_check(pn)
             assert not report.violations
-            assert all(p.blowup_fano for p in report.probes)
-            assert all(p.conclusion == "projective-space" for p in report.probes)
+            assert report.blowup_fano == (True,) * len(pn.max_cones)
+            assert all(p.conclusion == "projective-space" for p in report.fano_probes)
 
             blown = star_subdivide(pn, (0, 1))
             exceptional = len(blown.rays) - 1
             report = theorem1_check(blown)
             assert not report.violations
-            for probe in report.probes:
-                assert probe.blowup_fano == (exceptional not in probe.cone)
-                if probe.blowup_fano:
-                    assert probe.conclusion == "blown-projective-space"
+            assert report.blowup_fano == tuple(
+                exceptional not in cone for cone in blown.max_cones
+            )
+            for probe in report.fano_probes:
+                assert probe.conclusion == "blown-projective-space"
             if n == 3:
                 assert len(theorem1_check(pn).fano_cone_indices) == 4
                 assert len(pn.max_cones) == 4
@@ -119,9 +120,7 @@ def test_criterion_4_blowup_classification_direction():
         for fan in _criterion_4_fans():
             report = theorem1_check(fan)
             assert not report.violations
-            for probe in report.probes:
-                if not probe.blowup_fano:
-                    continue
+            for probe in report.fano_probes:
                 assert probe.conclusion in (
                     "projective-space",
                     "blown-projective-space",

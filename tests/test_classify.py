@@ -319,23 +319,26 @@ class TestTheorem1:
         report = theorem1_check(p3)
         assert len(report.fano_cone_indices) == 4
         assert not report.violations
+        assert report.blowup_fano == (True,) * 4
         assert all(
             p.conclusion == "projective-space" and p.witness is not None
-            for p in report.probes
+            for p in report.fano_probes
         )
 
     def test_blown_line(self, blowup_p3_line):
         report = theorem1_check(blowup_p3_line)
-        fano = [p for p in report.probes if p.blowup_fano]
-        assert len(fano) == 2
+        fano = report.fano_probes
+        assert len(fano) == 2 == report.blowup_fano.count(True)
         assert not report.violations
         for p in fano:
-            assert 4 not in p.cone  # off the exceptional ray
+            assert report.blowup_fano[p.cone_index]
+            cone = blowup_p3_line.max_cones[p.cone_index]
+            assert 4 not in cone  # off the exceptional ray
             assert p.conclusion == "blown-projective-space"
 
     def test_bundle_has_no_fano_blowup(self):
         report = theorem1_check(p1_bundle_fan(3, 2))
-        assert not any(p.blowup_fano for p in report.probes)
+        assert not any(report.blowup_fano) and not report.fano_probes
         assert not report.violations
 
 
@@ -413,8 +416,10 @@ def test_theorem1_follows_from_theorem2():
                 target = targets[entry.case_tag, entry.nu]
                 assert fans_isomorphic(base, target) is not None
                 merged = tuple(i - (i > ray) for i in center)
-                probe = next(p for p in theorem1_check(base).probes if p.cone == merged)
-                assert probe.blowup_fano and probe.violation is None
+                report = theorem1_check(base)
+                ci = base.max_cones.index(merged)
+                probe = next(p for p in report.fano_probes if p.cone_index == ci)
+                assert report.blowup_fano[ci] and probe.violation is None
                 assert fans_isomorphic(star_subdivide(base, merged), fan) is not None
         assert qualified == [("iii", 1), ("iv", 0)], n
 
@@ -452,17 +457,18 @@ def test_local_fano_test_is_double_checked(monkeypatch):
     # blown-up space a fixed point on the exceptional divisor is flagged
     import toricfano.classify
 
+    verdicts = toricfano.classify._blowup_verdicts
     monkeypatch.setattr(
         toricfano.classify,
-        "point_blowups_are_fano",
-        lambda f: (True,) * len(f.max_cones),
+        "_blowup_verdicts",
+        lambda f: (verdicts(f)[0], (True,) * len(f.max_cones)),
     )
     report = theorem1_check(p1_bundle_fan(3, 2))
-    assert all(p.blowup_fano for p in report.probes)
+    assert report.fano_cone_indices == tuple(range(len(report.blowup_fano)))
     assert all(
         p.violation == "a point blow-up is Fano, but the fan is neither P^3"
         " nor B(P^3, linear P^1)"
-        for p in report.probes
+        for p in report.fano_probes
     )
     assert not report.global_violations
     report = theorem1_check(p1_bundle_fan(3, 3))  # not Fano
@@ -471,14 +477,14 @@ def test_local_fano_test_is_double_checked(monkeypatch):
     )
     blown = star_subdivide(projective_space_fan(3), (0, 1))
     report = theorem1_check(blown)
-    assert all(p.blowup_fano for p in report.probes)
-    flagged = [p.cone_index for p in report.probes if p.violation]
+    assert report.fano_cone_indices == tuple(range(len(blown.max_cones)))
+    flagged = [p.cone_index for p in report.fano_probes if p.violation]
     assert flagged == [ci for ci, cone in enumerate(blown.max_cones) if 4 in cone]
     assert flagged
     assert all(
         p.violation
         == "fixed point lies on the exceptional divisor yet its blow-up is Fano"
-        for p in report.probes
+        for p in report.fano_probes
         if p.violation
     )
 
@@ -493,10 +499,9 @@ def test_theorem1_matches_the_blowup_route():
         fans.extend((pn, star_subdivide(pn, (0, 1))))
     conclusions = []
     for fan in fans:
-        for probe in theorem1_check(fan).probes:
-            if probe.blowup_fano:
-                assert probe == blowup_route_probe(fan, probe.cone_index, probe.cone)
-                conclusions.append(probe.conclusion)
+        for probe in theorem1_check(fan).fano_probes:
+            assert probe == blowup_route_probe(fan, probe.cone_index)
+            conclusions.append(probe.conclusion)
     assert conclusions.count("projective-space") >= 4 + 5 + 6 + 7
     assert conclusions.count("blown-projective-space") >= 2 + 3 + 4 + 5
 
@@ -787,10 +792,10 @@ def test_theorem1_probes_match_the_per_cone_test(corpus):
     verdicts occur."""
     verdicts = set()
     for fan in random_corpus(*corpus):
-        probes = theorem1_check(fan).probes
-        assert [p.cone for p in probes] == list(fan.max_cones)
+        report = theorem1_check(fan)
         expected = [is_fano(star_subdivide(fan, cone)) for cone in fan.max_cones]
-        assert [p.blowup_fano for p in probes] == expected, fan
+        assert report.blowup_fano == tuple(expected), fan
+        assert report.fano_cone_indices == tuple(i for i, v in enumerate(expected) if v)
         assert point_blowups_are_fano(fan) == tuple(expected)
         verdicts.update(expected)
     assert verdicts == {False, True}
@@ -831,14 +836,16 @@ def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
     the 3 identified fans).  The corpus's 124 chain steps repeat a (fan,
     center) pair 29 times, and a repeat reuses the subdivision already
     built (125 subdivisions when each step built its own).  Its 683 fixed
-    points are decided by one ``point_blowups_are_fano`` read per fan."""
+    points and each fan's own verdict are decided by one
+    ``_blowup_verdicts`` read per fan (100 when the fan's verdict was read
+    apart)."""
     import sys
 
     import toricfano.cli
     import toricfano.fan
 
     clear_caches()
-    counts = dict.fromkeys(("checks", "children", "point_blowups_are_fano"), 0)
+    counts = dict.fromkeys(("checks", "children", "_blowup_verdicts"), 0)
     post_init, child = toricfano.fan.Fan.__post_init__, toricfano.fan._child
 
     def counting_post_init(fan):
@@ -853,15 +860,68 @@ def test_theorem1_sweep_checks_entries_only_on_fans_with_no_parent(monkeypatch):
     monkeypatch.setattr(toricfano.fan, "_child", counting_child)
     # every binding of the Fano verdict read in the package, wherever imported
     for module_name, module in list(sys.modules.items()):
-        real = vars(module).get("point_blowups_are_fano")
+        real = vars(module).get("_blowup_verdicts")
         if module_name.partition(".")[0] == "toricfano" and real:
 
             def counting(fan, real=real):
-                counts["point_blowups_are_fano"] += 1
+                counts["_blowup_verdicts"] += 1
                 return real(fan)
 
-            monkeypatch.setattr(module, "point_blowups_are_fano", counting)
+            monkeypatch.setattr(module, "_blowup_verdicts", counting)
     with redirect_stdout(io.StringIO()) as out:
         assert toricfano.cli.run(["verify-theorem1", "--corpus", "4,50,4,7", "--json"]) == 0
-    assert counts == {"checks": 2, "children": 96, "point_blowups_are_fano": 50}
+    assert counts == {"checks": 2, "children": 96, "_blowup_verdicts": 50}
     assert out.getvalue().count('"cone_index"') == 683
+
+
+def test_theorem1_sweep_builds_a_probe_only_per_fano_fixed_point(monkeypatch):
+    """Operation budget: ``verify-theorem1 --corpus 4,50,4,7`` decides 683
+    fixed points and builds a ``FixedPointProbe`` for the 6 whose blow-up is
+    Fano (683 when every fixed point had a probe); each report shares the
+    verdict tuple of ``point_blowups_are_fano``."""
+    import toricfano.classify
+    import toricfano.cli
+
+    probe_class = toricfano.classify.FixedPointProbe
+    init, built, reports = probe_class.__init__, [], []
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def recording_check(fan):
+        reports.append((fan, theorem1_check(fan)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(probe_class, "__init__", counting_init)
+    monkeypatch.setattr(toricfano.cli, "theorem1_check", recording_check)
+    with redirect_stdout(io.StringIO()) as out:
+        assert toricfano.cli.run(["verify-theorem1", "--corpus", "4,50,4,7", "--json"]) == 0
+    assert out.getvalue().count('"cone_index"') == 683
+    assert len(built) == 6
+    assert sorted(ci for ci, *_ in built) == sorted(
+        ci for _, report in reports for ci in report.fano_cone_indices
+    )
+    for fan, report in reports:
+        assert report.blowup_fano is point_blowups_are_fano(fan)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_catalog_builds_each_fan_once(n, monkeypatch):
+    """Operation budget: from cold caches ``catalog(n)`` runs ``Fan``'s entry
+    checks n + 1 times, on P^n and on the n bundles of entry iii; entry ii
+    and entry iv subdivide P^n and the bundles, and skip them (2n when
+    entry iv built its bundle a second time)."""
+    import toricfano.fan
+
+    clear_caches()
+    post_init, built = toricfano.fan.Fan.__post_init__, []
+
+    def counting_post_init(fan):
+        built.append(fan)
+        post_init(fan)
+
+    monkeypatch.setattr(toricfano.fan.Fan, "__post_init__", counting_post_init)
+    assert len(catalog(n)) == 2 * n + 1
+    monkeypatch.undo()
+    assert built == [projective_space_fan(n)] + [p1_bundle_fan(n, nu) for nu in range(n)]

@@ -41,8 +41,8 @@ SAMPLES = {
     CatalogEntry: ("i", None, P2, ((0, 1), (1, 1), (2, 1)), "P^2"),
     SimplificationStep: (WALL, 3, P2, 0, (0, 1)),
     ClassificationResult: ("i", None, ((1, 0), (0, 1)), "point-contraction", ()),
-    FixedPointProbe: (0, (0, 1), True, "projective-space", ((1, 0), (0, 1)), None),
-    Theorem1Report: (2, True, (), ()),
+    FixedPointProbe: (0, "projective-space", ((1, 0), (0, 1)), None),
+    Theorem1Report: (2, True, (True, True, True), (), ()),
 }
 RECORDS = list(SAMPLES)
 
@@ -128,13 +128,16 @@ def test_repr_format():
 
 
 def test_defaults():
-    probe = FixedPointProbe(cone_index=1, cone=(0, 1), blowup_fano=False)
-    assert (probe.conclusion, probe.witness, probe.violation) == (None, None, None)
-    assert probe == FixedPointProbe(1, (0, 1), False, None, None, None)
+    # a Fano probe has no defaults and the generated ``__init__``
+    probe = FixedPointProbe(cone_index=1, conclusion=None, witness=None, violation=None)
+    assert probe == FixedPointProbe(1, None, None, None)
+    assert FixedPointProbe.__init__.__qualname__ == "record.<locals>.__init__"
+    with pytest.raises(TypeError):
+        FixedPointProbe(1)
     analysis = DivisorAnalysis(ray_index=4, is_proj_space=False)
     assert (analysis.d, analysis.line_class, analysis.line_wall) == (None, None, None)
     assert ClassificationResult("i", None, (), "simplified").steps == ()
-    assert Theorem1Report(3, True, ()).global_violations == ()
+    assert Theorem1Report(3, True, (), ()).global_violations == ()
 
 
 def test_divisor_analysis_construction_matches_the_generated_init():
