@@ -24,7 +24,8 @@ walk is the one facet pairing of such a fan: across every facet it
 reads the far apex in the near cone's basis once, which is the step's
 input on a tree edge, and that record is both the orientation
 certificate (the two apexes on opposite sides) and, on a smooth fan, the
-wall relation, so ``walls`` pairs no facet and solves nothing again.  The
+wall relation, so ``walls`` pairs no facet and solves nothing again, and
+each wall holds its record's coefficient tuple itself.  The
 two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
 valid smooth fan into a valid smooth fan with the same support, so their
 output inherits the parent's verdict, and ``ensure_valid`` reads it
@@ -172,17 +173,46 @@ def _facet_map(fan):
     return facets
 
 
-def _overlaps(fan):
-    """Overlap problems for every pair of (simplicial) cones, by exact LP."""
-    problems = []
-    for ci, cj in combinations(range(len(fan.max_cones)), 2):
-        a, b = fan.max_cones[ci], fan.max_cones[cj]
+def _facet_record(ca, k, cb, kb, mu):
+    """The record ``(ca, k, cb, kb, mu_k, coeffs)`` of a facet: cone cb's
+    apex at position kb faces cone ca's at position k, mu is that apex in
+    ca's basis (:func:`kernel.coordinates` over ca's stored columns), and
+    ``coeffs`` is -mu with position k removed, the wall's coefficients on a
+    smooth fan.  It takes ``mu`` over: position k is popped off the list."""
+    mu_k = mu.pop(k)
+    return ca, k, cb, kb, mu_k, tuple(map(neg, mu))
+
+
+def _separated(cols, cone, rays):
+    """True when some stored column of one cone's inverse has a dot product
+    <= 0 with every ray of ``cone``.  Column j is positive on the interior
+    of its own cone, so that hyperplane separates the two interiors."""
+    return any(
+        all(sum(map(mul, rays[i], col)) <= 0 for i in cone) for col in cols
+    )
+
+
+def _overlaps(fan, inverses):
+    """Overlap problems for every pair of (simplicial) cones, by exact LP.
+
+    ``inverses`` are the validity pass's ``(cols, det)`` per cone.  A pair
+    that one cone's facet hyperplane separates (:func:`_separated`, either
+    way round) has disjoint interiors, and solves no LP; every other pair
+    solves one, so the pairs named are those of the LP over all pairs.
+    Two cones that share a facet with their apexes on opposite sides are
+    separated by it, so only pairs that meet in a smaller face, or overlap,
+    can reach the LP."""
+    rays, cones, problems = fan.rays, fan.max_cones, []
+    for ci, cj in combinations(range(len(cones)), 2):
+        a, b = cones[ci], cones[cj]
+        if _separated(inverses[ci][0], b, rays) or _separated(
+            inverses[cj][0], a, rays
+        ):
+            continue
         # an interior point common to both cones: all coordinates >= 1
-        cols = [fan.rays[i] for i in a] + [
-            tuple(-x for x in fan.rays[i]) for i in b
-        ]
+        cols = [rays[i] for i in a] + [tuple(-x for x in rays[i]) for i in b]
         rhs = tuple(
-            sum(fan.rays[i][k] for i in b) - sum(fan.rays[i][k] for i in a)
+            sum(rays[i][k] for i in b) - sum(rays[i][k] for i in a)
             for k in range(fan.dim)
         )
         if in_nonneg_span(cols, rhs):
@@ -248,12 +278,14 @@ def _analyze(fan):
     ``(cols, det)`` for cone ci when the report is valid: det is det A and
     ``cols`` the columns of |det| A^-1, so a unimodular cone holds A^-1
     itself, and column k is the dual vector of the cone's k-th ray, times
-    |det|.  ``relations`` holds the walk's record (ca, k, cb, kb, mu) of
-    every facet it crossed: cone cb's apex at position kb faces cone ca's
-    at position k, and mu = :func:`kernel.coordinates` (that apex, cols of
-    ca) is the apex in ca's basis, times |det| of ca.  :func:`walls` reads
-    the walls off them; it is None on a surgery's output, which has no
-    walk.
+    |det|.  ``relations`` holds the walk's record (ca, k, cb, kb, mu_k,
+    coeffs) of every facet it crossed (:func:`_facet_record`): cone cb's
+    apex at position kb faces cone ca's at position k, mu =
+    :func:`kernel.coordinates` (that apex, cols of ca) is the apex in ca's
+    basis, times |det| of ca, mu_k its entry at k, and ``coeffs`` -mu with
+    position k removed; mu itself is not kept.  :func:`walls` puts each
+    record's ``coeffs`` into its ``Wall``; it is None on a surgery's
+    output, which has no walk.
 
     A fan made by a surgery inherits its parent's verdict, by the lemma
     each surgery's docstring states: the surgery ran only on a valid smooth
@@ -289,8 +321,8 @@ def _analyze(fan):
     over the one facet map of the pass.  Overlaps are excluded by the covering-degree
     certificate of :func:`is_complete`, which reads those records: mu_k <
     0 on every facet, the two apexes on opposite sides of it; only when
-    it fails does the O(C^2) overlap LP run, to name the overlapping
-    pairs.
+    it fails does :func:`_overlaps` run, to name the overlapping pairs: an
+    LP for each pair of cones that no facet hyperplane of either separates.
     """
     if fan._origin:
         complete, _, inverses = fan._origin
@@ -362,7 +394,7 @@ def _analyze(fan):
                         if inverses[cb] is None:
                             inverses[cb] = kernel.exchange(cols, det, k, mu, kb)
                             reached.append(cb)
-                        relations.append((ca, k, cb, kb, mu))
+                        relations.append(_facet_record(ca, k, cb, kb, mu))
     problems.extend(filter(None, faults))
     used = set().union(*cones)
     if not used.issuperset(range(n_rays)):
@@ -382,10 +414,10 @@ def _analyze(fan):
     # the near apex at k exactly when mu_k < 0
     if not (
         paired
-        and all(mu[k] < 0 for _, k, _, _, mu in relations)
+        and all(mu_k < 0 for _, _, _, _, mu_k, _ in relations)
         and _covered_once(fan, inverses)
     ):
-        problems = _overlaps(fan)
+        problems = _overlaps(fan, inverses)
     smooth = all(det in (1, -1) for _, det in inverses)
     report = ValidationReport(tuple(problems))
     return report, smooth, paired, tuple(inverses), tuple(relations)
@@ -447,36 +479,40 @@ def walls(fan):
     """All walls with their exact integral relations, sorted by wall rays.
 
     A wall is a facet shared by cones ca and cb, and its relation is the
-    record (ca, k, cb, kb, mu) of :func:`_analyze`: mu, the apex of cb
-    written in the basis of ca, whose apex at k it faces.  The fan is
-    smooth, so mu is exact and |mu_k| = |det| of cb = 1, and the apexes
-    lie on opposite sides of the facet, so mu_k = -1: the far apex is
-    minus the near one plus sum_j mu_j times the facet rays, and the
-    coefficients are -mu with position k removed, the same from either
-    side.  On a fan that no surgery made, the sides are the validity
-    pass's certificate, mu_k < 0 on every record, and the records are the
-    pass's own; a surgery's output, which has no pass, has them by the
-    surgery's lemma, and pairs its facets here and reads each record, from
-    the facet's first cone, over that cone's planned inverse, so a cone
-    that is no facet's first is not read.  Raises InvalidFanError unless
-    the fan is smooth and complete.
+    record (ca, k, cb, kb, mu_k, coeffs) of :func:`_analyze`: mu, the apex
+    of cb written in the basis of ca, whose apex at k it faces, is read
+    there once.  The fan is smooth, so mu is exact and |mu_k| = |det| of
+    cb = 1, and the apexes lie on opposite sides of the facet, so mu_k =
+    -1: the far apex is minus the near one plus sum_j mu_j times the facet
+    rays, and the coefficients are -mu with position k removed, the same
+    from either side, which is the record's ``coeffs``; each ``Wall``
+    holds that tuple itself, not a copy.  On a fan that no surgery made,
+    the sides are the validity pass's certificate, mu_k < 0 on every
+    record, and the records are the pass's own; a surgery's output, which
+    has no pass, has them by the surgery's lemma, and pairs its facets
+    here and builds each record the same way (:func:`_facet_record`),
+    from the facet's first cone, over that cone's planned inverse, so a
+    cone that is no facet's first is not read; those records are dropped
+    once the walls are built.  Raises InvalidFanError unless the fan is
+    smooth and complete.
     """
     ensure_smooth_complete(fan)
     cones, rays, out = fan.max_cones, fan.rays, []
     if fan._origin:
         inverses = fan._origin[2]
         relations = [
-            (ca, k, cb, kb, kernel.coordinates(rays[cones[cb][kb]], inverses[ca][0]))
+            _facet_record(
+                ca, k, cb, kb, kernel.coordinates(rays[cones[cb][kb]], inverses[ca][0])
+            )
             for (ca, k), (cb, kb) in _facet_map(fan).values()
         ]
     else:
         relations = _analyze(fan)[4]
-    for ca, k, cb, kb, mu in relations:
+    for ca, k, cb, kb, _, coeffs in relations:
         cone = cones[ca]
         a, b = cone[k], cones[cb][kb]
         if a > b:
             a, b = b, a
-        coeffs = tuple(map(neg, mu[:k] + mu[k + 1 :]))
         out.append(Wall(cone[:k] + cone[k + 1 :], a, b, coeffs))
     out.sort(key=attrgetter("wall_rays"))
     return tuple(out)
@@ -692,7 +728,8 @@ def _iso_record(fan):
     A fan isomorphism preserves both, so fans with unequal multisets are
     not isomorphic, and a candidate image of a cone must match its rays'
     invariants.  It is also the fan's per-ray wall table, which
-    ``classify.analyze_divisor`` reads.
+    ``classify.analyze_divisor`` reads.  Equal invariants are one object,
+    so a fan whose rays look alike keeps each invariant once.
     """
     valence = [0] * len(fan.rays)
     for cone in fan.max_cones:
@@ -702,7 +739,10 @@ def _iso_record(fan):
     for w in walls(fan):
         for i, c in zip(w.wall_rays, w.coeffs):
             coeffs[i].append(c)
-    inv = tuple((v, tuple(sorted(cs))) for v, cs in zip(valence, coeffs))
+    shared = {}
+    inv = tuple(
+        [shared.setdefault(e, e) for e in zip(valence, map(tuple, map(sorted, coeffs)))]
+    )
     return inv, tuple(sorted(inv))
 
 

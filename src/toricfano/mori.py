@@ -41,12 +41,14 @@ def _picard_classes(fan):
 
     A class is read on the rays outside cone 0, straight from the wall
     relation: 1 on an apex, the coefficient on a wall ray, 0 elsewhere.
+    Walls with equal classes share one tuple, the one in the distinct
+    classes, so the table keeps each class once.
     """
     fan_walls = walls(fan)  # raises unless the fan is smooth and complete
     anchor = set(fan.max_cones[0])
     outside = [i for i in range(len(fan.rays)) if i not in anchor]
     slot = {i: k for k, i in enumerate(outside)}
-    table = {}
+    table, classes = {}, {}
     for w in fan_walls:
         dots = [0] * len(slot)
         for i, a in zip(w.wall_rays, w.coeffs):
@@ -55,8 +57,9 @@ def _picard_classes(fan):
         for i in (w.apex_a, w.apex_b):
             if i in slot:
                 dots[slot[i]] = 1
-        table[w.wall_rays] = (w, tuple(dots))
-    return table, tuple(dict.fromkeys(dots for _, dots in table.values()))
+        dots = tuple(dots)
+        table[w.wall_rays] = (w, classes.setdefault(dots, dots))
+    return table, tuple(classes)
 
 
 def is_extremal(fan, wall):

@@ -2,7 +2,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 from operator import mul
 
@@ -34,10 +34,10 @@ from toricfano.cli import (
     cmd_verify_theorem1,
     cmd_verify_theorem2,
 )
+from toricfano._simplex import in_nonneg_span
 from toricfano.fan import (
     Wall,
     _facet_map,
-    _overlaps,
     ensure_smooth_complete,
 )
 
@@ -283,9 +283,29 @@ def per_entry_analysis(fan):
         min(sum(map(mul, p, col)) for col in cols) < 0 for cols, _ in inverses[1:]
     )
     if not (paired and opposite and covered_once):
-        problems = _overlaps(fan)
+        problems = lp_overlaps(fan)
     smooth = all(d in (1, -1) for d in dets)
     return tuple(problems), smooth, paired
+
+
+def lp_overlaps(fan):
+    """The oracle for ``fan._overlaps``: one exact LP for every pair of
+    (simplicial) cones, with no separation test first.  Returns the
+    overlap problems in pair order."""
+    problems = []
+    for ci, cj in combinations(range(len(fan.max_cones)), 2):
+        a, b = fan.max_cones[ci], fan.max_cones[cj]
+        # an interior point common to both cones: all coordinates >= 1
+        cols = [fan.rays[i] for i in a] + [
+            tuple(-x for x in fan.rays[i]) for i in b
+        ]
+        rhs = tuple(
+            sum(fan.rays[i][k] for i in b) - sum(fan.rays[i][k] for i in a)
+            for k in range(fan.dim)
+        )
+        if in_nonneg_span(cols, rhs):
+            problems.append(f"cones {ci} and {cj} have overlapping interiors")
+    return problems
 
 
 def oracle_walls(fan):

@@ -19,6 +19,7 @@ from conftest import (
     brute_fans_isomorphic,
     clear_caches,
     count_kernel_calls,
+    lp_overlaps,
     oracle_walls,
     permutation_det,
     per_entry_analysis,
@@ -52,6 +53,7 @@ from toricfano import (
     validate,
     walls,
 )
+from toricfano._simplex import in_nonneg_span
 from toricfano.classify import p1_bundle_fan
 from toricfano.fan import (
     Wall,
@@ -61,11 +63,13 @@ from toricfano.fan import (
     _covered_once,
     _facet_map,
     _Inverses,
+    _iso_record,
     _maps_onto,
     _overlaps,
 )
 from toricfano.intersect import _blowup_verdicts
 from toricfano.kernel import coordinates, exchange
+from toricfano.mori import _picard_classes
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -310,7 +314,7 @@ def reference_check(fan):
     """
     problems = [p for p in validate(fan).problems if "overlapping" not in p]
     if not problems:
-        problems = _overlaps(fan)
+        problems = lp_overlaps(fan)
     if problems:
         return problems, None
     facets = {}
@@ -411,6 +415,66 @@ class TestCertificateAgainstOverlapLP:
         for fan in random_corpus(4, 10, 4, 7):
             flipped = Fan(fan.dim, [[-x for x in r] for r in fan.rays], fan.max_cones)
             assert validate(flipped).valid and is_complete(flipped)
+
+
+def cut_fans(fans, rng):
+    """Each fan with one, two and a third of its cones deleted at random,
+    keeping those whose every ray is still used, so that the cut fan is
+    valid, or fails only by overlapping."""
+    out = []
+    for fan in fans:
+        count = len(fan.max_cones)
+        for drop in (1, 2, count // 3):
+            kept = sorted(rng.sample(range(count), count - drop))
+            cones = [fan.max_cones[i] for i in kept]
+            if set().union(*cones) == set(range(len(fan.rays))):
+                out.append(Fan(fan.dim, fan.rays, cones))
+    return out
+
+
+class TestOverlapSeparation:
+    """``_overlaps`` solves no LP for a pair of cones that a facet
+    hyperplane of either one separates, and names the same pairs as the LP
+    over every pair, ``conftest.lp_overlaps``."""
+
+    def test_filtered_pairs_match_the_lp_on_every_pair(self):
+        rng = random.Random(2215)
+        fans = list(random_corpus(3, 30, 3, 2024)) + list(random_corpus(4, 8, 4, 7))
+        fans += [entry.fan for n in (3, 4) for entry in catalog(n)]
+        cut = cut_fans(fans + [DOUBLE_COVER, FOLDED], rng)
+        # a ray negated, a cone repeated, a cone ray replaced
+        mutated = [m for fan in cut for m in mutations(fan, rng)[2:]]
+        seen = {True: 0, False: 0}
+        for fan in [DOUBLE_COVER, FOLDED] + cut + mutated:
+            inverses = _analyze(fan)[3]
+            if not inverses:
+                continue  # an entry problem, found before any overlap
+            expected = lp_overlaps(fan)
+            assert _overlaps(fan, inverses) == expected, fan
+            seen[bool(expected)] += 1
+        # incomplete fans with and without overlaps both occur
+        assert seen[True] >= 10 and seen[False] >= 100, seen
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_a_catalog_fan_less_a_cone_solves_no_lp(self, n, monkeypatch):
+        """Each catalog fan with its last cone deleted is valid and not
+        complete, and each pair of its cones is separated by a facet
+        hyperplane of one of them, so no LP runs (at n = 4, 246 LPs when
+        every pair solved one)."""
+        import toricfano.fan
+
+        lps = []
+
+        def counting_span(columns, target):
+            lps.append(target)
+            return in_nonneg_span(columns, target)
+
+        monkeypatch.setattr(toricfano.fan, "in_nonneg_span", counting_span)
+        for entry in catalog(n):
+            fan = entry.fan
+            cut = Fan(n, fan.rays, fan.max_cones[:-1])
+            assert validate(cut).valid and not is_complete(cut), entry.name
+        assert lps == []
 
 
 def corrupt(fan, rng):
@@ -874,14 +938,18 @@ class TestInheritedInverses:
 def check_relations(fan, relations, inverses):
     """The validity walk's records ``relations`` of a fan with no parent,
     against ``_facet_map`` and the cone inverses ``inverses``: every facet
-    once, with its two cones and their apex positions; mu, the far apex
-    dotted with each stored column of the near cone; and mu_k = -|det| of
-    the far cone, so the two apexes lie on opposite sides of the facet."""
+    once, with its two cones and their apex positions; mu, rebuilt from the
+    record's mu_k and -coeffs, the far apex dotted with each stored column
+    of the near cone; and mu_k = -|det| of the far cone, so the two apexes
+    lie on opposite sides of the facet."""
     cones, pairing = fan.max_cones, {}
-    for ca, k, cb, kb, mu in relations:
+    for ca, k, cb, kb, mu_k, coeffs in relations:
         facet = cones[ca][:k] + cones[ca][k + 1 :]
         pairing.setdefault(facet, []).extend([(ca, k), (cb, kb)])
         apex = fan.rays[cones[cb][kb]]
+        # the record keeps mu_k and coeffs, -mu without position k
+        mu = [-c for c in coeffs]
+        mu.insert(k, mu_k)
         assert mu == [sum(map(mul, apex, col)) for col in inverses[ca][0]], fan
         assert mu[k] == -abs(inverses[cb][1]), (fan, ca, cb)
     assert {f: sorted(p) for f, p in pairing.items()} == _facet_map(fan), fan
@@ -1328,9 +1396,47 @@ class TestWallRelations:
         )
         _, smooth, paired, inverses, relations = _analyze(fan)
         assert smooth and paired and _covered_once(fan, inverses)
-        assert sorted(mu[k] for _, k, _, _, mu in relations) == [-1, -1, 1, 1]
+        assert sorted(mu_k for _, _, _, _, mu_k, _ in relations) == [-1, -1, 1, 1]
         assert validate(fan).problems == overlaps
         assert per_entry_analysis(fan) == (overlaps, True, True)
+
+
+def assert_wall_data_kept_once(fan):
+    """The walls, the class table and the per-ray invariants of ``fan`` hold
+    each piece of data once: a walked fan's ``Wall.coeffs`` is the tuple
+    of its facet's record in the validity pass, each class of the class
+    table is the distinct class itself, and equal per-ray invariants, in
+    both of ``_iso_record``'s tuples, are one object."""
+    fan_walls = walls(fan)
+    if fan._origin is None:
+        cones, records = fan.max_cones, {}
+        for ca, k, _, _, _, coeffs in _analyze(fan)[4]:
+            records[cones[ca][:k] + cones[ca][k + 1 :]] = coeffs
+        for w in fan_walls:
+            assert w.coeffs is records[w.wall_rays], (fan, w)
+    table, distinct = _picard_classes(fan)
+    kept = set(map(id, distinct))
+    for w in fan_walls:
+        wall, dots = table[w.wall_rays]
+        assert wall is w and id(dots) in kept, (fan, w)
+    for invariants in _iso_record(fan):
+        first = {}
+        for entry in invariants:
+            assert first.setdefault(entry, entry) is entry, (fan, entry)
+
+
+class TestWallDataKeptOnce:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_catalog_fans_and_their_blow_downs(self, n):
+        """Each catalog fan and each of its blow-down results, which build
+        their walls from short-lived records, keeps its wall data once."""
+        results = 0
+        for entry in catalog(n):
+            assert_wall_data_kept_once(entry.fan)
+            for _, result, _ in blow_downs(entry.fan):
+                assert_wall_data_kept_once(result)
+                results += 1
+        assert results > 0
 
 
 class TestParentReleased:
