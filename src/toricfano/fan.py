@@ -15,21 +15,21 @@ A keeps (the columns of |det| A^-1, det A), so a unimodular cone holds
 A^-1 itself, column k is the dual vector of its k-th ray, and moving a row
 of A moves a column.
 
-Only a fan that no surgery made gets the full validity pass.  It asks
-``kernel.inverse`` for one root cone, n exchange steps from the
-identity, and walks the facet graph from there, reading each
-neighbour's inverse off the known one's by the same step
+``validate`` runs one full validity pass on every fan, a surgery's
+output too.  It asks ``kernel.inverse`` for one root cone, n exchange
+steps from the identity, and walks the facet graph from there, reading
+each neighbour's inverse off the known one's by the same step
 (``kernel.exchange``), so a complete fan asks the kernel once.  The
-walk is the one facet pairing of such a fan: across every facet it
-reads the far apex in the near cone's basis once, which is the step's
-input on a tree edge, and that record is both the orientation
-certificate (the two apexes on opposite sides) and, on a smooth fan, the
-wall relation, so ``walls`` pairs no facet and solves nothing again, and
-each wall holds its record's coefficient tuple itself.  The
+walk is the one facet pairing of a fan that no surgery made: across
+every facet it reads the far apex in the near cone's basis once, which
+is the step's input on a tree edge, checks there the orientation
+certificate (the two apexes on opposite sides) and builds the facet's
+``Wall``, whose relation that reading is on a smooth fan, so ``walls``
+pairs no facet and solves nothing again.  The
 two surgeries, ``star_subdivide`` and its inverse ``blow_down``, turn a
 valid smooth fan into a valid smooth fan with the same support, so their
 output inherits the parent's verdict, and ``ensure_valid`` reads it
-without building the output's inverses.  The output skips the entry
+without a pass or the output's inverses.  The output skips the entry
 checks too (the types, the sorted cones), which its construction already
 meets; a fan built by ``Fan(...)`` or unpickled runs them.
 The loop that builds the output's cones records a plan: for each cone,
@@ -173,14 +173,15 @@ def _facet_map(fan):
     return facets
 
 
-def _facet_record(ca, k, cb, kb, mu):
-    """The record ``(ca, k, cb, kb, mu_k, coeffs)`` of a facet: cone cb's
-    apex at position kb faces cone ca's at position k, mu is that apex in
-    ca's basis (:func:`kernel.coordinates` over ca's stored columns), and
-    ``coeffs`` is -mu with position k removed, the wall's coefficients on a
-    smooth fan.  It takes ``mu`` over: position k is popped off the list."""
-    mu_k = mu.pop(k)
-    return ca, k, cb, kb, mu_k, tuple(map(neg, mu))
+def _wall(facet, a, b, mu, k):
+    """The ``Wall`` across ``facet`` between apexes a and b, in sorted
+    order: a is at position k of its cone, and mu is b in that cone's basis
+    (:func:`kernel.coordinates` over its stored columns), so on a smooth
+    fan the coefficients are -mu with position k removed, the same from
+    either side.  It takes ``mu`` over: position k is deleted."""
+    del mu[k]
+    coeffs = tuple(map(neg, mu))
+    return Wall(facet, a, b, coeffs) if a < b else Wall(facet, b, a, coeffs)
 
 
 def _separated(cols, cone, rays):
@@ -274,34 +275,20 @@ def _analyze(fan):
 
     Each maximal cone has its rays as the rows of A, and every later change
     of basis reads the inverse of A found here.  Returns (ValidationReport,
-    smooth, complete, inverses, relations), where ``inverses[ci]`` is
+    smooth, complete, inverses, walls), where ``inverses[ci]`` is
     ``(cols, det)`` for cone ci when the report is valid: det is det A and
     ``cols`` the columns of |det| A^-1, so a unimodular cone holds A^-1
     itself, and column k is the dual vector of the cone's k-th ray, times
-    |det|.  ``relations`` holds the walk's record (ca, k, cb, kb, mu_k,
-    coeffs) of every facet it crossed (:func:`_facet_record`): cone cb's
-    apex at position kb faces cone ca's at position k, mu =
-    :func:`kernel.coordinates` (that apex, cols of ca) is the apex in ca's
-    basis, times |det| of ca, mu_k its entry at k, and ``coeffs`` -mu with
-    position k removed; mu itself is not kept.  :func:`walls` puts each
-    record's ``coeffs`` into its ``Wall``; it is None on a surgery's
-    output, which has no walk.
+    |det|.  ``walls`` holds the ``Wall`` of every facet the walk crossed,
+    in walk order, when the fan is valid and smooth, and is () otherwise:
+    a fan that is not smooth has no integral wall relations.
 
-    A fan made by a surgery inherits its parent's verdict, by the lemma
-    each surgery's docstring states: the surgery ran only on a valid smooth
-    parent, and the result is a valid smooth fan with the parent's
-    support, so it is complete exactly when the parent is.  So
-    :func:`ensure_valid` and the tests on it read that verdict off
-    ``Fan._origin`` and never come here, and every reader of its inverses
-    (a further surgery, :func:`walls`, :func:`fans_isomorphic`) takes them
-    per cone from its :class:`_Inverses` (:func:`_inverses`).  Here every
-    cone is read through that same ``_Inverses``, off the plan the surgery
-    recorded: a kept cone shares its parent cone's ``(cols, det)``, and a
-    moved cone's is read off its parent cone's by the walk's own step,
-    :func:`kernel.exchange`; |det| A^-1 and det are unique, so they are
-    those of the full pass.  No ancestor is analysed or even reachable.
+    Every fan gets this same pass, a surgery's output too when
+    :func:`validate` asks; the other readers, :func:`ensure_valid`,
+    :func:`_inverses`, :func:`walls` and :func:`_cone_ms`, read a
+    surgery's output off ``Fan._origin`` and never come here.
 
-    Any other fan gets the full pass.  The entry checks run in bulk: one
+    The entry checks run in bulk: one
     ``all`` or set test each for the rays' dimensions and primitivity,
     equal rays, unused rays and duplicate cones, and per cone a size test
     and, the cone being sorted, a range test on its first and last index.
@@ -317,17 +304,14 @@ def _analyze(fan):
     finds it singular.  A complete fan, or any connected
     one, asks the kernel once.  The walk reads mu across every facet once,
     from the cone it reaches first, whether or not it crosses there, and
-    records it: C n / 2 coordinate reads on a complete fan of C cones,
-    over the one facet map of the pass.  Overlaps are excluded by the covering-degree
-    certificate of :func:`is_complete`, which reads those records: mu_k <
-    0 on every facet, the two apexes on opposite sides of it; only when
-    it fails does :func:`_overlaps` run, to name the overlapping pairs: an
-    LP for each pair of cones that no facet hyperplane of either separates.
+    builds the facet's ``Wall`` from it (:func:`_wall`): C n / 2
+    coordinate reads on a complete fan of C cones, over the one facet map
+    of the pass.  Overlaps are excluded by the covering-degree certificate
+    of :func:`is_complete`, whose sides are checked there too: mu_k < 0 on
+    every facet, the two apexes on opposite sides of it; only when it
+    fails does :func:`_overlaps` run, to name the overlapping pairs: an LP
+    for each pair of cones that no facet hyperplane of either separates.
     """
-    if fan._origin:
-        complete, _, inverses = fan._origin
-        planned = tuple(map(inverses.__getitem__, range(len(fan.max_cones))))
-        return ValidationReport(()), True, complete, planned, None
     dim, rays, cones = fan.dim, fan.rays, fan.max_cones
     if dim < 2:
         report = ValidationReport(("dimension must be at least 2",))
@@ -369,7 +353,7 @@ def _analyze(fan):
         loose.add(ci)
     well_formed = not any(faults)
     facets = _facet_map(fan)
-    inverses, relations, done = [None] * len(cones), [], set()
+    inverses, out, done, oriented = [None] * len(cones), [], set(), True
     for root, cone in enumerate(cones):
         if inverses[root] is not None or root in loose:
             continue
@@ -384,17 +368,22 @@ def _analyze(fan):
             cols, det = inverses[ca]
             known = cones[ca]
             for k in range(dim):
-                for cb, kb in facets[known[:k] + known[k + 1 :]]:
+                facet = known[:k] + known[k + 1 :]
+                for cb, kb in facets[facet]:
                     if cb in done or cb in loose:
                         continue
                     # each facet's relation is read once, from the side
                     # reached first, tree edge or not
-                    mu = kernel.coordinates(rays[cones[cb][kb]], cols)
+                    far = cones[cb][kb]
+                    mu = kernel.coordinates(rays[far], cols)
                     if mu and mu[k]:
                         if inverses[cb] is None:
                             inverses[cb] = kernel.exchange(cols, det, k, mu, kb)
                             reached.append(cb)
-                        relations.append(_facet_record(ca, k, cb, kb, mu))
+                        # the far apex is across the facet from the near
+                        # apex at k exactly when mu_k < 0
+                        oriented &= mu[k] < 0
+                        out.append(_wall(facet, known[k], far, mu, k))
     problems.extend(filter(None, faults))
     used = set().union(*cones)
     if not used.issuperset(range(n_rays)):
@@ -410,22 +399,21 @@ def _analyze(fan):
     if problems:
         return ValidationReport(tuple(problems)), False, False, (), ()
     paired = all(len(pair) == 2 for pair in facets.values())
-    # the far apex, mu in the near cone's basis, is across the facet from
-    # the near apex at k exactly when mu_k < 0
-    if not (
-        paired
-        and all(mu_k < 0 for _, _, _, _, mu_k, _ in relations)
-        and _covered_once(fan, inverses)
-    ):
+    if not (paired and oriented and _covered_once(fan, inverses)):
         problems = _overlaps(fan, inverses)
     smooth = all(det in (1, -1) for _, det in inverses)
     report = ValidationReport(tuple(problems))
-    return report, smooth, paired, tuple(inverses), tuple(relations)
+    if not (smooth and report.valid):
+        out = ()  # no integral wall relations
+    return report, smooth, paired, tuple(inverses), tuple(out)
 
 
 def validate(fan):
-    """Check every Fan invariant and report each violation with indices."""
-    return ValidationReport(()) if fan._origin else _analyze(fan)[0]
+    """Check every Fan invariant and report each violation with indices.
+
+    Every fan gets the full validity pass, a surgery's output too, whose
+    verdict :func:`ensure_valid` otherwise inherits from its parent."""
+    return _analyze(fan)[0]
 
 
 def ensure_valid(fan):
@@ -451,10 +439,11 @@ def is_complete(fan):
     Reason: with every facet in two cones, their apexes on opposite sides,
     a generic path leaves one cone where it enters the next, so all generic
     points lie in the same number of cones, the covering degree.  The
-    validity pass certifies the sides from its record of each facet: the
+    validity pass certifies the sides as its walk reads each facet: the
     far apex written in the near cone's basis has a negative coordinate,
     mu_k < 0, at the near apex.  The ray sum of cone 0 lies in no other
-    cone of a valid fan (:func:`_covered_once`), so the degree is 1.
+    cone of a valid fan (:func:`_covered_once`), so the degree is 1.  A
+    surgery's output is complete exactly when its parent is.
     """
     return ensure_valid(fan)[1]
 
@@ -478,44 +467,31 @@ def _inverses(fan):
 def walls(fan):
     """All walls with their exact integral relations, sorted by wall rays.
 
-    A wall is a facet shared by cones ca and cb, and its relation is the
-    record (ca, k, cb, kb, mu_k, coeffs) of :func:`_analyze`: mu, the apex
-    of cb written in the basis of ca, whose apex at k it faces, is read
-    there once.  The fan is smooth, so mu is exact and |mu_k| = |det| of
-    cb = 1, and the apexes lie on opposite sides of the facet, so mu_k =
-    -1: the far apex is minus the near one plus sum_j mu_j times the facet
+    A wall is a facet shared by cones ca and cb, and its relation is read
+    once: mu, the apex of cb written in the basis of ca, whose apex at k
+    it faces.  The fan is smooth, so mu is exact and |mu_k| = |det| of cb
+    = 1, and the apexes lie on opposite sides of the facet, so mu_k = -1:
+    the far apex is minus the near one plus sum_j mu_j times the facet
     rays, and the coefficients are -mu with position k removed, the same
-    from either side, which is the record's ``coeffs``; each ``Wall``
-    holds that tuple itself, not a copy.  On a fan that no surgery made,
-    the sides are the validity pass's certificate, mu_k < 0 on every
-    record, and the records are the pass's own; a surgery's output, which
-    has no pass, has them by the surgery's lemma, and pairs its facets
-    here and builds each record the same way (:func:`_facet_record`),
+    from either side (:func:`_wall`).  On a fan that no surgery made, the
+    sides are the validity pass's certificate, mu_k < 0 on every facet,
+    and the walls are the ``Wall`` objects its walk built, sorted here; a
+    surgery's output, which has no pass, has its sides by the surgery's
+    lemma, and pairs its facets here and builds each wall the same way,
     from the facet's first cone, over that cone's planned inverse, so a
-    cone that is no facet's first is not read; those records are dropped
-    once the walls are built.  Raises InvalidFanError unless the fan is
-    smooth and complete.
+    cone that is no facet's first is not read.  Raises InvalidFanError
+    unless the fan is smooth and complete.
     """
     ensure_smooth_complete(fan)
-    cones, rays, out = fan.max_cones, fan.rays, []
     if fan._origin:
-        inverses = fan._origin[2]
-        relations = [
-            _facet_record(
-                ca, k, cb, kb, kernel.coordinates(rays[cones[cb][kb]], inverses[ca][0])
-            )
-            for (ca, k), (cb, kb) in _facet_map(fan).values()
-        ]
+        cones, rays, inverses, out = fan.max_cones, fan.rays, fan._origin[2], []
+        for facet, ((ca, k), (cb, kb)) in _facet_map(fan).items():
+            far = cones[cb][kb]
+            mu = kernel.coordinates(rays[far], inverses[ca][0])
+            out.append(_wall(facet, cones[ca][k], far, mu, k))
     else:
-        relations = _analyze(fan)[4]
-    for ca, k, cb, kb, _, coeffs in relations:
-        cone = cones[ca]
-        a, b = cone[k], cones[cb][kb]
-        if a > b:
-            a, b = b, a
-        out.append(Wall(cone[:k] + cone[k + 1 :], a, b, coeffs))
-    out.sort(key=attrgetter("wall_rays"))
-    return tuple(out)
+        out = _analyze(fan)[4]
+    return tuple(sorted(out, key=attrgetter("wall_rays")))
 
 
 @lru_cache(maxsize=None)

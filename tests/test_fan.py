@@ -63,9 +63,11 @@ from toricfano.fan import (
     _covered_once,
     _facet_map,
     _Inverses,
+    _inverses,
     _iso_record,
     _maps_onto,
     _overlaps,
+    ensure_valid,
 )
 from toricfano.intersect import _blowup_verdicts
 from toricfano.kernel import coordinates, exchange
@@ -73,6 +75,16 @@ from toricfano.mori import _picard_classes
 
 
 P2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+
+
+def planned_pass(fan):
+    """What a surgery's output holds in place of a validity pass: its
+    inherited ``(smooth, complete)`` and its cone inverses, each read
+    through its plan (``_inverses``), cone by cone.  A full pass of the
+    same fan, ``full``, agrees when this equals ``(full[1:3], full[3])``."""
+    inverses = _inverses(fan)
+    planned = tuple(map(inverses.__getitem__, range(len(fan.max_cones))))
+    return ensure_valid(fan), planned
 
 
 class TestValidate:
@@ -202,7 +214,8 @@ def test_blow_down_needs_no_complete_fan():
         back = blow_down(star_subdivide(fan, center), 3, center)
         assert back == fan and back.max_cones == fan.max_cones
         assert not is_complete(back)
-        assert _analyze(back)[:4] == _analyze(fan)[:4]
+        full = _analyze(fan)
+        assert planned_pass(back) == (full[1:3], full[3])
 
 
 @pytest.mark.parametrize(
@@ -809,9 +822,12 @@ def check_planned_verdicts(child, own_inverses):
 def check_trusted_child(child):
     """A surgery's child, built without ``Fan``'s entry checks, against its
     checked copy: equal, with the same hash, every cone sorted, every entry
-    a plain int, and a pickle round trip, which runs the checks, equal."""
+    a plain int, and a pickle round trip, which runs the checks, equal.
+    Equality, hash and repr read the fields only."""
     checked = Fan(child.dim, child.rays, child.max_cones)
+    assert checked._origin is None
     assert child == checked and hash(child) == hash(checked), child
+    assert repr(child) == repr(checked)
     assert all(list(cone) == sorted(cone) for cone in child.max_cones), child
     assert type(child.rays) is tuple and type(child.max_cones) is tuple
     for entries in child.rays + child.max_cones:
@@ -821,24 +837,20 @@ def check_trusted_child(child):
 
 
 def check_inherited_inverses(child, parent_inverses):
-    """A star subdivision's validity pass, which reads its inverses off its
-    parent's, against the kernel's pass on the parentless rebuild, and each
-    derived inverse, that of a cone through the new ray, against the
-    Bareiss oracle.  ``parent_inverses`` is the parent's cached
-    ``_analyze(parent)[3]`` when the surgery ran."""
-    rebuild = Fan(child.dim, child.rays, child.max_cones)
-    assert rebuild._origin is None
+    """A star subdivision's inherited verdict and the inverses it reads
+    cone by cone off its parent's (:func:`planned_pass`), against its own
+    full validity pass, and each derived inverse, that of a cone through
+    the new ray, against the Bareiss oracle.  ``parent_inverses`` is the
+    parent's cached ``_analyze(parent)[3]`` when the surgery ran."""
     check_trusted_child(child)
     check_record(child, parent_inverses)
-    assert rebuild == child
-    assert hash(rebuild) == hash(child)
-    assert repr(rebuild) == repr(child)
-    full = _analyze.__wrapped__(rebuild)
+    full = _analyze(child)
+    assert full[0].valid, child
     check_planned_verdicts(child, full[3])
-    result = _analyze(child)
-    assert result[:4] == full[:4], child
+    planned = planned_pass(child)
+    assert planned == (full[1:3], full[3]), child
     new_index = len(child.rays) - 1
-    for cone, inverse in zip(child.max_cones, result[3]):
+    for cone, inverse in zip(child.max_cones, planned[1]):
         if cone[-1] == new_index:
             rows = tuple(child.rays[i] for i in cone)
             assert inverse == as_stored(*bareiss_inverse(rows)), (child, cone)
@@ -880,7 +892,7 @@ class TestInheritedInverses:
                     assert mu[k] == 1 and mu.count(-1) == len(center) - 1, mu
                     assert mu.count(0) == fan.dim - len(center), mu
                 check_planned_verdicts(back, parent[3])
-                assert _analyze(back)[:4] == parent[:4], (fan, center)
+                assert planned_pass(back) == (parent[1:3], parent[3]), (fan, center)
                 subdivided += 1
             clear_caches()
         assert subdivided == 11_235
@@ -935,52 +947,57 @@ class TestInheritedInverses:
         check_inherited_inverses(fan, inverses)
 
 
-def check_relations(fan, relations, inverses):
-    """The validity walk's records ``relations`` of a fan with no parent,
-    against ``_facet_map`` and the cone inverses ``inverses``: every facet
-    once, with its two cones and their apex positions; mu, rebuilt from the
-    record's mu_k and -coeffs, the far apex dotted with each stored column
-    of the near cone; and mu_k = -|det| of the far cone, so the two apexes
-    lie on opposite sides of the facet."""
-    cones, pairing = fan.max_cones, {}
-    for ca, k, cb, kb, mu_k, coeffs in relations:
-        facet = cones[ca][:k] + cones[ca][k + 1 :]
-        pairing.setdefault(facet, []).extend([(ca, k), (cb, kb)])
-        apex = fan.rays[cones[cb][kb]]
-        # the record keeps mu_k and coeffs, -mu without position k
-        mu = [-c for c in coeffs]
-        mu.insert(k, mu_k)
-        assert mu == [sum(map(mul, apex, col)) for col in inverses[ca][0]], fan
-        assert mu[k] == -abs(inverses[cb][1]), (fan, ca, cb)
-    assert {f: sorted(p) for f, p in pairing.items()} == _facet_map(fan), fan
+def check_relations(fan, walked, inverses):
+    """The walls ``walked`` that the validity walk of a valid complete fan
+    built, against ``_facet_map`` and the cone inverses ``inverses``.
+    Across every facet, from each side, mu is computed here: the far apex
+    dotted with each stored column of the near cone, and mu_k = -|det| of
+    the far cone, so the two apexes lie on opposite sides of the facet.  On
+    a smooth fan the walk built every facet's wall once, with the apexes in
+    order and the coefficients -mu with position k removed, from either
+    side; a fan that is not smooth has none.  :func:`check_walls` compares
+    them, through ``walls``, with ``conftest.oracle_walls``."""
+    cones, rays = fan.max_cones, fan.rays
+    smooth = all(det in (1, -1) for _, det in inverses)
+    by_facet, facets = {w.wall_rays: w for w in walked}, _facet_map(fan)
+    assert len(by_facet) == len(walked), fan
+    assert set(by_facet) == (set(facets) if smooth else set()), fan
+    for facet, pair in facets.items():
+        assert len(pair) == 2, fan
+        for (ca, k), (cb, kb) in (pair, pair[::-1]):
+            apex = rays[cones[cb][kb]]
+            mu = [sum(map(mul, apex, col)) for col in inverses[ca][0]]
+            assert mu[k] == -abs(inverses[cb][1]), (fan, ca, cb)
+            if smooth:
+                a, b = sorted((cones[ca][k], cones[cb][kb]))
+                coeffs = tuple(-m for j, m in enumerate(mu) if j != k)
+                assert by_facet[facet] == Wall(facet, a, b, coeffs), fan
 
 
 def check_walls(fan):
-    """``walls`` against the oracle by each of its routes, and the records
-    of the validity pass of the parentless rebuild (:func:`check_relations`).
+    """``walls`` against the oracle by each of its routes, and the walls of
+    the validity pass of the parentless rebuild (:func:`check_relations`).
     The rebuild equals ``fan``, so the two share cache entries, and each
-    route is read from cleared caches: the rebuild's walls from its pass's
-    records, and those of a surgery's output, which has no pass, by pairing
-    its facets over its planned inverses."""
+    route is read from cleared caches: the rebuild's walls are its pass's,
+    and those of a surgery's output pair its facets over its planned
+    inverses, with no validity pass."""
     expected = oracle_walls(fan)
     rebuild = Fan(fan.dim, fan.rays, fan.max_cones)
     for route in (rebuild, fan) if fan._origin else (rebuild,):
         _analyze.cache_clear()
         walls.cache_clear()
         assert walls(route) == expected, route
-        assert (_analyze(route)[4] is None) == (route._origin is not None), route
-    _, _, _, inverses, relations = _analyze.__wrapped__(rebuild)
-    check_relations(rebuild, relations, inverses)
+        assert _analyze.cache_info().misses == (route._origin is None), route
+    _, _, _, inverses, walked = _analyze.__wrapped__(rebuild)
+    check_relations(rebuild, walked, inverses)
 
 
 def check_walked_inverses(fan, calls):
-    """The full pass of ``fan`` rebuilt with no parent, uncached: a valid
-    complete fan, one kernel call, every cone's inverse the Bareiss
-    oracle's, and the walk's record of every facet read through them."""
+    """The full pass of ``fan``, uncached: a valid complete fan, one kernel
+    call, every cone's inverse the Bareiss oracle's, and the walls its walk
+    built read through them (:func:`check_relations`)."""
     before = len(calls)
-    report, smooth, complete, inverses, relations = _analyze.__wrapped__(
-        Fan(fan.dim, fan.rays, fan.max_cones)
-    )
+    report, smooth, complete, inverses, walked = _analyze.__wrapped__(fan)
     assert report.valid and complete, fan
     assert len(calls) == before + 1, fan
     expected = [
@@ -988,7 +1005,7 @@ def check_walked_inverses(fan, calls):
         for cone in fan.max_cones
     ]
     assert list(inverses) == expected, fan
-    check_relations(fan, relations, expected)
+    check_relations(fan, walked, expected)
     assert smooth == all(det in (1, -1) for _, det in expected)
 
 
@@ -1081,6 +1098,17 @@ class TestWalkedInverses:
         assert any(det not in (1, -1) for det in dets)
         assert sum(abs(det) > 1 for det in dets) > 100
 
+    def test_a_fan_that_is_not_smooth_keeps_no_walls(self):
+        """A valid complete fan that is not smooth has no integral wall
+        relations: its pass keeps no walls, and ``walls`` raises."""
+        for weights in ((1, 1, 2), (1, 2, 3), (2, 3, 5), (1, 1, 1, 3), (1, 2, 3, 5)):
+            fan = weighted_projective_fan(weights)
+            report, smooth, complete, _, walked = _analyze(fan)
+            assert report.valid and complete and not smooth, fan
+            assert walked == (), fan
+            with pytest.raises(InvalidFanError, match="fan must be smooth"):
+                walls(fan)
+
     def test_a_singular_cone_is_left_to_the_kernel(self, p3, monkeypatch):
         """A cone the walk finds singular (mu_k = 0) is not reached; the
         kernel, asked for it as the next root, names it."""
@@ -1168,7 +1196,7 @@ class TestWalkedInverses:
             assert _cone_ms.__wrapped__(child) == tuple(
                 tuple(map(sum, zip(*cols))) for cols, _ in inverses
             ), fan
-            assert _analyze.__wrapped__(child)[3] == inverses, fan
+            assert planned_pass(child)[1] == inverses, fan
         assert crossed == 915
 
     def test_an_inexact_exchange_raises(self):
@@ -1194,9 +1222,8 @@ class TestPerConeInverses:
         """Three star subdivisions and the blow-down of the last, built
         afresh for each order, so nothing is read yet; each output's cones
         read one at a time, in order, in reverse and in a seeded random
-        order, are the full pass on the parentless rebuild, and so is
-        ``_analyze``'s tuple then.  A moved cone is exchanged once: reading
-        every cone again exchanges nothing."""
+        order, are the output's full pass.  A moved cone is exchanged once:
+        reading every cone again exchanges nothing."""
         import toricfano.kernel
 
         exchanged, calls = toricfano.kernel.exchange, []
@@ -1224,9 +1251,7 @@ class TestPerConeInverses:
                 out.append(blow_down(out[-1], ray, center))
                 return out[1:]
 
-            fulls = [
-                _analyze.__wrapped__(Fan(m.dim, m.rays, m.max_cones))[3] for m in chain()
-            ]
+            fulls = [_analyze(m)[3] for m in chain()]
             for kind in ("in order", "reversed", "shuffled"):
                 # the deepest output first, so its reads walk the whole chain
                 for member, full in reversed(list(zip(chain(), fulls))):
@@ -1240,7 +1265,6 @@ class TestPerConeInverses:
                     before = len(calls)
                     assert self.read_one_at_a_time(member, cones) == full
                     assert len(calls) == before
-                    assert _analyze.__wrapped__(member)[3] == full
                     checked += 1
         assert checked == 876
 
@@ -1252,8 +1276,7 @@ class TestPerConeInverses:
         fan = p3
         for _ in range(60):
             fan = star_subdivide(fan, rng.sample(rng.choice(fan.max_cones), 3))
-        rebuild = Fan(fan.dim, fan.rays, fan.max_cones)
-        full = _analyze.__wrapped__(rebuild)[3]
+        full = _analyze(fan)[3]
         frame, depth = sys._getframe(), 0
         while frame:
             frame, depth = frame.f_back, depth + 1
@@ -1286,25 +1309,21 @@ def blow_downs(fan):
 
 
 def check_contracted_inverses(parent, parent_inverses, wall, result, removed):
-    """A blow-down's validity pass, which inherits its parent's verdict and
-    reads its inverses off the parent's, against the kernel's pass on the
-    parentless rebuild, and each merged cone's inverse against the Bareiss
-    oracle.  ``parent_inverses`` is the parent's cached
+    """A blow-down's inherited verdict and the inverses it reads cone by
+    cone off its parent's (:func:`planned_pass`), against its own full
+    validity pass, and each merged cone's planned inverse against the
+    Bareiss oracle.  ``parent_inverses`` is the parent's cached
     ``_analyze(parent)[3]`` when the surgery ran."""
-    rebuild = Fan(result.dim, result.rays, result.max_cones)
-    assert rebuild._origin is None
     check_trusted_child(result)
     check_record(result, parent_inverses)
-    assert rebuild == result
-    assert hash(rebuild) == hash(result)
-    assert repr(rebuild) == repr(result)
-    full = _analyze.__wrapped__(rebuild)
+    full = _analyze(result)
+    assert full[0].valid, result
     check_planned_verdicts(result, full[3])
-    got = _analyze(result)
-    assert got[:4] == full[:4], result
+    planned = planned_pass(result)
+    assert planned == (full[1:3], full[3]), result
     a, b = (i if i < removed else i - 1 for i in (wall.apex_a, wall.apex_b))
     merged = 0
-    for cone, inverse in zip(result.max_cones, got[3]):
+    for cone, inverse in zip(result.max_cones, planned[1]):
         if a in cone and b in cone:
             rows = tuple(result.rays[i] for i in cone)
             assert inverse == as_stored(*bareiss_inverse(rows)), (result, cone)
@@ -1371,8 +1390,8 @@ class TestContractedInverses:
             assert is_smooth(fan) and is_complete(fan)
         finally:
             sys.setrecursionlimit(limit)
-        rebuild = Fan(fan.dim, fan.rays, fan.max_cones)
-        assert _analyze(fan)[:4] == _analyze.__wrapped__(rebuild)[:4]
+        full = _analyze(fan)
+        assert planned_pass(fan) == (full[1:3], full[3])
 
 
 class TestWallRelations:
@@ -1394,26 +1413,30 @@ class TestWallRelations:
             f"cones {a} and {b} have overlapping interiors"
             for a, b in ((1, 2), (1, 3), (2, 3))
         )
-        _, smooth, paired, inverses, relations = _analyze(fan)
+        _, smooth, paired, inverses, walked = _analyze(fan)
         assert smooth and paired and _covered_once(fan, inverses)
-        assert sorted(mu_k for _, _, _, _, mu_k, _ in relations) == [-1, -1, 1, 1]
+        # mu_k from each facet's first cone; its sign is the same from either side
+        mu_ks = [
+            sum(map(mul, rays[fan.max_cones[cb][kb]], inverses[ca][0][k]))
+            for (ca, k), (cb, kb) in _facet_map(fan).values()
+        ]
+        assert sorted(mu_ks) == [-1, -1, 1, 1]
         assert validate(fan).problems == overlaps
+        assert walked == ()  # an invalid fan keeps no walls
         assert per_entry_analysis(fan) == (overlaps, True, True)
 
 
 def assert_wall_data_kept_once(fan):
     """The walls, the class table and the per-ray invariants of ``fan`` hold
-    each piece of data once: a walked fan's ``Wall.coeffs`` is the tuple
-    of its facet's record in the validity pass, each class of the class
-    table is the distinct class itself, and equal per-ray invariants, in
-    both of ``_iso_record``'s tuples, are one object."""
+    each piece of data once: a walked fan's walls are the ``Wall`` objects
+    of its validity pass, each class of the class table is the distinct
+    class itself, and equal per-ray invariants, in both of
+    ``_iso_record``'s tuples, are one object."""
     fan_walls = walls(fan)
     if fan._origin is None:
-        cones, records = fan.max_cones, {}
-        for ca, k, _, _, _, coeffs in _analyze(fan)[4]:
-            records[cones[ca][:k] + cones[ca][k + 1 :]] = coeffs
+        walked = {w.wall_rays: w for w in _analyze(fan)[4]}
         for w in fan_walls:
-            assert w.coeffs is records[w.wall_rays], (fan, w)
+            assert w is walked[w.wall_rays], (fan, w)
     table, distinct = _picard_classes(fan)
     kept = set(map(id, distinct))
     for w in fan_walls:
@@ -1429,7 +1452,7 @@ class TestWallDataKeptOnce:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_catalog_fans_and_their_blow_downs(self, n):
         """Each catalog fan and each of its blow-down results, which build
-        their walls from short-lived records, keeps its wall data once."""
+        their walls over their planned inverses, keeps its wall data once."""
         results = 0
         for entry in catalog(n):
             assert_wall_data_kept_once(entry.fan)
@@ -1439,11 +1462,49 @@ class TestWallDataKeptOnce:
         assert results > 0
 
 
+class TestOneWallFormat:
+    def test_walls_of_a_parentless_fan_are_its_walks_own(self, differential_fans):
+        """On a fan with no parent, ``walls`` sorts the ``Wall`` objects the
+        validity walk built: each is the walk's own, by identity.  Caches
+        are cleared per fan, since an equal surgery's output met earlier
+        would answer with the walls it built itself."""
+        for fan in differential_fans:
+            rebuild = Fan(fan.dim, fan.rays, fan.max_cones)
+            _analyze.cache_clear()
+            walls.cache_clear()
+            walked = _analyze(rebuild)[4]
+            got = walls(rebuild)
+            assert sorted(map(id, got)) == sorted(map(id, walked)), fan
+            assert [w.wall_rays for w in got] == sorted(w.wall_rays for w in walked)
+
+    def test_validate_runs_the_full_pass_on_a_surgery_output(self, differential_fans):
+        """``validate`` checks a surgery's output for real: one full validity
+        pass, an ``_analyze`` miss per distinct fan, where ``ensure_valid``
+        inherits the parent's verdict.  Each output is valid, and its pass
+        agrees with the inherited ``is_smooth`` and ``is_complete``.  The
+        outputs are the surgery outputs among the differential fans and the
+        4,50,4,7 corpus, and a star subdivision of each differential fan
+        with its blow-down."""
+        outputs = [
+            f for f in differential_fans + random_corpus(4, 50, 4, 7) if f._origin
+        ]
+        for fan in differential_fans:
+            center = fan.max_cones[0][:2]
+            outputs.append(star_subdivide(fan, center))
+            outputs.append(blow_down(outputs[-1], len(fan.rays), center))
+        clear_caches()
+        for fan in outputs:
+            assert validate(fan).valid, fan
+        assert _analyze.cache_info().misses == len(set(outputs)) == 430
+        for fan in outputs:
+            assert _analyze(fan)[1:3] == (is_smooth(fan), is_complete(fan)), fan
+
+
 class TestParentReleased:
     """A surgery's output records its parent's inverses and a plan, not the
     parent or its cones, so once the caches drop the parent nothing keeps
-    it alive, and the output's pass still equals the full pass on its
-    rebuild."""
+    it alive, and the output's verdict and inverses, read through its plan,
+    still equal its full pass."""
 
     @staticmethod
     def check_released(make_parent, surgery):
@@ -1454,8 +1515,8 @@ class TestParentReleased:
         clear_caches()
         gc.collect()
         assert gone() is None
-        rebuild = Fan(child.dim, child.rays, child.max_cones)
-        assert _analyze(child)[:4] == _analyze.__wrapped__(rebuild)[:4]
+        full = _analyze(child)
+        assert planned_pass(child) == (full[1:3], full[3])
 
     def test_star_subdivision(self, p3):
         self.check_released(
@@ -1489,8 +1550,12 @@ class TestPickle:
             assert loaded == fan and loaded._origin is None
             assert hash(loaded) == hash(fan)
             assert repr(loaded) == repr(fan)
-            # the loaded fan has no origin, so this is a full pass
-            assert _analyze.__wrapped__(loaded)[:4] == _analyze(fan)[:4]
+            # the loaded fan has no origin: its own full pass, uncached,
+            # and, on a surgery's output, what the output read through its plan
+            full = _analyze.__wrapped__(loaded)
+            assert full[:4] == _analyze(fan)[:4]
+            if fan._origin:
+                assert planned_pass(fan) == (full[1:3], full[3])
 
 
 class TestContract:
@@ -1590,9 +1655,8 @@ class TestContract:
         down = [blow_down(fan, 4, center) for center in ((1, 3), (0, 6))]
         for result in down:
             assert is_smooth(result) and is_complete(result)
-            assert _analyze(result)[:4] == _analyze.__wrapped__(
-                Fan(result.dim, result.rays, result.max_cones)
-            )[:4]
+            full = _analyze(result)
+            assert planned_pass(result) == (full[1:3], full[3])
         assert fans_isomorphic(*down) is None
         # each blows back up to fan 42, its ray 4 now last
         for result, center in zip(down, ((1, 3), (0, 5))):
